@@ -20,6 +20,7 @@ split-brain safety the acceptance tests pin.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from repro.controlplane.log import Command
@@ -172,6 +173,8 @@ class ControlPlane:
             )
             for i in range(config.n_sites)
         ]
+        # each node's next timer, refreshed whenever a handler ran on it
+        self._deadlines = [node.next_deadline() for node in self.nodes]
         self._time = 0.0
         self._started = False
         self._queue: list[tuple[float, int, int, object]] = []
@@ -179,6 +182,9 @@ class ControlPlane:
         self._islands: list[frozenset[int]] | None = None
         self._outbox: list[WriteTicket] = []
         self._pending: list[WriteTicket] = []
+        # no ticket can resolve before some node commits its index
+        self._max_commit = 0
+        self._min_pending = math.inf
         self.partition_events: list[PartitionEvent] = []
         # counters
         self.messages_sent = 0
@@ -209,6 +215,7 @@ class ControlPlane:
                 node.voted_for = leader_id
                 node.leader_hint = leader_id
         self._send_all(leader_id, leader._become_leader(0.0), 0.0)
+        self._deadlines[leader_id] = leader.next_deadline()
         # the pre-run heartbeat round is assumed acked at t=0, so the
         # steady-state lease is live from the start
         leader.ack_time = {p: 0.0 for p in leader.peers}
@@ -244,17 +251,15 @@ class ControlPlane:
                 self._time = max(self._time, t_timer)
                 node = self.nodes[timer_node]
                 self._send_all(timer_node, node.on_timer(t_timer), t_timer)
-                self._settle(t_timer)
+                self._deadlines[timer_node] = node.next_deadline()
+                self._settle(t_timer, node)
         self._time = max(self._time, now)
         self._drain_outbox(self._time)
 
     def _next_timer(self) -> tuple[float, int]:
-        best_t, best_i = float("inf"), -1
-        for node in self.nodes:
-            t = node.next_deadline()
-            if t < best_t:
-                best_t, best_i = t, node.id
-        return best_t, best_i
+        """Earliest node deadline; the lowest node id wins ties."""
+        t = min(self._deadlines)
+        return t, self._deadlines.index(t)
 
     # -- fabric --------------------------------------------------------------------
     def reachable(self, a: int, b: int) -> bool:
@@ -296,11 +301,17 @@ class ControlPlane:
             return
         node = self.nodes[dst]
         self._send_all(dst, node.on_message(msg, t), t)
-        self._settle(t)
+        self._deadlines[dst] = node.next_deadline()
+        self._settle(t, node)
 
-    def _settle(self, t: float) -> None:
-        """Post-event bookkeeping: resolve pending write tickets."""
-        if not self._pending:
+    def _settle(self, t: float, node: RaftNode) -> None:
+        """Post-event bookkeeping after a handler ran on ``node``:
+        resolve pending write tickets once some node has committed the
+        lowest pending index (commit indices never decrease, so the
+        touched node alone can raise the cluster's highest)."""
+        if node.commit_index > self._max_commit:
+            self._max_commit = node.commit_index
+        if self._max_commit < self._min_pending:
             return
         still = []
         for ticket in self._pending:
@@ -308,17 +319,16 @@ class ControlPlane:
                 continue
             still.append(ticket)
         self._pending = still
+        self._min_pending = min((tk.index for tk in still), default=math.inf)
 
     def _resolve_ticket(self, ticket: WriteTicket, t: float) -> bool:
         idx, term = ticket.index, ticket.term
         for node in self.nodes:
             if node.commit_index >= idx:
-                committed_term = node.log.term_at(idx)
-                if committed_term is None:
-                    # compacted: committed with *some* term; the entry
-                    # survived iff the proposing leader's state has it
-                    committed_term = term if node.state.applied_index >= idx \
-                        else None
+                # compacted indices answer from the snapshot's term runs:
+                # a minority leader's entry at an index the majority
+                # committed under another term must fail, not ack
+                committed_term = node.log.known_term(idx)
                 if committed_term == term:
                     ticket.acked_at = t
                     self.writes_acked += 1
@@ -357,9 +367,10 @@ class ControlPlane:
             ticket.index, ticket.term, ticket.leader = (
                 entry.index, entry.term, dst)
             self._pending.append(ticket)
+            self._min_pending = min(self._min_pending, entry.index)
             self._send_all(dst, [(p, node._append_for(p, t))
                                  for p in node.peers], t)
-            self._settle(t)
+            self._settle(t, node)
             return
         hint = node.leader_hint
         if hint is not None and hint != dst:
@@ -468,6 +479,7 @@ class ControlPlane:
                 entry = node.log.append(0, command)
                 node.commit_index = entry.index
             node._apply_committed()
+            self._max_commit = max(self._max_commit, node.commit_index)
 
     # -- partitions ------------------------------------------------------------------
     def begin_partition(self, window: PartitionWindow, now: float) -> PartitionEvent:

@@ -9,6 +9,8 @@ trivially; the applied state machine lives in
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.errors import ControlPlaneError
@@ -56,13 +58,73 @@ class LogEntry:
     command: Command
 
 
-@dataclass(frozen=True)
 class Snapshot:
-    """A compacted prefix: the state-machine image at ``last_index``."""
+    """A compacted prefix: the state-machine image at ``last_index``.
 
-    last_index: int
-    last_term: int
-    state: dict  # ControlState.to_snapshot() document
+    ``terms`` holds ``(first_index, term)`` runs over the compacted
+    entries, so a node can still tell which term committed an index it
+    no longer holds; it is empty when the snapshot does not carry them.
+
+    A snapshot made by :meth:`after` is lazy. It keeps the previous
+    snapshot plus the commands compaction discarded, and builds its image
+    on the first read of :attr:`state`, by replaying those commands onto
+    the previous image; the image is then cached and the chain dropped.
+    Nodes compact often but ship an image only to a follower that fell
+    behind, so most images are never built.
+    """
+
+    __slots__ = ("last_index", "last_term", "terms", "chain_len",
+                 "_doc", "_base", "_commands")
+
+    def __init__(self, last_index: int, last_term: int, state: dict | None,
+                 terms: tuple[tuple[int, int], ...] = ()):
+        self.last_index = last_index
+        self.last_term = last_term
+        self.terms = terms
+        self.chain_len = 0  # bounds the commands its chain retains
+        self._doc = state
+        self._base: Snapshot | None = None
+        self._commands: tuple[Command, ...] = ()
+
+    @classmethod
+    def after(cls, base: Snapshot | None,
+              entries: tuple[LogEntry, ...]) -> Snapshot:
+        """The lazy snapshot of ``base`` followed by ``entries`` (the
+        contiguous run compaction discards; ``base`` is ``None`` when
+        they start at index 1)."""
+        runs = list(base.terms) if base is not None else []
+        for entry in entries:
+            if not runs or runs[-1][1] != entry.term:
+                runs.append((entry.index, entry.term))
+        last = entries[-1]
+        snap = cls(last.index, last.term, None, tuple(runs))
+        snap._base = base
+        snap._commands = tuple(entry.command for entry in entries)
+        snap.chain_len = len(entries)
+        if base is not None:
+            snap.chain_len += base.chain_len
+        return snap
+
+    @property
+    def state(self) -> dict:
+        """The ``ControlState.to_snapshot()`` document at ``last_index``."""
+        if self._doc is None:
+            # state.py imports this module for Command
+            from repro.controlplane.state import ControlState
+
+            chain, snap = [], self
+            while snap is not None and snap._doc is None:
+                chain.append(snap)
+                snap = snap._base
+            image = (ControlState() if snap is None
+                     else ControlState.from_snapshot(snap._doc))
+            for link in reversed(chain):
+                first = link.last_index - len(link._commands) + 1
+                for index, command in enumerate(link._commands, first):
+                    image.apply(command, index)
+            self._doc = image.to_snapshot()
+            self._base, self._commands, self.chain_len = None, (), 0
+        return self._doc
 
 
 class ReplicatedLog:
@@ -99,6 +161,16 @@ class ReplicatedLog:
         if index < self.base_index or index > self.last_index:
             return None
         return self._entries[index - self.base_index - 1].term
+
+    def known_term(self, index: int) -> int | None:
+        """Term of ``index`` like :meth:`term_at`, but compacted indices
+        are answered from the snapshot's term runs (``None`` when it
+        carries none for ``index``)."""
+        if index >= self.base_index:
+            return self.term_at(index)
+        runs = self.snapshot.terms if self.snapshot is not None else ()
+        k = bisect_right(runs, (index, math.inf)) - 1
+        return runs[k][1] if k >= 0 else None
 
     def entry(self, index: int) -> LogEntry:
         if index <= self.base_index or index > self.last_index:

@@ -95,6 +95,7 @@ class RaftNode:
         self.heartbeat_interval_s = heartbeat_interval_s
         self.election_timeout_s = election_timeout_s
         self.snapshot_threshold = snapshot_threshold
+        self.peers = tuple(i for i in range(n_nodes) if i != node_id)
         # out-of-band catch-up resends (beyond heartbeats) draw on a
         # retry budget so a flapping follower cannot turn the leader
         # into a resend firehose
@@ -124,10 +125,6 @@ class RaftNode:
     def _draw_timeout(self, now: float) -> float:
         lo, hi = self.election_timeout_s
         return now + float(self._rng.uniform(lo, hi))
-
-    @property
-    def peers(self) -> list[int]:
-        return [i for i in range(self.n) if i != self.id]
 
     def next_deadline(self) -> float:
         """When this node next wants a timer callback."""
@@ -334,10 +331,8 @@ class RaftNode:
         """Build the AppendEntries (or InstallSnapshot) for ``peer``."""
         nxt = self.next_index.get(peer, self.log.last_index + 1)
         if nxt <= self.log.base_index:
-            snap = self.log.snapshot or Snapshot(
-                self.log.base_index, self.log.base_term,
-                self.state.to_snapshot())
-            return InstallSnapshot(self.term, self.id, snap, now)
+            # next_index >= 1, so a compacted base exists here
+            return InstallSnapshot(self.term, self.id, self.log.snapshot, now)
         prev_index = nxt - 1
         prev_term = self.log.term_at(prev_index)
         entries = self.log.entries_from(nxt)
@@ -346,15 +341,17 @@ class RaftNode:
 
     def _advance_commit(self) -> None:
         """Commit the highest current-term index replicated on a
-        quorum (Raft §5.4.2: never count older-term replicas)."""
-        for idx in range(self.log.last_index, self.commit_index, -1):
-            if self.log.term_at(idx) != self.term:
-                break
-            replicated = 1 + sum(
-                1 for p in self.peers if self.match_index.get(p, 0) >= idx)
-            if replicated >= self.quorum:
-                self.commit_index = idx
-                break
+        quorum (Raft §5.4.2: never count older-term replicas). That is
+        the quorum-th largest replicated index, the leader counting
+        itself at its last index: log terms never decrease, so the
+        current-term entries form a suffix and one term check decides."""
+        last = self.log.last_index
+        replicated = sorted(
+            [last, *(min(self.match_index.get(p, 0), last) for p in self.peers)],
+            reverse=True)
+        idx = replicated[self.quorum - 1]
+        if idx > self.commit_index and self.log.term_at(idx) == self.term:
+            self.commit_index = idx
         self._apply_committed()
 
     def lease_valid(self, now: float, lease_duration_s: float) -> bool:
@@ -382,10 +379,19 @@ class RaftNode:
     def maybe_compact(self) -> None:
         """Snapshot + truncate once the applied suffix outgrows the
         threshold. Only applied (hence committed) entries compact, so a
-        snapshot never contains uncommitted writes."""
-        applied = self.state.applied_index
-        if applied - self.log.base_index < self.snapshot_threshold:
+        snapshot never contains uncommitted writes.
+
+        The snapshot is lazy: it chains the discarded commands onto the
+        previous snapshot, so compaction costs O(entries discarded).
+        Once a chain holds more commands than its image has entries, the
+        image is taken from the applied state instead, which keeps a
+        node's retained chain within O(image) memory."""
+        applied, base = self.state.applied_index, self.log.base_index
+        if applied - base < self.snapshot_threshold:
             return
-        snap = Snapshot(applied, self.log.term_at(applied) or 0,
-                        self.state.to_snapshot())
+        discarded = self.log.entries_from(base + 1)[:applied - base]
+        snap = Snapshot.after(self.log.snapshot, discarded)
+        if snap.chain_len > self.state.entries:
+            snap = Snapshot(applied, snap.last_term, self.state.to_snapshot(),
+                            snap.terms)
         self.log.compact(snap)

@@ -32,6 +32,7 @@ class ControlState:
         self._version = 0
         self._dataset_versions: dict[str, int] = {}
         self._endpoints: dict[str, bool] = {}
+        self._entries = 0
         self.applied_index = 0
 
     # -- log application ----------------------------------------------------------
@@ -46,6 +47,8 @@ class ControlState:
             return
         if op == "register":
             name, size_bytes, kind = args
+            if name not in self._datasets:
+                self._entries += 3
             self._datasets.setdefault(
                 name, Dataset(name, float(size_bytes), kind)
             )
@@ -58,7 +61,10 @@ class ControlState:
                 raise ControlPlaneError(
                     f"add_replica for unregistered dataset {name!r}"
                 )
-            self._replicas[name][site] = float(created_at)
+            reps = self._replicas[name]
+            if site not in reps:
+                self._entries += 1
+            reps[site] = float(created_at)
             self._bump(name)
             return
         if op == "drop_replica":
@@ -67,14 +73,14 @@ class ControlState:
                 raise ControlPlaneError(
                     f"drop_replica for unregistered dataset {name!r}"
                 )
-            self._replicas[name].pop(site, None)
+            if self._replicas[name].pop(site, None) is not None:
+                self._entries -= 1
             self._bump(name)
             return
-        if op == "endpoint_up":
-            self._endpoints[args[0]] = True
-            return
-        if op == "endpoint_down":
-            self._endpoints[args[0]] = False
+        if op in ("endpoint_up", "endpoint_down"):
+            if args[0] not in self._endpoints:
+                self._entries += 1
+            self._endpoints[args[0]] = op == "endpoint_up"
             return
         raise ControlPlaneError(f"unknown command op {op!r}")
 
@@ -160,6 +166,14 @@ class ControlState:
         return [s for s, up in self._endpoints.items() if not up]
 
     # -- snapshot / convergence ---------------------------------------------------
+    @property
+    def entries(self) -> int:
+        """Rows of the :meth:`to_snapshot` document (one per dataset in
+        each of its three tables, one per replica and per endpoint),
+        kept as mutations apply so a snapshot chain can be sized
+        against its image in O(1)."""
+        return self._entries
+
     def to_snapshot(self) -> dict:
         return {
             "applied_index": self.applied_index,
@@ -187,6 +201,10 @@ class ControlState:
             state._replicas[name] = {site: float(t) for site, t in reps}
         state._dataset_versions = dict(doc["dataset_versions"])
         state._endpoints = dict(doc["endpoints"])
+        state._entries = (
+            len(state._datasets) + len(state._replicas)
+            + len(state._dataset_versions) + len(state._endpoints)
+            + sum(len(reps) for reps in state._replicas.values()))
         return state
 
     def fingerprint(self) -> tuple:

@@ -148,6 +148,27 @@ class TestSplitBrain:
         # the rogue entry was truncated everywhere, not just unacked
         assert all("rogue" not in n.state.dataset_names for n in plane.nodes)
 
+    def test_minority_write_at_index_majority_compacted_never_acks(self):
+        plane = ControlPlane(cfg(snapshot_threshold=4), RngRegistry(1))
+        plane.advance(5.0)
+        old_leader = plane.leader_id()
+        plane.begin_partition(PartitionWindow(5.0, 500.0, "leader"), 5.0)
+        plane.advance(60.0)
+        majority = [plane.submit(mutation(3 * i), 60.0 + i) for i in range(30)]
+        plane.advance(120.0)
+        assert all(ticket.acked for ticket in majority)
+        assert all(n.log.base_index > 2 for n in plane.nodes
+                   if n.id != old_leader)
+        ghost = plane.submit(Command("register", ("ghost", 1.0, "x")), 120.0,
+                             target=old_leader)
+        plane.advance(200.0)
+        # the isolated leader appends at its own index 2, term 1; the
+        # majority committed index 2 under a later term and compacted it
+        assert (ghost.index, ghost.term) == (2, 1)
+        assert not ghost.acked
+        assert ghost.failed
+        assert "ghost" not in plane.committed_state().dataset_names
+
 
 class TestHealing:
     def test_heal_converges_within_bounded_catchup(self):

@@ -65,6 +65,19 @@ class TestReplicatedLog:
         with pytest.raises(ControlPlaneError):
             log.truncate_from(2)
 
+    def test_known_term_answers_compacted_prefix(self):
+        log = ReplicatedLog()
+        terms = [1, 1, 2, 4, 4, 4, 5]
+        for i, term in enumerate(terms):
+            log.append(term, cmd_register(f"d{i}"))
+        log.compact(Snapshot.after(None, log.entries_from(1)[:3]))
+        log.compact(Snapshot.after(log.snapshot, log.entries_from(4)[:2]))
+        assert log.base_index == 5
+        assert log.term_at(3) is None       # term_at stays live-only
+        assert [log.known_term(i) for i in range(1, 8)] == terms
+        log.install(Snapshot(9, 6, {}))     # a snapshot without term runs
+        assert log.known_term(4) is None
+
     def test_install_replaces_everything(self):
         log = ReplicatedLog()
         log.append(1, cmd_register("old"))
