@@ -5,9 +5,9 @@ Three kernels are timed against each other:
 - the frozen **seed** kernel (faithful copy below: tuple-allocating
   ``__lt__``, peek+pop double traversal in ``run``, no compaction, no
   free list, no same-instant lane);
-- the **heap** kernel (``HeapEventQueue``, the PR-4 fast path:
-  allocation-free compare, lazy-cancel compaction, free list, ready
-  lane);
+- the frozen **heap** kernel (``tests/oracles/heap_queue.py``, the
+  PR-4 fast path: allocation-free compare, lazy-cancel compaction,
+  free list, ready lane);
 - the **calendar** kernel (``CalendarQueue``, the default: bucketed
   O(1) insert, far-future list, adaptive window).
 
@@ -33,15 +33,19 @@ import argparse
 import gc
 import heapq
 import json
+import os
 import platform
 import sys
 import time
 from datetime import datetime, timezone
 
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
 from repro.observe.recorder import MetricsRecorder
 from repro.simcore import Simulator, Timeout
-from repro.simcore.event import CalendarQueue, HeapEventQueue
+from repro.simcore.event import CalendarQueue
 from repro.simcore.process import Process
+from tests.oracles import HeapEventQueue
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ ready task, rank every candidate site by estimated finish time, reserve
 the winner, emit a decision. Wave-batched dispatch attacks that loop
 with memoized cost rows (tasks sharing an input signature reuse one
 numpy row) and incrementally-maintained availability vectors; the
-frozen scalar loop (``repro.core.refdispatch``, row memo disabled) is
-kept as the in-run reference, exactly as the kernel benchmarks keep the
-seed kernel.
+frozen scalar loop (``tests/oracles/dispatch.py``, row memo disabled)
+is kept as the in-run reference, exactly as the kernel benchmarks keep
+the seed kernel.
 
 These workloads drive the two dispatch engines directly against a
 placement harness — real strategies, real context, real cost model, no
@@ -29,18 +29,22 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import platform
 import sys
 import time
+from contextlib import nullcontext
 from datetime import datetime, timezone
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from repro.continuum import geo_random_continuum
 from repro.core.context import SchedulingContext
-from repro.core.refdispatch import scalar_dispatch
 from repro.core.scheduler import wave_dispatch
 from repro.core.strategies import DataGravityStrategy, GreedyEFTStrategy
 from repro.datafabric import Dataset, ReplicaCatalog
 from repro.workflow import TaskSpec
+from tests.oracles import scalar_dispatch, scalar_engine
 
 
 class _Clock:
@@ -58,7 +62,9 @@ class _Harness:
 
     def __init__(self, topo, catalog, strategy, mode, failures=None):
         self.strategy = strategy
-        self.ctx = SchedulingContext(topo, catalog, memo=mode == "wave")
+        # the scalar side gets the oracle's un-memoized cost model
+        with scalar_engine() if mode == "scalar" else nullcontext():
+            self.ctx = SchedulingContext(topo, catalog)
         self.resources = {s.name: True for s in self.ctx.candidates}
         self.ready = []
         self.decisions = []

@@ -38,7 +38,6 @@ class SchedulingContext:
         rngs: RngRegistry | None = None,
         candidate_sites: list[str] | None = None,
         view=None,
-        memo: bool = True,
     ):
         self.topology = topology
         # strategies and the cost model read through ``view`` when the
@@ -47,10 +46,7 @@ class SchedulingContext:
         # authoritative catalog stays reachable either way.
         self.catalog = view if view is not None else catalog
         self.authoritative = catalog
-        # ``memo=False`` disables the cost model's wave row memo; the
-        # scalar dispatch oracle runs un-memoized so the differential
-        # tests compare genuinely independent computations
-        self.cost = CostModel(topology, self.catalog, memo_rows=memo)
+        self.cost = CostModel(topology, self.catalog)
         self.rngs = rngs or RngRegistry(0)
         names = candidate_sites if candidate_sites is not None else topology.site_names
         if not names:

@@ -132,8 +132,7 @@ class BatchEstimate:
 class CostModel:
     """Estimates built from topology + replica catalog state."""
 
-    def __init__(self, topology: Topology, catalog: ReplicaCatalog,
-                 *, memo_rows: bool = True):
+    def __init__(self, topology: Topology, catalog: ReplicaCatalog):
         self.topology = topology
         self.catalog = catalog
         # nearest-source memo: (dataset, site) -> (src, est), valid for
@@ -160,10 +159,7 @@ class CostModel:
         # that change routing, and every replica add/drop (staging
         # completions, cache admits/evictions, output registration) bump
         # one of the two. The memoized arrays are frozen read-only
-        # because every hit shares them. ``memo_rows=False`` restores
-        # the always-recompute behaviour (the scalar dispatch oracle
-        # runs that way so a memo bug cannot hide from the differential).
-        self._memo_rows = memo_rows
+        # because every hit shares them.
         self._row_cache: dict = {}
         # last row served, for estimate-at-chosen-site lookups right
         # after a strategy ranked this same task over its candidates
@@ -320,15 +316,13 @@ class CostModel:
         names = tuple(map(_SITE_NAME, sites))
         n = len(names)
         epoch = self.topology.routes_epoch
-        row_key = version = None
-        if self._memo_rows:
-            row_key = (task.inputs, task.kind, task.work, names)
-            version = self.catalog.version
-            row = self._row_cache.get(row_key)
-            if row is not None and row[0] == epoch and row[1] == version:
-                batch = BatchEstimate(task.name, names, *row[2])
-                self._last_row = (row_key, epoch, version, batch)
-                return batch
+        row_key = (task.inputs, task.kind, task.work, names)
+        version = self.catalog.version
+        row = self._row_cache.get(row_key)
+        if row is not None and row[0] == epoch and row[1] == version:
+            batch = BatchEstimate(task.name, names, *row[2])
+            self._last_row = (row_key, epoch, version, batch)
+            return batch
         hit = self._cols_cache.get(names)
         if hit is not None and hit[0] == epoch:
             cols = hit[1]
@@ -384,15 +378,13 @@ class CostModel:
             compute_usd=compute,
             transfer_usd=transfer_usd,
         )
-        if row_key is not None:
-            arrays = (stage, exec_t, bytes_moved, energy, compute,
-                      transfer_usd)
-            for a in arrays:
-                a.setflags(write=False)
-            if len(self._row_cache) >= _ROW_CACHE_MAX:
-                self._row_cache.clear()
-            self._row_cache[row_key] = (epoch, version, arrays)
-            self._last_row = (row_key, epoch, version, batch)
+        arrays = (stage, exec_t, bytes_moved, energy, compute, transfer_usd)
+        for a in arrays:
+            a.setflags(write=False)
+        if len(self._row_cache) >= _ROW_CACHE_MAX:
+            self._row_cache.clear()
+        self._row_cache[row_key] = (epoch, version, arrays)
+        self._last_row = (row_key, epoch, version, batch)
         return batch
 
     def row_times(

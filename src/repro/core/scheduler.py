@@ -47,7 +47,6 @@ network contention — the planned-vs-measured gap is real and intended.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -56,7 +55,6 @@ from repro.controlplane.cluster import ControlPlaneConfig
 from repro.controlplane.runtime import ControlRuntime
 from repro.core.context import SchedulingContext
 from repro.core.placement import PlacementDecision, ScheduleResult, TaskRecord
-from repro.core.refdispatch import scalar_dispatch
 from repro.core.strategies.base import PlacementStrategy
 from repro.datafabric.catalog import ReplicaCatalog
 from repro.datafabric.dataset import Dataset
@@ -71,7 +69,6 @@ from repro.observe.recorder import MetricsRecorder
 from repro.observe.tracer import NULL_TRACER, Tracer
 from repro.resilience.breaker import BreakerState
 from repro.resilience.policy import ResiliencePolicy, ResilienceStats
-from repro.simcore.monitor import Monitor
 from repro.simcore.process import AllOf, Interrupt, Timeout
 from repro.simcore.resources import Resource
 from repro.simcore.simulation import Simulator
@@ -94,11 +91,12 @@ def wave_dispatch(run, batch, vetoed) -> None:
     ``select_sites`` yields placements in the same order the scalar loop
     produced them; reserving between ``next()`` calls keeps the
     sequential EFT semantics, so the decision stream is bit-identical to
-    :func:`~repro.core.refdispatch.scalar_dispatch` — the speedup comes
-    from the memoized cost rows and incrementally-maintained
-    availability vectors underneath, not from reordering. Module-level
-    (like its scalar twin) so ``benchmarks/bench_scheduler.py`` can
-    drive both engines against one placement harness.
+    the frozen task-at-a-time oracle in ``tests/oracles/dispatch.py`` —
+    the speedup comes from the memoized cost rows and
+    incrementally-maintained availability vectors underneath, not from
+    reordering. Module-level so the oracle can be patched in for
+    differential runs and ``benchmarks/bench_scheduler.py`` can drive
+    both engines against one placement harness.
     """
     for task, choice in run.strategy.select_sites(batch, run.ctx):
         if task.pinned_site and run.ctx.is_down(task.pinned_site):
@@ -202,7 +200,6 @@ class ContinuumScheduler:
         transfer_failure_prob: float = 0.0,
         transfer_max_attempts: int = 3,
         candidate_sites: list[str] | None = None,
-        dispatch: str | None = None,
     ):
         topology.validate()
         self.topology = topology
@@ -210,18 +207,6 @@ class ContinuumScheduler:
         self.transfer_failure_prob = transfer_failure_prob
         self.transfer_max_attempts = transfer_max_attempts
         self.candidate_sites = candidate_sites
-        # placement engine: "wave" (default) places a ready batch through
-        # strategy.select_sites with memoized cost rows; "scalar" runs
-        # the frozen pre-wave loop with the memo disabled — the oracle
-        # the differential tests and CI smoke diff compare against. The
-        # REPRO_DISPATCH env var flips the default without code changes.
-        if dispatch is None:
-            dispatch = os.environ.get("REPRO_DISPATCH", "wave")
-        if dispatch not in ("wave", "scalar"):
-            raise SchedulingError(
-                f"dispatch must be 'wave' or 'scalar', got {dispatch!r}"
-            )
-        self.dispatch = dispatch
 
     # -- public API ----------------------------------------------------------------
     def run(
@@ -341,11 +326,8 @@ class _Run:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if tracer is not None:
             tracer.bind(lambda: self.sim.now)
-        self.monitor = Monitor(self.sim)
-        self.monitor.tracer = self.tracer
         self.rngs = RngRegistry(sched.seed)
-        self.network = FlowNetwork(self.sim, sched.topology,
-                                   monitor=self.monitor)
+        self.network = FlowNetwork(self.sim, sched.topology, tracer=tracer)
         # replicated control plane (opt-in): the catalog becomes a
         # mirror whose mutations replicate across N control sites, and
         # planner/transfer reads go through the configured read mode.
@@ -372,12 +354,10 @@ class _Run:
             rngs=self.rngs,
             view=self._ctl_view,
         )
-        self._dispatch_mode = sched.dispatch
         self.ctx = SchedulingContext(
             sched.topology, self.catalog, rngs=self.rngs,
             candidate_sites=sched.candidate_sites,
             view=self._ctl_view,
-            memo=self._dispatch_mode == "wave",
         )
         self.resources = {
             site.name: Resource(self.sim, site.slots, name=site.name)
@@ -503,13 +483,10 @@ class _Run:
             g("kernel_events_per_sim_second",
               "Dispatch rate of the last run, per simulated second"
               ).set(sim.event_count / sim.now)
-        counters = self.monitor.counters
         c("netsim_flows_started_total",
-          "Flows opened on the network").inc(counters.get(
-              "flows_started", 0))
+          "Flows opened on the network").inc(self.network.flows_started)
         c("netsim_flows_completed_total",
-          "Flows drained to completion").inc(counters.get(
-              "flows_completed", 0))
+          "Flows drained to completion").inc(self.network.flows_completed)
         c("netsim_bytes_moved_total",
           "Bytes moved across all links"
           ).inc(self.network.total_bytes_moved)
@@ -837,10 +814,7 @@ class _Run:
                 self._schedule_probe_wake()
                 return
             batch, self.ready = self.ready, []
-            if self._dispatch_mode == "scalar":
-                scalar_dispatch(self, batch, vetoed)
-            else:
-                wave_dispatch(self, batch, vetoed)
+            wave_dispatch(self, batch, vetoed)
             if self.ready:
                 self._schedule_probe_wake()
         finally:

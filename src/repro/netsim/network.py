@@ -39,7 +39,7 @@ from repro.continuum.topology import Topology
 from repro.errors import NetworkError
 from repro.netsim.fairness import max_min_fair_rates, weighted_max_min_rates
 from repro.netsim.flow import Flow
-from repro.simcore.monitor import Monitor
+from repro.observe.tracer import NULL_TRACER, Tracer
 from repro.simcore.process import Signal
 from repro.simcore.simulation import Simulator
 
@@ -61,12 +61,16 @@ class FlowNetwork:
         sim: Simulator,
         topology: Topology,
         allocator: Callable = max_min_fair_rates,
-        monitor: Monitor | None = None,
+        tracer: Tracer | None = None,
     ):
         self.sim = sim
         self.topology = topology
         self.allocator = allocator
-        self.monitor = monitor if monitor is not None else Monitor(sim)
+        # transfer spans go to ``tracer``; an unbound one is bound to
+        # this network's sim clock
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        if tracer is not None and not tracer.bound:
+            tracer.bind(lambda: sim.now)
         self._link_index: dict[frozenset, int] = {}
         self._capacities: list[float] = []
         for a, b, link in topology.links():
@@ -92,7 +96,8 @@ class FlowNetwork:
         self._n_active = 0
         self._solve_pending = False
         # aggregate accounting
-        self.completed: list[Flow] = []
+        self.flows_started = 0
+        self.flows_completed = 0
         self.total_bytes_moved = 0.0
         self.total_transfer_cost_usd = 0.0
         self.bytes_per_link = np.zeros(n_links)
@@ -120,8 +125,8 @@ class FlowNetwork:
         self._next_id += 1
         signal = self.sim.signal()
         self._signals[flow.flow_id] = signal
-        self.monitor.count("flows_started")
-        tracer = self.monitor.tracer
+        self.flows_started += 1
+        tracer = self.tracer
         if tracer.enabled:
             self._spans[flow.flow_id] = tracer.begin(
                 f"xfer:{src}->{dst}", "transfer", src=src, dst=dst,
@@ -307,24 +312,13 @@ class FlowNetwork:
     def _complete(self, flow: Flow) -> None:
         flow.finish_time = self.sim.now
         flow.rate_Bps = 0.0
-        self.completed.append(flow)
+        self.flows_completed += 1
         self.total_bytes_moved += flow.size_bytes
         cost = flow.path.transfer_cost(flow.size_bytes)
         self.total_transfer_cost_usd += cost
-        self.monitor.count("flows_completed")
-        self.monitor.count("bytes_moved", flow.size_bytes)
         span = self._spans.pop(flow.flow_id, None)
         if span is not None:
             rate = flow.size_bytes / flow.duration if flow.duration > 0 else 0.0
-            self.monitor.tracer.end(span, achieved_Bps=rate,
-                                    cost_usd=cost)
-        self.monitor.log(
-            "transfer_done",
-            f"flow{flow.flow_id}",
-            src=flow.src,
-            dst=flow.dst,
-            bytes=flow.size_bytes,
-            duration=flow.duration,
-        )
+            self.tracer.end(span, achieved_Bps=rate, cost_usd=cost)
         signal = self._signals.pop(flow.flow_id)
         signal.trigger(flow)

@@ -1,28 +1,24 @@
 """Event and event-queue primitives for the discrete-event kernel.
 
 The queue is the hottest structure in the whole system — every timeout,
-wakeup, and watchdog in every experiment passes through it. Two
-implementations share the :class:`Event` type and one external contract
-(global ``(time, seq)`` FIFO order, lazy O(1) cancellation, a bounded
-free list for kernel-internal events, and a same-instant ready lane):
+wakeup, and watchdog in every experiment passes through it. Its external
+contract: global ``(time, seq)`` FIFO order, lazy O(1) cancellation, a
+bounded free list for kernel-internal events, and a same-instant ready
+lane.
 
-- :class:`CalendarQueue` — the default (aliased as ``EventQueue``): an
-  array-backed calendar queue. Future events land in fixed-width time
-  buckets by one multiply + truncate (O(1) amortized insert, no
-  comparisons); a bucket is sorted once, in C, when the clock reaches
-  it. Events beyond the bucketed window go to an unsorted far-future
-  list (append-only — no ordering work until the window advances over
-  them), late arrivals at or before the current bucket go to a small
-  spill heap, and the window re-sizes itself (bucket count from the
-  live population, bucket width from the observed pop rate) whenever
-  the population outgrows it or the window is exhausted. Cancelled
-  events are reclaimed by first sweeping the far list in place and
-  only rebuilding the bucketed window if the in-window dead still
-  dominate — the calendar's equivalent of heap compaction.
-- :class:`HeapEventQueue` — the previous binary-heap kernel
-  (allocation-free compare, lazy-cancel compaction). Kept as a drop-in
-  fallback and as the baseline ``benchmarks/bench_kernel.py`` measures
-  the calendar queue against.
+:class:`CalendarQueue` (aliased as ``EventQueue``) is an array-backed
+calendar queue. Future events land in fixed-width time buckets by one
+multiply + truncate (O(1) amortized insert, no comparisons); a bucket
+is sorted once, in C, when the clock reaches it. Events beyond the
+bucketed window go to an unsorted far-future list (append-only — no
+ordering work until the window advances over them), late arrivals at
+or before the current bucket go to a small spill heap, and the window
+re-sizes itself (bucket count from the live population, bucket width
+from the observed pop rate) whenever the population outgrows it or the
+window is exhausted. Cancelled events are reclaimed by first sweeping
+the far list in place and only rebuilding the bucketed window if the
+in-window dead still dominate — the calendar's equivalent of heap
+compaction.
 
 Correctness story: bucket assignment is ``trunc((time - base) *
 inv_width)``, a monotone non-decreasing function of ``time`` under a
@@ -33,9 +29,10 @@ comparison decides. Pop therefore only ever needs to merge three
 exactly-ordered sources: the sorted remainder of the current bucket,
 the spill heap (late arrivals at or before the current bucket), and
 the ready lane. The differential suite in
-``tests/simcore/test_kernel_differential.py`` drives both queues and a
-frozen copy of the seed kernel through randomized workloads and
-asserts bit-identical firing sequences.
+``tests/simcore/test_kernel_differential.py`` drives the calendar queue,
+the frozen heap kernel in ``tests/oracles/heap_queue.py``, and a frozen
+copy of the seed kernel through randomized workloads and asserts
+bit-identical firing sequences.
 """
 
 from __future__ import annotations
@@ -47,8 +44,8 @@ from operator import attrgetter
 
 from repro.errors import SimulationError
 
-# Dead-entry reclamation policy (shared by both queues; see
-# _should_reclaim). The large-heap clause keeps the original PR-4
+# Dead-entry reclamation policy (the frozen heap kernel in the tests
+# shares it; see _should_reclaim). The large-heap clause keeps the original PR-4
 # behaviour: at least _COMPACT_MIN_DEAD cancelled entries and more dead
 # than live. The small-heap clause closes the latent gap where a tiny
 # live set (live << 64) could carry up to 63 dead entries forever — a
@@ -700,96 +697,6 @@ class CalendarQueue(_QueueBase):
         return bool(self._ready) or self._live > 0
 
 
-class HeapEventQueue(_QueueBase):
-    """Binary heap + same-instant lane (the pre-calendar kernel).
-
-    Cancelled events stay in the heap until popped or compacted away;
-    this keeps ``cancel`` O(1) while compaction bounds the transient
-    growth from timeouts that rarely fire.
-    """
-
-    __slots__ = ("_heap", "_dead")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: list[Event] = []
-        self._dead = 0          # cancelled events still sitting in the heap
-
-    # -- scheduling ----------------------------------------------------------
-    def push(self, time: float, callback: Callable, args: tuple = ()) -> Event:
-        """Create and enqueue an event; returns it (for cancellation)."""
-        event = Event(time, self._seq, callback, args)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
-        return event
-
-    def push_pooled(self, time: float, callback: Callable, args: tuple) -> None:
-        """Heap-enqueue a kernel-internal event."""
-        heapq.heappush(self._heap, self._make_pooled(time, callback, args))
-
-    def push_back(self, event: Event) -> None:
-        """Reinsert a popped-but-undispatched event."""
-        heapq.heappush(self._heap, event)
-
-    # -- dequeue -------------------------------------------------------------
-    def _pop_or_none(self) -> Event | None:
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-            self._dead -= 1
-        ready = self._ready
-        if ready:
-            if not heap or not (heap[0] < ready[0]):
-                return ready.popleft()
-            return heapq.heappop(heap)
-        if heap:
-            return heapq.heappop(heap)
-        return None
-
-    def peek_time(self) -> float | None:
-        """Time of the earliest live event, or None when empty."""
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-            self._dead -= 1
-        if self._ready:
-            ready_time = self._ready[0].time
-            if heap and heap[0].time < ready_time:
-                return heap[0].time
-            return ready_time
-        return heap[0].time if heap else None
-
-    # -- lifecycle -----------------------------------------------------------
-    def note_cancelled(self) -> None:
-        """Bookkeeping hook: caller cancelled an event it got from push.
-
-        Triggers heap compaction per :func:`_should_reclaim` — the heap
-        is rebuilt from live events only. Ordering is untouched: pop
-        order is the total order (time, seq) regardless of the heap's
-        internal arrangement.
-        """
-        self.cancellations += 1
-        self._dead += 1
-        heap = self._heap
-        if _should_reclaim(self._dead, len(heap) - self._dead):
-            self._heap = [event for event in heap if not event.cancelled]
-            heapq.heapify(self._heap)
-            self._dead = 0
-            self.compactions += 1
-
-    # -- introspection -------------------------------------------------------
-    @property
-    def heap_size(self) -> int:
-        """Raw heap entries, live + cancelled (compaction bounds this)."""
-        return len(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap) - self._dead + len(self._ready)
-
-    def __bool__(self) -> bool:
-        return bool(self._ready) or len(self._heap) > self._dead
-
-
 # The kernel default. `Simulator` accepts any queue implementing this
-# surface, so the heap kernel remains one constructor argument away.
+# surface (the differential tests pass the frozen heap kernel).
 EventQueue = CalendarQueue

@@ -23,9 +23,9 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0, queue: EventQueue | None = None):
         # `queue` swaps the scheduler implementation (default: the
-        # calendar queue; `HeapEventQueue` is the drop-in fallback the
-        # kernel benchmarks measure against). Any implementation must
-        # preserve global (time, seq) FIFO order.
+        # calendar queue; the kernel differential tests and benchmarks
+        # pass the frozen heap kernel from `tests/oracles/`). Any
+        # implementation must preserve global (time, seq) FIFO order.
         self._queue = queue if queue is not None else EventQueue()
         self._now = float(start_time)
         self._running = False

@@ -27,6 +27,7 @@ from repro.core.strategies import AdaptiveUCBStrategy, strategy_catalog
 from repro.datafabric import Dataset, ReplicaCatalog
 from repro.continuum.link import Link
 from repro.workflow import TaskSpec
+from tests.oracles.dispatch import UnmemoizedCostModel, scalar_engine
 
 
 def make_world(n_sites=8, seed=2):
@@ -129,13 +130,20 @@ class TestRowMemo:
         assert est2 is not None
 
     def test_memo_disabled_for_scalar_oracle(self):
+        """The scalar engine's context gets a cost model that never
+        serves a memoized row or a ``_last_row`` hit, so the oracle
+        side of the differential shares no cached arithmetic."""
         topo, catalog = make_world()
-        model = CostModel(topo, catalog, memo_rows=False)
+        with scalar_engine():
+            model = SchedulingContext(topo, catalog).cost
+        assert isinstance(model, UnmemoizedCostModel)
         sites = [topo.site(n) for n in topo.site_names]
         a = model.estimate_batch(task("a"), sites)
         b = model.estimate_batch(task("b"), sites)
         assert a.stage_time_s is not b.stage_time_s
-        assert model.row_times(task("a"), sites[0].name) is None
+        assert np.array_equal(a.stage_time_s, b.stage_time_s)
+        assert model._row_cache == {} and model._last_row is None
+        assert model.row_times(task("b"), sites[0].name) is None
 
 
 class TestAvailabilityCache:

@@ -9,12 +9,13 @@ vetoes, hedging, and control-plane partitions layered on, and demand
 equality of the full decision stream, the per-task records, and the
 scalar result metrics.
 
-The scalar engine runs with the row memo disabled
-(``repro.core.refdispatch``, ``SchedulingContext(memo=False)``), so the
-two sides share no cached arithmetic: any drift in the memo's
-invalidation or the in-place availability updates shows up here as a
-decision mismatch.
+The scalar engine runs over a cost model that never reuses a row
+(``tests.oracles.scalar_engine``), so the two sides share no cached
+arithmetic: any drift in the memo's invalidation or the in-place
+availability updates shows up here as a decision mismatch.
 """
+
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -43,6 +44,7 @@ from repro.faults import OutageSchedule, SiteOutage, TaskChaos
 from repro.faults.partitions import PartitionSchedule, PartitionWindow
 from repro.resilience import ResiliencePolicy
 from repro.workloads import layered_random_dag
+from tests.oracles import scalar_engine
 
 # every strategy shape in the repo: fixed, random (RNG-stream
 # sensitive), round-robin (call-order sensitive), data-aware, batch
@@ -67,6 +69,8 @@ STRATEGIES = {
 }
 
 FAULT_FLAVORS = ("none", "outage", "resilient-churn", "hedge")
+
+ENGINES = {"scalar": scalar_engine, "wave": nullcontext}
 
 SETTINGS = settings(
     max_examples=30,
@@ -111,9 +115,10 @@ def _run_one(dispatch, n_tasks, n_sites, seed, strategy_name, flavor):
         )
         kwargs["resilience"] = ResiliencePolicy.full(seed=5)
 
-    sched = ContinuumScheduler(topo, seed=seed, dispatch=dispatch)
-    return sched.run(dag, STRATEGIES[strategy_name](),
-                     external_inputs=placed, **kwargs)
+    with ENGINES[dispatch]():
+        sched = ContinuumScheduler(topo, seed=seed)
+        return sched.run(dag, STRATEGIES[strategy_name](),
+                         external_inputs=placed, **kwargs)
 
 
 def run_both(params):
@@ -185,11 +190,11 @@ class TestWaveScalarDifferential:
             dag.add_task(TaskSpec(f"t{i}", work=2.0 + i % 4,
                                   outputs=(Dataset(f"o{i}", 1e5),),
                                   pinned_site=pinned))
-        runs = [
-            ContinuumScheduler(topo, seed=5, dispatch=mode).run(
-                dag, RandomStrategy())
-            for mode in ("scalar", "wave")
-        ]
+        runs = []
+        for mode in ("scalar", "wave"):
+            with ENGINES[mode]():
+                runs.append(ContinuumScheduler(topo, seed=5).run(
+                    dag, RandomStrategy()))
         assert runs[0].decisions == runs[1].decisions
 
     def test_partitioned_control_plane_identical(self):
@@ -216,8 +221,8 @@ class TestWaveScalarDifferential:
         for mode in ("scalar", "wave"):
             control = ControlPlaneConfig.for_lag(
                 2.0, n_sites=5, read_mode="stale")
-            results.append(ContinuumScheduler(
-                topo, seed=7, dispatch=mode).run(
+            with ENGINES[mode]():
+                results.append(ContinuumScheduler(topo, seed=7).run(
                     dag, RoundRobinStrategy(),
                     external_inputs=[(ref, "beamline-edge")],
                     control=control, partitions=schedule))
@@ -227,21 +232,3 @@ class TestWaveScalarDifferential:
         assert scalar.control.reads == wave.control.reads
         assert scalar.control.misplacements == wave.control.misplacements
 
-
-class TestDispatchConfig:
-    def test_env_var_selects_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCH", "scalar")
-        topo = geo_random_continuum(4, seed=1)
-        assert ContinuumScheduler(topo).dispatch == "scalar"
-        monkeypatch.delenv("REPRO_DISPATCH")
-        assert ContinuumScheduler(topo).dispatch == "wave"
-
-    def test_explicit_param_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCH", "scalar")
-        topo = geo_random_continuum(4, seed=1)
-        assert ContinuumScheduler(topo, dispatch="wave").dispatch == "wave"
-
-    def test_unknown_mode_rejected(self):
-        topo = geo_random_continuum(4, seed=1)
-        with pytest.raises(SchedulingError):
-            ContinuumScheduler(topo, dispatch="warp")

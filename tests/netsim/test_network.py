@@ -4,6 +4,7 @@ from repro.continuum import Link, Site, Tier, Topology
 from repro.errors import NetworkError
 from repro.netsim import FlowNetwork, request_response_time, rtt
 from repro.netsim.fairness import equal_share_rates, max_min_fair_rates
+from repro.observe import Tracer
 from repro.simcore import Simulator
 
 
@@ -175,15 +176,13 @@ class TestAccounting:
 
         sim.run_process(body())
         assert net.total_bytes_moved == pytest.approx(100.0)
-        assert len(net.completed) == 2
-        assert net.monitor.counters["flows_completed"] == 2
+        assert net.flows_completed == 2
         # started/completed must balance once the network is quiescent
-        assert (net.monitor.counters["flows_started"]
-                == net.monitor.counters["flows_completed"])
+        assert net.flows_started == net.flows_completed
 
     def test_flow_counters_balance_on_fast_paths(self):
         """Local and zero-byte transfers skip the shared allocation but
-        must still count as started, or the monitor's flow counters can
+        must still count as started, or the network's flow counters can
         never balance."""
         sim = Simulator()
         net = FlowNetwork(sim, pair(latency=0.25, bandwidth=100.0))
@@ -194,8 +193,8 @@ class TestAccounting:
             yield net.transfer("a", "b", 100.0)   # ordinary wire flow
 
         sim.run_process(body())
-        assert net.monitor.counters["flows_started"] == 3
-        assert net.monitor.counters["flows_completed"] == 3
+        assert net.flows_started == 3
+        assert net.flows_completed == 3
 
     def test_transfer_cost_accumulates(self):
         topo = Topology("paid")
@@ -238,6 +237,51 @@ class TestAccounting:
         # flow crossed both links entirely
         assert net.bytes_per_link[0] == pytest.approx(200.0, rel=1e-6)
         assert net.bytes_per_link[1] == pytest.approx(200.0, rel=1e-6)
+
+
+class TestTracing:
+    def test_unbound_tracer_records_transfer_spans_in_sim_time(self):
+        sim = Simulator()
+        tracer = Tracer()
+        net = FlowNetwork(sim, pair(latency=0.5, bandwidth=100.0),
+                          tracer=tracer)
+        assert tracer.bound
+
+        def body():
+            yield sim.timeout(2.0)
+            yield net.transfer("a", "b", 100.0)
+
+        sim.run_process(body())
+        (span,) = tracer.finished()
+        assert (span.name, span.category) == ("xfer:a->b", "transfer")
+        assert (span.begin_s, span.end_s) == (2.0, 3.5)
+
+
+class TestBoundedMemory:
+    def test_completed_flows_leave_no_per_flow_state(self):
+        """A long run must not grow any per-flow record: once a flow
+        completes, the network keeps only aggregate counters."""
+        n = 2_000
+        sim = Simulator()
+        net = FlowNetwork(sim, pair(latency=0.01, bandwidth=1e5))
+        for i in range(n):
+            # 100 B at 100 kB/s drains in 1 ms, one arrival per 5 ms
+            sim.schedule(0.005 * i, net.transfer, "a", "b", 100.0)
+        sim.run()
+
+        def containers():
+            # every list/dict on the network, and one level down on the
+            # objects it holds (tracer, simulator, topology, ...)
+            for name, value in vars(net).items():
+                yield name, value
+                for sub, inner in getattr(value, "__dict__", {}).items():
+                    yield f"{name}.{sub}", inner
+
+        grown = {name: len(value) for name, value in containers()
+                 if isinstance(value, (list, dict)) and len(value) >= n}
+        assert grown == {}
+        assert not net._signals and not net._spans and not net._events
+        assert net.flows_started == net.flows_completed == n
 
 
 class TestAllocatorPluggability:

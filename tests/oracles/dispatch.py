@@ -1,13 +1,13 @@
 """Frozen scalar dispatch: the wave path's correctness oracle.
 
 This is the task-at-a-time placement loop exactly as it stood before
-wave-batched dispatch, kept as a selectable mode
-(``ContinuumScheduler(dispatch="scalar")`` or ``REPRO_DISPATCH=scalar``).
-A scalar run also disables the cost model's row memo, so its estimates
-are recomputed from scratch for every task — the differential tests
-compare the wave path's memoized decision stream against genuinely
-independent arithmetic, and the CI smoke diff compares whole experiment
-tables across the two modes.
+wave-batched dispatch. :func:`scalar_engine` installs it in place of
+``repro.core.scheduler.wave_dispatch`` together with a cost model that
+never reuses a row, so its estimates are recomputed from scratch for
+every task — the differential tests compare the wave path's memoized
+decision stream against genuinely independent arithmetic, and
+``tests/integration/test_dispatch_tables.py`` compares whole
+experiment tables across the two engines.
 
 Do not "improve" this loop. Its entire value is staying byte-for-byte
 what shipped: any divergence between it and the wave path is a wave
@@ -16,6 +16,10 @@ bug by definition.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
+from repro.core.cost import CostModel
 from repro.core.placement import PlacementDecision
 from repro.errors import SchedulingError
 
@@ -63,3 +67,23 @@ def scalar_dispatch(run, batch, vetoed) -> None:
             run._m_decisions.labels(
                 site=site_name, strategy=run.strategy.name).inc()
         run._start_attempt(task, site_name, decision)
+
+
+class UnmemoizedCostModel(CostModel):
+    """Cost model that never serves a memoized row: every
+    :meth:`estimate_batch` recomputes, and ``row_times`` always misses."""
+
+    def estimate_batch(self, task, sites):
+        batch = super().estimate_batch(task, sites)
+        self._row_cache.clear()
+        self._last_row = None
+        return batch
+
+
+@contextmanager
+def scalar_engine():
+    """Run every scheduler built inside the block on the scalar oracle:
+    task-at-a-time placement over an un-memoized cost model."""
+    with mock.patch("repro.core.scheduler.wave_dispatch", scalar_dispatch), \
+            mock.patch("repro.core.context.CostModel", UnmemoizedCostModel):
+        yield

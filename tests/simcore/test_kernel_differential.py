@@ -26,10 +26,10 @@ from repro.simcore.event import (
     _POOL_MAX,
     CalendarQueue,
     EventQueue,
-    HeapEventQueue,
     _should_reclaim,
 )
 from repro.simcore.process import Process
+from tests.oracles import HeapEventQueue
 
 
 def _calendar_sim():
@@ -197,8 +197,8 @@ class TestDifferential:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_op, min_size=1, max_size=60))
     def test_identical_firing_sequence(self, ops):
-        """Both production kernels (calendar default and heap fallback)
-        must observe the frozen seed kernel's exact firing sequence."""
+        """The calendar kernel and the frozen heap kernel must observe
+        the frozen seed kernel's exact firing sequence."""
         ref = _drive(_RefSimulator, ops)
         assert _drive(_calendar_sim, ops) == ref
         assert _drive(_heap_sim, ops) == ref
