@@ -15,6 +15,24 @@ its nearest control site — it just might learn stale things from it).
 A minority island's leader keeps accepting proposals but can never
 reach quorum, so no write is ever acknowledged from a minority: the
 split-brain safety the acceptance tests pin.
+
+Quiescent heartbeat rounds are not simulated one message at a time.
+When a leader's heartbeat timer is the next event and its island is
+idle, :meth:`ControlPlane._replay_idle_rounds` replays in one step every
+round whose last reply lands by ``now`` and before the first message
+queued for the island (or the first client request anywhere, which may
+be forwarded into it). Idle means: the leader's whole log committed,
+its last entry from the current term; every reachable follower a
+same-term follower whose log end, ``match_index``/``next_index`` and
+commit index equal the leader's, with its election deadline after the
+first delivery; no node due to compact; and each round's replies
+landing before the next heartbeat (``2·lag < hb``). An isolated leader
+replays its dropped rounds whatever its commit state. The replay sets
+exactly what the message loop would have: follower contact, hint and
+last election draw (``k`` draws taken in one call), leader ack times
+and heartbeat deadline, and the send, drop and sequence counters.
+Islands exchange nothing while split, so each is replayed on its own;
+anything else falls through to the message loop.
 """
 
 from __future__ import annotations
@@ -70,7 +88,12 @@ class ControlPlaneConfig:
                 f"unknown read mode {self.read_mode!r}; known: {READ_MODES}")
         check_non_negative("replication_lag_s", self.replication_lag_s)
         check_positive("heartbeat_interval_s", self.heartbeat_interval_s)
-        lo, hi = self.election_timeout_s
+        try:
+            lo, hi = self.election_timeout_s
+        except (TypeError, ValueError):
+            raise ControlPlaneError(
+                f"election_timeout_s must be a (low, high) pair, got "
+                f"{self.election_timeout_s!r}") from None
         if not (0 < lo < hi):
             raise ControlPlaneError(
                 f"election_timeout_s must be an increasing positive pair, "
@@ -91,6 +114,19 @@ class ControlPlaneConfig:
                 f"attached_node {self.attached_node} outside cluster of "
                 f"{self.n_sites}")
         check_positive("read_retry_interval_s", self.read_retry_interval_s)
+        for name, least in (("max_read_retries", 0), ("catchup_max_fast", 0),
+                            ("rpc_failure_threshold", 1)):
+            if getattr(self, name) < least:
+                raise ControlPlaneError(
+                    f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not 0 <= self.catchup_cooldown_s < math.inf:
+            raise ControlPlaneError(
+                f"catchup_cooldown_s must be non-negative and finite, got "
+                f"{self.catchup_cooldown_s}")
+        if not 0 < self.rpc_reset_timeout_s < math.inf:
+            raise ControlPlaneError(
+                f"rpc_reset_timeout_s must be positive and finite, got "
+                f"{self.rpc_reset_timeout_s}")
 
     @classmethod
     def for_lag(cls, replication_lag_s: float, *, n_sites: int = 5,
@@ -228,7 +264,9 @@ class ControlPlane:
     def advance(self, now: float) -> None:
         """Drain messages and timers up to ``now`` in deterministic
         ``(time, kind, seq-or-node)`` order. No-op for ``now`` at or
-        below the internal clock."""
+        below the internal clock; a non-finite ``now`` raises."""
+        if not math.isfinite(now):
+            raise ControlPlaneError(f"cannot advance the control plane to {now}")
         if now < self._time:
             return
         self._ensure_warm()
@@ -248,8 +286,11 @@ class ControlPlane:
             else:
                 if t_timer > now:
                     break
-                self._time = max(self._time, t_timer)
                 node = self.nodes[timer_node]
+                if node.role is Role.LEADER and \
+                        self._replay_idle_rounds(node, now):
+                    continue
+                self._time = max(self._time, t_timer)
                 self._send_all(timer_node, node.on_timer(t_timer), t_timer)
                 self._deadlines[timer_node] = node.next_deadline()
                 self._settle(t_timer, node)
@@ -260,6 +301,65 @@ class ControlPlane:
         """Earliest node deadline; the lowest node id wins ties."""
         t = min(self._deadlines)
         return t, self._deadlines.index(t)
+
+    def _replay_idle_rounds(self, leader: RaftNode, now: float) -> bool:
+        """Replay, in one step, the heartbeat rounds of ``leader`` that
+        complete by ``now`` and before anything else reaches its island
+        (the leader plus its reachable peers), when that island is
+        quiescent; the state, counters and RNG draws end exactly where
+        the message-by-message loop leaves them. Returns False, touching
+        nothing, when no round can be replayed."""
+        lag = self.config.replication_lag_s
+        hb = leader.heartbeat_interval_s
+        t = leader.heartbeat_due
+        followers = [p for p in leader.peers if self.reachable(leader.id, p)]
+        island = {leader.id, *followers}
+        last = leader.log.last_index
+        # an isolated leader's rounds are all dropped, so only a leader
+        # with followers needs its whole log committed and matched
+        if followers and (leader.commit_index != last
+                          or leader.log.last_term != leader.term):
+            return False
+        for p in followers:
+            f = self.nodes[p]
+            if not (f.role is Role.FOLLOWER and f.term == leader.term
+                    and f.log.last_index == last
+                    and f.log.last_term == leader.term
+                    and f.commit_index == last
+                    and leader.match_index.get(p) == last
+                    and leader.next_index.get(p) == last + 1
+                    # messages must keep winning ties against timeouts
+                    and f.election_deadline > t + lag
+                    and not f.compaction_due()):
+                return False
+        if leader.compaction_due():
+            return False
+        # the replay ends before the first message queued for the
+        # island lands, or the first client request, which may be
+        # forwarded into it along leader hints
+        first = math.inf
+        for at, _seq, dst, msg in self._queue:
+            if at < first and (dst in island or type(msg) is _ClientRequest):
+                first = at
+        rounds = 0
+        while True:
+            done = (t + lag) + lag if followers else t
+            if done > now or done >= first or done > t + hb:
+                break
+            rounds += 1
+            t_last, t = t, t + hb
+        if not rounds:
+            return False
+        for p in followers:
+            self.nodes[p].absorb_heartbeats(leader.id, t_last + lag, rounds)
+            self._deadlines[p] = self.nodes[p].election_deadline
+            leader.ack_time[p] = max(leader.ack_time[p], t_last)
+        leader.heartbeat_due = self._deadlines[leader.id] = t
+        peers, reached = len(leader.peers), len(followers)
+        self.messages_sent += rounds * (peers + reached)
+        self.messages_dropped += rounds * (peers - reached)
+        self._seq += rounds * 2 * reached
+        return True
 
     # -- fabric --------------------------------------------------------------------
     def reachable(self, a: int, b: int) -> bool:
@@ -273,32 +373,33 @@ class ControlPlane:
         return False
 
     def _send_all(self, src: int, outgoing, now: float) -> None:
+        split = self._islands is not None
+        arrive = now + self.config.replication_lag_s
         for dst, msg in outgoing:
             self.messages_sent += 1
-            if not self.reachable(src, dst):
+            if split and not self.reachable(src, dst):
                 self.messages_dropped += 1
                 continue
             self._seq += 1
-            heapq.heappush(
-                self._queue,
-                (now + self.config.replication_lag_s, self._seq, dst, msg))
+            heapq.heappush(self._queue, (arrive, self._seq, dst, msg))
 
     def _deliver(self, dst: int, msg, t: float) -> None:
-        if isinstance(msg, _ClientRequest):
+        if type(msg) is _ClientRequest:
             self._deliver_client(dst, msg.ticket, t)
             return
-        sender = getattr(msg, "leader", None)
-        if sender is None:
-            sender = getattr(msg, "candidate", None)
-        if sender is None:
-            sender = getattr(msg, "voter", None)
-        if sender is None:
-            sender = getattr(msg, "follower", None)
-        # partition applies at delivery too: packets in flight when the
-        # split lands are lost with it
-        if sender is not None and not self.reachable(int(sender), dst):
-            self.messages_dropped += 1
-            return
+        if self._islands is not None:
+            sender = getattr(msg, "leader", None)
+            if sender is None:
+                sender = getattr(msg, "candidate", None)
+            if sender is None:
+                sender = getattr(msg, "voter", None)
+            if sender is None:
+                sender = getattr(msg, "follower", None)
+            # partition applies at delivery too: packets in flight when
+            # the split lands are lost with it
+            if sender is not None and not self.reachable(int(sender), dst):
+                self.messages_dropped += 1
+                return
         node = self.nodes[dst]
         self._send_all(dst, node.on_message(msg, t), t)
         self._deadlines[dst] = node.next_deadline()

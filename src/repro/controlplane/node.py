@@ -188,19 +188,7 @@ class RaftNode:
     def on_message(self, msg, now: float) -> list[tuple[int, object]]:
         if msg.term > self.term:
             self._become_follower(msg.term)
-        if isinstance(msg, RequestVote):
-            return self._on_request_vote(msg, now)
-        if isinstance(msg, VoteReply):
-            return self._on_vote_reply(msg, now)
-        if isinstance(msg, AppendEntries):
-            return self._on_append(msg, now)
-        if isinstance(msg, AppendReply):
-            return self._on_append_reply(msg, now)
-        if isinstance(msg, InstallSnapshot):
-            return self._on_install_snapshot(msg, now)
-        if isinstance(msg, SnapshotReply):
-            return self._on_snapshot_reply(msg, now)
-        return []
+        return self._HANDLERS[type(msg)](self, msg, now)
 
     def _on_request_vote(self, msg: RequestVote, now: float):
         granted = False
@@ -268,9 +256,11 @@ class RaftNode:
         if msg.success:
             if msg.match_index > self.match_index.get(peer, 0):
                 self.match_index[peer] = msg.match_index
+                # the leader's own last index ranks first, so the
+                # quorum-th replicated index moves only with a match
+                self._advance_commit()
             self.next_index[peer] = max(self.next_index.get(peer, 1),
                                         msg.match_index + 1)
-            self._advance_commit()
             if (self.next_index[peer] <= self.log.last_index
                     and self._may_resend()):
                 return [(peer, self._append_for(peer, now))]
@@ -320,6 +310,28 @@ class RaftNode:
                 and self._may_resend()):
             return [(peer, self._append_for(peer, now))]
         return []
+
+    _HANDLERS = {
+        RequestVote: _on_request_vote,
+        VoteReply: _on_vote_reply,
+        AppendEntries: _on_append,
+        AppendReply: _on_append_reply,
+        InstallSnapshot: _on_install_snapshot,
+        SnapshotReply: _on_snapshot_reply,
+    }
+
+    def absorb_heartbeats(self, leader: int, last_contact: float,
+                          rounds: int) -> None:
+        """Take the state that ``rounds`` entry-less AppendEntries from
+        ``leader`` leave on an up-to-date follower, the last delivered
+        at ``last_contact``. The election timeouts those deliveries
+        redraw come from one call, bitwise equal to ``rounds`` scalar
+        draws; only the last one survives."""
+        lo, hi = self.election_timeout_s
+        self.leader_hint = leader
+        self.last_leader_contact = last_contact
+        self.election_deadline = last_contact + float(
+            self._rng.uniform(lo, hi, size=rounds)[-1])
 
     # -- leader internals ---------------------------------------------------------
     def _may_resend(self) -> bool:
@@ -376,6 +388,12 @@ class RaftNode:
             entry = self.log.entry(idx)
             self.state.apply(entry.command, idx)
 
+    def compaction_due(self) -> bool:
+        """Whether the applied suffix has reached the snapshot threshold
+        (:meth:`maybe_compact` would compact now)."""
+        return (self.state.applied_index - self.log.base_index
+                >= self.snapshot_threshold)
+
     def maybe_compact(self) -> None:
         """Snapshot + truncate once the applied suffix outgrows the
         threshold. Only applied (hence committed) entries compact, so a
@@ -386,9 +404,9 @@ class RaftNode:
         Once a chain holds more commands than its image has entries, the
         image is taken from the applied state instead, which keeps a
         node's retained chain within O(image) memory."""
-        applied, base = self.state.applied_index, self.log.base_index
-        if applied - base < self.snapshot_threshold:
+        if not self.compaction_due():
             return
+        applied, base = self.state.applied_index, self.log.base_index
         discarded = self.log.entries_from(base + 1)[:applied - base]
         snap = Snapshot.after(self.log.snapshot, discarded)
         if snap.chain_len > self.state.entries:
