@@ -41,15 +41,14 @@ class ControlRuntime:
         read latency distributions as histograms."""
         if not registry.enabled:
             return
-        s = self.stats
-        reads = registry.counter(
-            "controlplane_reads_total",
-            "Metadata reads by consistency mode actually served",
-            ("mode",))
-        reads.labels(mode="quorum").inc(s.quorum_reads)
-        reads.labels(mode="lease").inc(s.lease_reads)
-        reads.labels(mode="stale").inc(s.stale_reads)
-        for name, help_, value in (
+        s, plane = self.stats, self.plane
+        for mode, reads in (("quorum", s.quorum_reads),
+                            ("lease", s.lease_reads),
+                            ("stale", s.stale_reads)):
+            registry.emit([("controlplane_reads_total",
+                            "Metadata reads by consistency mode actually "
+                            "served", reads)], {"mode": mode})
+        registry.emit((
             ("controlplane_degraded_reads_total",
              "Quorum/lease demands served stale during partitions",
              s.degraded_reads),
@@ -75,26 +74,23 @@ class ControlRuntime:
              "View empty, authoritative answer used", s.fallback_reads),
             ("controlplane_elections_total",
              "Leader elections started across the cluster",
-             self.plane.elections_started),
+             plane.elections_started),
             ("controlplane_leader_changes_total",
-             "Distinct terms led across the cluster",
-             self.plane.leader_changes),
-            ("controlplane_commits_total",
-             "Replicated log commits", len(self.plane.commit_latencies)),
+             "Distinct terms led across the cluster", plane.leader_changes),
+            ("controlplane_commits_total", "Replicated log commits",
+             len(plane.commit_latencies)),
+        ))
+        for name, help_, latencies in (
+            ("controlplane_read_latency_seconds",
+             "Metadata read latency distribution", s.read_latencies),
+            ("controlplane_commit_latency_seconds",
+             "Replicated log commit latency distribution",
+             plane.commit_latencies),
         ):
-            registry.counter(name, help_).inc(value)
-        read_h = registry.histogram(
-            "controlplane_read_latency_seconds",
-            "Metadata read latency distribution",
-            start=1e-4, factor=2.0, count=30)
-        for lat in s.read_latencies:
-            read_h.observe(lat)
-        commit_h = registry.histogram(
-            "controlplane_commit_latency_seconds",
-            "Replicated log commit latency distribution",
-            start=1e-4, factor=2.0, count=30)
-        for lat in self.plane.commit_latencies:
-            commit_h.observe(lat)
+            hist = registry.histogram(name, help_, start=1e-4, factor=2.0,
+                                      count=30)
+            for lat in latencies:
+                hist.observe(lat)
 
     def placement_read(self, now: float) -> float:
         return self.session.placement_read(now)

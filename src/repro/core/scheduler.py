@@ -27,19 +27,21 @@ fetchable). A :class:`~repro.faults.TaskChaos` injector additionally
 fails or slows individual execution attempts on a deterministic
 per-(task, attempt, site) key.
 
-How failed attempts are *re-tried* is policy. Without a
-:class:`~repro.resilience.ResiliencePolicy` the scheduler keeps its
-seed behaviour: immediate requeue with at most ``task_retries``
-retries. With one, recovery is governed end to end: exponential
-backoff with seeded jitter and a run-wide fast-retry budget, per-site
-circuit breakers consulted at placement (open circuits are hidden from
-strategies; half-open circuits admit one probe), per-attempt timeouts
-derived from the planner estimate, and speculative hedging that races
-a straggling attempt against a duplicate on another site and cancels
-the loser. Every recovery action is emitted as an ``observe`` span and
-counted in :class:`~repro.resilience.ResilienceStats` on the result;
-hedged duplicates are tracked attempt-by-attempt so makespan,
-utilization, and wasted-work accounting stay exact.
+How failed attempts are *re-tried* is policy, and there is one
+recovery path: a run given no
+:class:`~repro.resilience.ResiliencePolicy` gets one named ``none``
+(immediate requeue with at most ``task_retries`` retries). A richer
+policy adds exponential backoff with seeded jitter and a run-wide
+fast-retry budget, per-site circuit breakers consulted at placement
+(open circuits are hidden from strategies; half-open circuits admit
+one probe), per-attempt timeouts derived from the planner estimate,
+and speculative hedging that races a straggling attempt against a
+duplicate on another site and cancels the loser. Under every policy a
+staging failure is retried like a transient fault. Every recovery
+action is emitted as an ``observe`` span and counted in
+:class:`~repro.resilience.ResilienceStats` on the result; hedged
+duplicates are tracked attempt-by-attempt so makespan, utilization,
+and wasted-work accounting stay exact.
 
 Estimates used by strategies come from the same cost model but ignore
 network contention — the planned-vs-measured gap is real and intended.
@@ -69,6 +71,7 @@ from repro.observe.recorder import MetricsRecorder
 from repro.observe.tracer import NULL_TRACER, Tracer
 from repro.resilience.breaker import BreakerState
 from repro.resilience.policy import ResiliencePolicy, ResilienceStats
+from repro.resilience.retry import RetryPolicy
 from repro.simcore.process import AllOf, Interrupt, Timeout
 from repro.simcore.resources import Resource
 from repro.simcore.simulation import Simulator
@@ -117,20 +120,25 @@ def wave_dispatch(run, batch, vetoed) -> None:
                 f"strategy chose non-candidate site {site_name!r} "
                 f"for task {task.name!r}"
             )
-        stage_s, exec_s, est_finish = run.ctx.estimate_finish_at(
-            task, site_name
-        )
-        run.ctx.reserve(site_name, est_finish)
-        decision = PlacementDecision(
-            task=task.name, site=site_name, decided_at=run.sim.now,
-            est_stage_s=stage_s, est_exec_s=exec_s,
-            est_finish=est_finish,
-        )
-        run.decisions.append(decision)
-        if run._m_decisions is not None:
-            run._m_decisions.labels(
-                site=site_name, strategy=run.strategy.name).inc()
+        estimate = run.ctx.estimate_finish_at(task, site_name)
+        decision = record_placement(run, task, site_name, *estimate)
         run._start_attempt(task, site_name, decision)
+
+
+def record_placement(run, task, site_name, stage_s, exec_s,
+                     est_finish) -> PlacementDecision:
+    """The one placement tail, shared by primaries and hedges: reserve
+    the site's slot estimate, record the decision and count it."""
+    run.ctx.reserve(site_name, est_finish)
+    decision = PlacementDecision(
+        task=task.name, site=site_name, decided_at=run.sim.now,
+        est_stage_s=stage_s, est_exec_s=exec_s, est_finish=est_finish,
+    )
+    run.decisions.append(decision)
+    if run._m_decisions is not None:
+        run._m_decisions.labels(
+            site=site_name, strategy=run.strategy.name).inc()
+    return decision
 
 
 @dataclass(frozen=True)
@@ -232,9 +240,10 @@ class ContinuumScheduler:
         :class:`SchedulingError` on missing externals or failed tasks.
         ``failures`` injects site outages and link brownouts; ``chaos``
         injects per-attempt transient faults and stragglers;
-        ``resilience`` selects the recovery policy (``None`` keeps the
-        legacy immediate-requeue behaviour with ``task_retries``
-        retries). Pass a :class:`~repro.observe.Tracer` to record
+        ``resilience`` selects the recovery policy (``None`` means a
+        policy named ``none``: immediate requeue with at most
+        ``task_retries`` retries). Staging failures are retried under
+        every policy. Pass a :class:`~repro.observe.Tracer` to record
         per-task, per-transfer, fault-injection, and recovery spans;
         tracing never changes the schedule (it only reads the clock).
         ``metrics`` selects the registry run counters/histograms are
@@ -314,14 +323,14 @@ class _Run:
         self.chaos = chaos if (chaos is not None and not chaos.empty) else None
         if task_retries < 0:
             raise SchedulingError(f"task_retries must be >= 0, got {task_retries}")
-        self.task_retries = task_retries
+        if resilience is None:  # immediate requeue, task_retries retries
+            resilience = ResiliencePolicy(
+                name="none", retry=RetryPolicy(max_attempts=task_retries + 1))
         self.resilience = resilience
-        self.budget = resilience.make_budget() if resilience else None
-        self.breakers = resilience.make_breakers() if resilience else None
-        self.hedge = resilience.hedge if resilience else None
-        self.stats = ResilienceStats(
-            policy=resilience.name if resilience else "none"
-        )
+        self.budget = resilience.make_budget()
+        self.breakers = resilience.make_breakers()
+        self.hedge = resilience.hedge
+        self.stats = ResilienceStats(policy=resilience.name)
         self.sim = Simulator()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if tracer is not None:
@@ -425,124 +434,51 @@ class _Run:
             "scheduler_placement_decisions_total",
             "Placement decisions by chosen site and strategy",
             ("site", "strategy"))
-        self._m_queue_wait = m.histogram(
-            "scheduler_task_queue_wait_seconds",
-            "Wait for a worker slot after inputs arrived",
-            start=1e-3, factor=2.0, count=36)
-        self._m_stage = m.histogram(
-            "scheduler_task_stage_seconds",
-            "Input staging time per completed task",
-            start=1e-3, factor=2.0, count=36)
-        self._m_exec = m.histogram(
-            "scheduler_task_exec_seconds",
-            "Execution time per completed task",
-            start=1e-3, factor=2.0, count=36)
+        self._m_queue_wait, self._m_stage, self._m_exec = (
+            m.histogram(name, help_, start=1e-3, factor=2.0, count=36)
+            for name, help_ in (
+                ("scheduler_task_queue_wait_seconds",
+                 "Wait for a worker slot after inputs arrived"),
+                ("scheduler_task_stage_seconds",
+                 "Input staging time per completed task"),
+                ("scheduler_task_exec_seconds",
+                 "Execution time per completed task"),
+            ))
         rec = self.recorder = MetricsRecorder()
         self.sim.attach_recorder(rec)
-        sim, queue, net = self.sim, self.sim._queue, self.network
-        rec.add_probe("kernel_queue_depth", queue.__len__)
-        rec.add_probe("kernel_events_dispatched",
-                      lambda: float(sim.event_count))
-        rec.add_probe("netsim_flows_active",
-                      lambda: float(net.active_flow_count))
-        rec.add_probe("scheduler_ready_tasks",
-                      lambda: float(len(self.ready)))
-        rec.add_probe("scheduler_tasks_completed",
-                      lambda: float(len(self.records)))
+        sim, net = self.sim, self.network
+        rec.add_probe("kernel_queue_depth", lambda: sim.pending)
+        rec.add_probe("kernel_events_dispatched", lambda: sim.event_count)
+        rec.add_probe("netsim_flows_active", lambda: net.active_flow_count)
+        rec.add_probe("scheduler_ready_tasks", lambda: len(self.ready))
+        rec.add_probe("scheduler_tasks_completed", lambda: len(self.records))
 
     def _emit_metrics(self) -> None:
-        """End-of-run harvest: re-emit every subsystem's stats object
-        through the registry (counters accumulate across runs sharing
-        one registry; all values derive from simulated time only)."""
+        """End-of-run harvest: each owner emits its own stats, then the
+        scheduler its own (all from simulated time; counters accumulate
+        across runs sharing one registry)."""
         m = self.metrics
-        sim, queue = self.sim, self.sim._queue
-        c, g = m.counter, m.gauge
-        c("sim_events_dispatched_total",
-          "Events dispatched by the kernel").inc(sim.event_count)
-        c("sim_simulated_seconds_total",
-          "Simulated seconds advanced").inc(sim.now)
-        c("kernel_events_pushed_total",
-          "Events enqueued (push, pooled, ready lane)"
-          ).inc(queue.events_pushed)
-        c("kernel_events_cancelled_total",
-          "Caller-cancelled events").inc(queue.cancellations)
-        c("kernel_reclaims_total",
-          "Dead-entry reclamations (compactions/sweeps)"
-          ).inc(queue.compactions)
-        c("kernel_pool_reuses_total",
-          "Events served from the free list").inc(queue.pool_reuses)
-        for attr, name, help_ in (
-            ("rebuilds", "kernel_calendar_rebuilds_total",
-             "Calendar-queue full gather + re-layout passes"),
-            ("advances", "kernel_calendar_advances_total",
-             "Calendar-queue window advances"),
-        ):
-            if hasattr(queue, attr):
-                c(name, help_).inc(getattr(queue, attr))
-        if sim.now > 0:
-            g("kernel_events_per_sim_second",
-              "Dispatch rate of the last run, per simulated second"
-              ).set(sim.event_count / sim.now)
-        c("netsim_flows_started_total",
-          "Flows opened on the network").inc(self.network.flows_started)
-        c("netsim_flows_completed_total",
-          "Flows drained to completion").inc(self.network.flows_completed)
-        c("netsim_bytes_moved_total",
-          "Bytes moved across all links"
-          ).inc(self.network.total_bytes_moved)
-        c("netsim_rate_solves_total",
-          "Max-min fair-share rate recomputes"
-          ).inc(self.network.rate_solves)
-        c("scheduler_tasks_completed_total",
-          "Tasks that ran to completion").inc(len(self.records))
-        c("scheduler_interruptions_total",
-          "Attempts cut down by site outages").inc(self.interruptions)
-        c("scheduler_wasted_exec_seconds_total",
-          "Execution seconds lost to interrupts/hedges/faults"
-          ).inc(self.wasted_exec_s)
-        c("scheduler_compute_usd_total",
-          "Compute spend across completed work").inc(self.compute_usd)
-        c("scheduler_energy_joules_total",
-          "Marginal energy across completed work").inc(self.energy_j)
-        makespan = max((r.exec_finished for r in self.records.values()),
-                       default=0.0)
-        g("scheduler_last_makespan_seconds",
-          "Makespan of the last run emitted into this registry"
-          ).set(makespan)
-        stats = self._final_stats()
-        labels = ("policy",)
-        lv = {"policy": stats.policy}
-        for name, help_, value in (
-            ("resilience_attempts_total", "Execution attempts launched",
-             stats.attempts_total),
-            ("resilience_retries_total", "Attempts relaunched after a "
-             "failure", stats.retries),
-            ("resilience_backoff_seconds_total",
-             "Simulated seconds spent backing off", stats.backoff_delay_s),
-            ("resilience_budget_denials_total",
-             "Retries refused by the retry budget", stats.budget_denials),
-            ("resilience_breaker_trips_total",
-             "Circuit-breaker open transitions", stats.breaker_trips),
-            ("resilience_breaker_probes_total",
-             "Half-open probe attempts", stats.breaker_probes),
-            ("resilience_hedges_launched_total",
-             "Hedge duplicates launched", stats.hedges_launched),
-            ("resilience_hedges_won_total",
-             "Hedge duplicates that finished first", stats.hedges_won),
-            ("resilience_hedges_lost_total",
-             "Hedge duplicates cancelled or beaten", stats.hedges_lost),
-            ("resilience_timeouts_total",
-             "Attempts cut down by the attempt timeout", stats.timeouts),
-            ("resilience_transient_faults_total",
-             "Chaos-injected transient faults hit", stats.transient_faults),
-            ("resilience_lost_tasks_total",
-             "Tasks that exhausted every recovery lever",
-             stats.lost_tasks),
-        ):
-            m.counter(name, help_, labels).labels(**lv).inc(value)
-        if self.control is not None:
-            self.control.emit_metrics(m)
-        if m.keep_timeseries and self.recorder is not None:
+        self._final_stats()
+        for owner in (self.sim, self.network, self.stats, self.control):
+            if owner is not None:
+                owner.emit_metrics(m)
+        m.emit((
+            ("scheduler_tasks_completed_total",
+             "Tasks that ran to completion", len(self.records)),
+            ("scheduler_interruptions_total",
+             "Attempts cut down by site outages", self.interruptions),
+            ("scheduler_wasted_exec_seconds_total",
+             "Execution seconds lost to interrupts/hedges/faults",
+             self.wasted_exec_s),
+            ("scheduler_compute_usd_total",
+             "Compute spend across completed work", self.compute_usd),
+            ("scheduler_energy_joules_total",
+             "Marginal energy across completed work", self.energy_j),
+        ))
+        m.emit([("scheduler_last_makespan_seconds",
+                 "Makespan of the last run emitted into this registry",
+                 self.makespan)], kind="gauge")
+        if m.keep_timeseries:
             m.timeseries = dict(self.recorder.series)
 
     def _register_datasets(self) -> None:
@@ -610,6 +546,11 @@ class _Run:
         self._schedule_dispatch()
 
     # -- results --------------------------------------------------------------------
+    @property
+    def makespan(self) -> float:
+        return max((r.exec_finished for r in self.records.values()),
+                   default=0.0)
+
     def _final_stats(self) -> ResilienceStats:
         self.stats.attempts_total = sum(self.attempts.values())
         if self.breakers is not None:
@@ -619,27 +560,27 @@ class _Run:
             self.stats.budget_denials = self.budget.denied
         return self.stats
 
-    def single_result(self) -> ScheduleResult:
-        job = self.jobs[0]
-        makespan = max(
-            (r.exec_finished for r in self.records.values()), default=0.0
-        )
-        return ScheduleResult(
-            workflow=job.dag.name,
+    def _totals(self) -> dict:
+        """The accounting both result types carry."""
+        return dict(
             strategy=self.strategy.name,
-            makespan=makespan,
             records=self.records,
-            decisions=self.decisions,
             bytes_moved=self.network.total_bytes_moved,
             transfer_usd=self.network.total_transfer_cost_usd,
             compute_usd=self.compute_usd,
             energy_j=self.energy_j,
-            site_busy_s=self.site_busy,
             interruptions=self.interruptions,
             wasted_exec_s=self.wasted_exec_s,
             resilience=self._final_stats(),
             control=(self.control.stats if self.control is not None
                      else None),
+        )
+
+    def single_result(self) -> ScheduleResult:
+        return ScheduleResult(
+            workflow=self.jobs[0].dag.name, makespan=self.makespan,
+            decisions=self.decisions, site_busy_s=self.site_busy,
+            **self._totals(),
         )
 
     def stream_result(self) -> StreamResult:
@@ -652,20 +593,7 @@ class _Run:
             )
             for idx, job in enumerate(self.jobs)
         ]
-        return StreamResult(
-            strategy=self.strategy.name,
-            jobs=jobs,
-            records=self.records,
-            bytes_moved=self.network.total_bytes_moved,
-            transfer_usd=self.network.total_transfer_cost_usd,
-            compute_usd=self.compute_usd,
-            energy_j=self.energy_j,
-            interruptions=self.interruptions,
-            wasted_exec_s=self.wasted_exec_s,
-            resilience=self._final_stats(),
-            control=(self.control.stats if self.control is not None
-                     else None),
-        )
+        return StreamResult(jobs=jobs, **self._totals())
 
     # -- failure injection ---------------------------------------------------------
     def _arm_failures(self) -> None:
@@ -840,15 +768,14 @@ class _Run:
             name=f"task:{task.name}#{attempt_id}",
         )
         self._active_at.setdefault(task.name, {})[attempt_id] = (proc, site_name)
-        if self.resilience is not None:
-            timeout_s = self.resilience.attempt_timeout_s(
-                decision.est_stage_s + decision.est_exec_s
+        timeout_s = self.resilience.attempt_timeout_s(
+            decision.est_stage_s + decision.est_exec_s
+        )
+        if timeout_s is not None:
+            self._timeout_events[attempt_id] = self.sim.schedule(
+                timeout_s, self._attempt_timeout,
+                task.name, attempt_id, site_name, timeout_s,
             )
-            if timeout_s is not None:
-                self._timeout_events[attempt_id] = self.sim.schedule(
-                    timeout_s, self._attempt_timeout,
-                    task.name, attempt_id, site_name, timeout_s,
-                )
         if (self.hedge is not None and not is_hedge
                 and task.pinned_site is None
                 and self._hedges_of[task.name] < self.hedge.max_hedges):
@@ -883,7 +810,7 @@ class _Run:
 
     def _maybe_hedge(self, name: str, attempt_id: int) -> None:
         """Hedge-check fired: duplicate the attempt if it is straggling."""
-        if name in self.records or self.hedge is None:
+        if name in self.records:
             return
         attempts = self._active_at.get(name)
         if not attempts or attempt_id not in attempts:
@@ -908,19 +835,12 @@ class _Run:
             )
         finally:
             self.ctx.set_vetoed(())
-        self.ctx.reserve(site_name, est_finish)
-        decision = PlacementDecision(
-            task=name, site=site_name, decided_at=self.sim.now,
-            est_stage_s=est.stage_time_s, est_exec_s=est.exec_time_s,
-            est_finish=est_finish,
-        )
-        self.decisions.append(decision)
+        decision = record_placement(self, task, site_name, est.stage_time_s,
+                                    est.exec_time_s, est_finish)
         self._hedges_of[name] += 1
         self.stats.hedges_launched += 1
         self.tracer.instant("hedge_launch", "resilience", task=name,
-                            site=site_name,
-                            racing={s for s in running_sites} and
-                                   sorted(running_sites))
+                            site=site_name, racing=sorted(running_sites))
         self._start_attempt(task, site_name, decision, is_hedge=True)
 
     def _task_proc(self, task: TaskSpec, site_name: str,
@@ -1006,12 +926,11 @@ class _Run:
                                  exec_started=True, cause=fault.cause,
                                  is_hedge=is_hedge)
             return
-        except Exception as exc:  # noqa: BLE001 - recorded, or retried by policy
+        except Exception as exc:  # noqa: BLE001 - recorded, or retried
             tracer.end(phase, status="failed")
             tracer.end(tspan, status="failed", error=repr(exc))
-            if (self.resilience is not None
-                    and isinstance(exc, DataFabricError)):
-                # corrupted staging is transient under a recovery policy
+            if isinstance(exc, DataFabricError):
+                # corrupted staging is transient: retried like a fault
                 self._on_attempt_end(task, site_name, record, attempt_id,
                                      req=req, req_held=False,
                                      exec_started=exec_started,
@@ -1032,10 +951,7 @@ class _Run:
         self._end_attempt(name, attempt_id)
         if name in self.records:
             # a sibling won at this same instant; count this as waste
-            self.wasted_exec_s += record.exec_time
-            self.site_busy[site_name] += record.exec_time
-            site = self.ctx.site(site_name)
-            self.energy_j += site.power.marginal_energy(record.exec_time)
+            self._burn(site_name, record.exec_time)
             self.stats.hedges_lost += 1
             return
         # cancel racing duplicates (hedge losers)
@@ -1088,7 +1004,7 @@ class _Run:
                         cause: str, is_hedge: bool) -> None:
         """An attempt ended without producing the task's result: an
         outage or timeout interrupt, a chaos transient fault, a hedge
-        cancellation, or (policy-gated) a staging failure. Clean up,
+        cancellation, or a staging failure. Clean up,
         account the waste exactly, then decide whether to retry."""
         name = task.name
         self._end_attempt(name, attempt_id)
@@ -1097,14 +1013,9 @@ class _Run:
                 self.resources[site_name].release(req)
             else:
                 self.resources[site_name].cancel(req)
+        wasted = self.sim.now - record.exec_started if exec_started else 0.0
         if exec_started:
-            wasted = self.sim.now - record.exec_started
-            self.wasted_exec_s += wasted
-            self.site_busy[site_name] += wasted  # the slot really burned
-            site = self.ctx.site(site_name)
-            self.energy_j += site.power.marginal_energy(wasted)
-        else:
-            wasted = 0.0
+            self._burn(site_name, wasted)
 
         if cause == "hedge-cancel":
             self.stats.hedges_lost += 1
@@ -1137,27 +1048,29 @@ class _Run:
             return
         self._retry_or_fail(task, cause)
 
+    def _burn(self, site_name: str, seconds: float) -> None:
+        """Account execution that produced no result (the slot burned)."""
+        self.wasted_exec_s += seconds
+        self.site_busy[site_name] += seconds
+        self.energy_j += self.ctx.site(site_name).power.marginal_energy(
+            seconds)
+
     def _retry_or_fail(self, task: TaskSpec, cause: str) -> None:
         name = task.name
         failures = self.failures_of[name]
-        if self.resilience is not None:
-            allowed = self.resilience.retry.allows_retry(failures)
-        else:
-            allowed = failures <= self.task_retries
-        if not allowed:
+        retry = self.resilience.retry
+        if not retry.allows_retry(failures):
             history = "; ".join(self.attempt_log[name])
             self.failed_tasks[name] = SchedulingError(
                 f"task {name!r} interrupted {failures} times "
                 f"(cause: {cause}); retries exhausted [{history}]"
             )
             return
-        delay = 0.0
-        if self.resilience is not None:
-            delay = self.resilience.retry.delay_s(failures, key=name)
-            if self.budget is not None and not self.budget.acquire():
-                delay = max(delay, self.budget.cooldown_s)
-                self.tracer.instant("retry_budget_exhausted", "resilience",
-                                    task=name, cooldown_s=delay)
+        delay = retry.delay_s(failures, key=name)
+        if self.budget is not None and not self.budget.acquire():
+            delay = max(delay, self.budget.cooldown_s)
+            self.tracer.instant("retry_budget_exhausted", "resilience",
+                                task=name, cooldown_s=delay)
         self.stats.retries += 1
         self.stats.backoff_delay_s += delay
         if delay > 0:

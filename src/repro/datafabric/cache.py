@@ -165,28 +165,23 @@ class Cache:
     def emit_metrics(self, registry, *, site: str = "") -> None:
         """Re-emit this cache's stats through a metrics registry as
         site-labeled counters/gauges (no-op when disabled)."""
-        if not registry.enabled:
-            return
-        labels = ("site", "policy")
-        lv = {"site": site, "policy": self.policy.value}
-        registry.counter("datafabric_cache_hits_total",
-                         "Cache lookups served locally",
-                         labels).labels(**lv).inc(self.hits)
-        registry.counter("datafabric_cache_misses_total",
-                         "Cache lookups that went to the network",
-                         labels).labels(**lv).inc(self.misses)
-        registry.counter("datafabric_cache_evictions_total",
-                         "Entries evicted to make room",
-                         labels).labels(**lv).inc(self.evictions)
-        registry.counter("datafabric_cache_evicted_bytes_total",
-                         "Bytes evicted to make room",
-                         labels).labels(**lv).inc(self.bytes_evicted)
-        registry.gauge("datafabric_cache_used_bytes",
-                       "Resident bytes at emission time",
-                       labels).labels(**lv).set(self.used_bytes)
-        registry.gauge("datafabric_cache_hit_rate",
-                       "Lifetime hit rate at emission time",
-                       labels).labels(**lv).set(self.hit_rate)
+        labels = {"site": site, "policy": self.policy.value}
+        registry.emit((
+            ("datafabric_cache_hits_total", "Cache lookups served locally",
+             self.hits),
+            ("datafabric_cache_misses_total",
+             "Cache lookups that went to the network", self.misses),
+            ("datafabric_cache_evictions_total",
+             "Entries evicted to make room", self.evictions),
+            ("datafabric_cache_evicted_bytes_total",
+             "Bytes evicted to make room", self.bytes_evicted),
+        ), labels)
+        registry.emit((
+            ("datafabric_cache_used_bytes", "Resident bytes at emission time",
+             self.used_bytes),
+            ("datafabric_cache_hit_rate", "Lifetime hit rate at emission time",
+             self.hit_rate),
+        ), labels, kind="gauge")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

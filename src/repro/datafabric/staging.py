@@ -55,13 +55,11 @@ class StagedReader:
     def emit_metrics(self, registry) -> None:
         """Re-emit read/transfer totals plus every attached cache's
         stats through a metrics registry (no-op when disabled)."""
-        if not registry.enabled:
-            return
-        registry.counter("datafabric_reads_total",
-                         "Staged reads issued").inc(self.reads)
-        registry.counter("datafabric_network_bytes_total",
-                         "Bytes staged over the network"
-                         ).inc(self.network_bytes)
+        registry.emit((
+            ("datafabric_reads_total", "Staged reads issued", self.reads),
+            ("datafabric_network_bytes_total",
+             "Bytes staged over the network", self.network_bytes),
+        ))
         for site in sorted(self._caches):
             self._caches[site].emit_metrics(registry, site=site)
 

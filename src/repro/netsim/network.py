@@ -154,6 +154,18 @@ class FlowNetwork:
     def active_flow_count(self) -> int:
         return len(self._active)
 
+    def emit_metrics(self, registry) -> None:
+        registry.emit((
+            ("netsim_flows_started_total", "Flows opened on the network",
+             self.flows_started),
+            ("netsim_flows_completed_total", "Flows drained to completion",
+             self.flows_completed),
+            ("netsim_bytes_moved_total", "Bytes moved across all links",
+             self.total_bytes_moved),
+            ("netsim_rate_solves_total", "Max-min fair-share rate recomputes",
+             self.rate_solves),
+        ))
+
     def set_link_bandwidth(self, a: str, b: str, bandwidth_Bps: float) -> None:
         """Change a link's live capacity (brownouts, upgrades).
 

@@ -353,6 +353,23 @@ class MetricsRegistry:
         return self._family(name, "histogram", help, labels,
                             (float(start), float(factor), int(count)))
 
+    # -- harvest --------------------------------------------------------------
+    def emit(self, rows, labels: dict | None = None, *,
+             kind: str = "counter") -> None:
+        """The one stats harvest loop: each ``(name, help, value)`` row
+        adds ``value`` to a counter (``kind="gauge"``: sets a gauge),
+        all under ``labels``. No-op when disabled."""
+        if not self.enabled:
+            return
+        labels = labels or {}
+        for name, help_, value in rows:
+            child = self._family(name, kind, help_,
+                                 tuple(labels)).labels(**labels)
+            if kind == "gauge":
+                child.set(value)
+            else:
+                child.inc(value)
+
     # -- retrieval ------------------------------------------------------------
     def families(self):
         """Families in sorted name order."""

@@ -147,6 +147,35 @@ class ResilienceStats:
     transient_faults: int = 0
     lost_tasks: int = 0
 
+    def emit_metrics(self, registry) -> None:
+        """Emit every count as a policy-labeled ``resilience_*`` counter."""
+        registry.emit((
+            ("resilience_attempts_total", "Execution attempts launched",
+             self.attempts_total),
+            ("resilience_retries_total",
+             "Attempts relaunched after a failure", self.retries),
+            ("resilience_backoff_seconds_total",
+             "Simulated seconds spent backing off", self.backoff_delay_s),
+            ("resilience_budget_denials_total",
+             "Retries refused by the retry budget", self.budget_denials),
+            ("resilience_breaker_trips_total",
+             "Circuit-breaker open transitions", self.breaker_trips),
+            ("resilience_breaker_probes_total", "Half-open probe attempts",
+             self.breaker_probes),
+            ("resilience_hedges_launched_total", "Hedge duplicates launched",
+             self.hedges_launched),
+            ("resilience_hedges_won_total",
+             "Hedge duplicates that finished first", self.hedges_won),
+            ("resilience_hedges_lost_total",
+             "Hedge duplicates cancelled or beaten", self.hedges_lost),
+            ("resilience_timeouts_total",
+             "Attempts cut down by the attempt timeout", self.timeouts),
+            ("resilience_transient_faults_total",
+             "Chaos-injected transient faults hit", self.transient_faults),
+            ("resilience_lost_tasks_total",
+             "Tasks that exhausted every recovery lever", self.lost_tasks),
+        ), {"policy": self.policy})
+
     def as_row(self) -> dict:
         """Flat dict for tables and trace attributes."""
         return {

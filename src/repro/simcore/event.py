@@ -144,11 +144,18 @@ class _QueueBase:
         self.compactions = 0
         self.cancellations = 0      # caller-cancelled events (note_cancelled)
 
-    @property
-    def events_pushed(self) -> int:
-        """Total events ever enqueued (the seq counter: every push,
-        push_pooled, and ready-lane append stamps one)."""
-        return self._seq
+    def emit_metrics(self, registry) -> None:
+        registry.emit((
+            # every push, push_pooled and ready-lane append stamps one seq
+            ("kernel_events_pushed_total",
+             "Events enqueued (push, pooled, ready lane)", self._seq),
+            ("kernel_events_cancelled_total", "Caller-cancelled events",
+             self.cancellations),
+            ("kernel_reclaims_total",
+             "Dead-entry reclamations (compactions/sweeps)", self.compactions),
+            ("kernel_pool_reuses_total", "Events served from the free list",
+             self.pool_reuses),
+        ))
 
     def _make_pooled(self, time: float, callback: Callable, args: tuple) -> Event:
         pool = self._pool
@@ -685,6 +692,15 @@ class CalendarQueue(_QueueBase):
             self.compactions += 1
 
     # -- introspection -------------------------------------------------------
+    def emit_metrics(self, registry) -> None:
+        super().emit_metrics(registry)
+        registry.emit((
+            ("kernel_calendar_rebuilds_total",
+             "Calendar-queue full gather + re-layout passes", self.rebuilds),
+            ("kernel_calendar_advances_total",
+             "Calendar-queue window advances", self.advances),
+        ))
+
     @property
     def heap_size(self) -> int:
         """Stored entries, live + cancelled (reclamation bounds this)."""

@@ -39,6 +39,11 @@ class Simulator:
         """Current simulated time in seconds."""
         return self._now
 
+    @property
+    def pending(self) -> int:
+        """Live events still queued."""
+        return len(self._queue)
+
     # -- scheduling ----------------------------------------------------------
     def schedule(self, delay: float, callback: Callable, *args) -> Event:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
@@ -107,6 +112,21 @@ class Simulator:
         change any simulation outcome. Costs one ``is not None`` check
         per event when detached."""
         self._recorder = recorder
+
+    def emit_metrics(self, registry) -> None:
+        """Emit kernel and queue counters and the last dispatch rate."""
+        registry.emit((
+            ("sim_events_dispatched_total", "Events dispatched by the kernel",
+             self.event_count),
+            ("sim_simulated_seconds_total", "Simulated seconds advanced",
+             self._now),
+        ))
+        self._queue.emit_metrics(registry)
+        if self._now > 0:
+            registry.emit([("kernel_events_per_sim_second",
+                            "Dispatch rate of the last run, per simulated "
+                            "second", self.event_count / self._now)],
+                          kind="gauge")
 
     # -- running ---------------------------------------------------------------
     def _dispatch(self, event: Event) -> None:
@@ -213,4 +233,4 @@ class Simulator:
         return proc.value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator now={self._now:.6g} pending={len(self._queue)}>"
+        return f"<Simulator now={self._now:.6g} pending={self.pending}>"

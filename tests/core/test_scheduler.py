@@ -219,6 +219,21 @@ class TestDeterminismAndFailure:
             sched.run(dag, TierStrategy("cloud"),
                       external_inputs=[(raw, "edge")])
 
+    def test_staging_failure_is_retried_without_a_policy(self):
+        """No policy still means one retry path: a corrupted transfer is
+        retried like any transient fault, up to ``task_retries``."""
+        dag, raw = single_task_dag()
+        sched = ContinuumScheduler(pair_topology(),
+                                   transfer_failure_prob=1.0,
+                                   transfer_max_attempts=2)
+        with pytest.raises(SchedulingError) as excinfo:
+            sched.run(dag, TierStrategy("cloud"),
+                      external_inputs=[(raw, "edge")], task_retries=1)
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, SchedulingError)
+        assert "retries exhausted" in str(cause)
+        assert "attempt 2 at cloud: staging@cloud" in str(cause)
+
     def test_until_limit_reports_unfinished(self):
         dag, raw = single_task_dag(work=100.0)
         sched = ContinuumScheduler(pair_topology())

@@ -11,6 +11,7 @@ import json
 
 from repro.continuum import science_grid
 from repro.core import ContinuumScheduler, HEFTStrategy
+from repro.faults import TaskChaos
 from repro.observe import (
     MetricsRegistry,
     Tracer,
@@ -20,12 +21,13 @@ from repro.observe import (
     validate_chrome_trace,
     validate_snapshot,
 )
+from repro.resilience import ResiliencePolicy
 from repro.simcore.event import CalendarQueue
 from repro.workloads import beamline_pipeline
 from tests.oracles import HeapEventQueue
 
 
-def run_beamline(tracer=None, metrics=None):
+def run_beamline(tracer=None, metrics=None, **run_kwargs):
     topo = science_grid()
     dag, externals = beamline_pipeline(4)
     peripheral = [s.name for s in topo.sites if s.tier.is_peripheral]
@@ -33,7 +35,7 @@ def run_beamline(tracer=None, metrics=None):
               for i, d in enumerate(externals)]
     result = ContinuumScheduler(topo, seed=0).run(
         dag, HEFTStrategy(), external_inputs=placed,
-        tracer=tracer, metrics=metrics,
+        tracer=tracer, metrics=metrics, **run_kwargs,
     )
     return result
 
@@ -97,6 +99,32 @@ class TestMeteredWorkload:
         counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
         assert counters
         assert {e["name"] for e in counters} == set(reg.timeseries)
+
+
+class TestCountersMatchResult:
+    """Every harvested counter restates a result field exactly, also on
+    a run where hedges add placements beyond one per task."""
+
+    def test_counters_equal_result_fields(self):
+        reg = MetricsRegistry()
+        chaos = TaskChaos(seed=3, base_fail_prob=0.1,
+                          base_straggler_prob=0.3, straggler_factor=8.0)
+        result = run_beamline(metrics=reg, chaos=chaos,
+                              resilience=ResiliencePolicy.full())
+        stats = result.resilience
+        assert stats.hedges_launched > 0
+        assert len(result.decisions) > len(result.records)
+
+        def total(name):
+            return sum(child.value for _, child in reg.get(name).series())
+
+        assert (total("scheduler_placement_decisions_total")
+                == len(result.decisions))
+        assert total("scheduler_tasks_completed_total") == len(result.records)
+        assert total("netsim_bytes_moved_total") == result.bytes_moved
+        assert total("resilience_attempts_total") == stats.attempts_total
+        assert (total("resilience_hedges_launched_total")
+                == stats.hedges_launched)
 
 
 class TestZeroInterference:
