@@ -1,20 +1,15 @@
-"""Event-kernel microbenchmarks across the kernel's three generations.
+"""Event-kernel microbenchmarks: the production kernel against the seed.
 
-Three kernels are timed against each other:
+Two kernels are timed against each other:
 
 - the frozen **seed** kernel (faithful copy below: tuple-allocating
   ``__lt__``, peek+pop double traversal in ``run``, no compaction, no
-  free list, no same-instant lane);
-- the frozen **heap** kernel (``tests/oracles/heap_queue.py``, the
-  PR-4 fast path: allocation-free compare, lazy-cancel compaction,
-  free list, ready lane);
-- the **calendar** kernel (``CalendarQueue``, the default: bucketed
-  O(1) insert, far-future list, adaptive window).
+  same-instant lane);
+- the production kernel (:class:`~repro.simcore.Simulator` on its
+  default ``EventQueue``: allocation-free compare, single-pop run loop,
+  lazy-cancel compaction, same-instant ready lane).
 
-The simulator-level workloads compare the default kernel against the
-seed; the million-event queue-level workloads compare the calendar
-queue against the heap queue directly, so the measured gap is pure
-scheduler data-structure work with no process-machinery dilution.
+Each workload is a simulator-level scenario that stresses one hot path.
 
 Run as a script to refresh the machine-readable perf trajectory::
 
@@ -22,9 +17,9 @@ Run as a script to refresh the machine-readable perf trajectory::
 
 Every workload cross-checks determinism: both kernels must fire the
 same number of events and finish at the same simulated clock. GC is
-disabled inside the timed regions (a 2M-object churn otherwise spends
-a large, run-to-run-variable fraction of its time in gen-2 collections
-— noise, not kernel signal).
+disabled inside the timed regions (event churn otherwise spends a
+run-to-run-variable fraction of its time in gen-2 collections — noise,
+not kernel signal).
 """
 
 from __future__ import annotations
@@ -33,19 +28,14 @@ import argparse
 import gc
 import heapq
 import json
-import os
 import platform
 import sys
 import time
 from datetime import datetime, timezone
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-
 from repro.observe.recorder import MetricsRecorder
 from repro.simcore import Simulator, Timeout
-from repro.simcore.event import CalendarQueue
 from repro.simcore.process import Process
-from tests.oracles import HeapEventQueue
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +43,7 @@ from tests.oracles import HeapEventQueue
 # ---------------------------------------------------------------------------
 
 class RefEvent:
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "pooled")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled")
 
     def __init__(self, time, seq, callback, args=()):
         self.time = time
@@ -61,7 +51,6 @@ class RefEvent:
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self.pooled = False     # compat with Simulator.cancel bookkeeping
 
     def cancel(self):
         self.cancelled = True
@@ -71,7 +60,7 @@ class RefEvent:
 
 
 class RefEventQueue:
-    """Binary heap with lazy cancellation — no compaction, no pooling."""
+    """Binary heap with lazy cancellation — no compaction."""
 
     def __init__(self):
         self._heap = []
@@ -231,63 +220,12 @@ def run_until_slices(sim_cls):
     return sim.event_count, sim.now
 
 
-def queue_watchdog_churn(queue_cls, chains: int, iters: int):
-    """Queue-level watchdog churn at production scale.
-
-    The same pattern as :func:`timeout_watchdog_churn`, but driving the
-    queue surface directly (push / pop / cancel) with a thin driver, so
-    the measurement is the scheduler data structure itself: ``chains``
-    concurrent attempt-loops, each step arming a far-future watchdog
-    that is cancelled 96% of the time. The pending population stays at
-    ~2x ``chains`` — at 20k chains a binary heap pays ~15 Python-level
-    comparisons per operation while the calendar queue classifies with
-    one multiply.
-    """
-    q = queue_cls()
-    state: dict = {}
-    push = q.push
-    pop = q._pop_or_none
-    note_cancelled = q.note_cancelled
-    for c in range(chains):
-        push(0.5 * (c % 10) / 10, None, (c, 0))
-    pops = 0
-    last_t = 0.0
-    while True:
-        e = pop()
-        if e is None:
-            break
-        pops += 1
-        args = e.args
-        if args:
-            c, k = args
-            wd = state.pop(c, None)
-            if wd is not None and k % 25:
-                wd.cancelled = True
-                note_cancelled()
-            if k < iters:
-                t = e.time
-                state[c] = push(t + 300.0, None)
-                push(t + 0.5, None, (c, k + 1))
-        last_t = e.time
-    return pops, last_t
-
-
 # Simulator-level workloads: default kernel vs the frozen seed kernel.
 WORKLOADS = [
     ("timeout_watchdog_churn", timeout_watchdog_churn),
     ("process_wakeup_storm", process_wakeup_storm),
     ("zero_delay_cascade", zero_delay_cascade),
     ("run_until_slices", run_until_slices),
-]
-
-# Queue-level workloads at million-event scale: calendar queue vs the
-# PR-4 heap queue. (The seed kernel is omitted here — with no
-# compaction its heap retains every cancelled watchdog and the run
-# degenerates to minutes.)
-MILLION_WORKLOADS = [
-    # ~1.06M pops, pending population ~40k at peak
-    ("timeout_watchdog_churn_1m",
-     lambda queue_cls: queue_watchdog_churn(queue_cls, 20000, 50)),
 ]
 
 
@@ -394,10 +332,6 @@ def run_benchmarks(repeat: int = 5, quick: bool = False) -> dict:
             return workload(sim_cls)
         rows.append(_compare(name, sim_workload, RefSimulator, Simulator,
                              "seed-kernel", reps))
-    million_reps = 1 if quick else max(2, repeat // 2)
-    for name, workload in MILLION_WORKLOADS:
-        rows.append(_compare(name, workload, HeapEventQueue, CalendarQueue,
-                             "heap-pr4", million_reps))
     return {
         "schema": "repro-bench-kernel/2",
         "generated": datetime.now(timezone.utc).isoformat(timespec="seconds"),

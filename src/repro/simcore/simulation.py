@@ -23,7 +23,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0, queue: EventQueue | None = None):
         # `queue` swaps the scheduler implementation (default: the
-        # calendar queue; the kernel differential tests and benchmarks
+        # binary heap plus ready lane; the kernel differential tests
         # pass the frozen heap kernel from `tests/oracles/`). Any
         # implementation must preserve global (time, seq) FIFO order.
         self._queue = queue if queue is not None else EventQueue()
@@ -77,13 +77,13 @@ class Simulator:
     def _wakeup(self, delay: float, callback: Callable, args: tuple) -> None:
         """Kernel-internal deferred callback (e.g. a Timeout firing).
 
-        No reference escapes, so the event is pooled; zero-delay wakeups
-        take the same-instant ready lane and skip the heap entirely.
+        Zero-delay wakeups take the same-instant ready lane and skip the
+        heap entirely.
         """
         if delay == 0.0:
             self._queue.push_ready(self._now, callback, args)
         else:
-            self._queue.push_pooled(self._now + delay, callback, args)
+            self._queue.push(self._now + delay, callback, args)
 
     # -- processes & waitables ------------------------------------------------
     def process(self, gen: Generator, name: str = "") -> Process:
@@ -136,13 +136,10 @@ class Simulator:
         self._now = event.time
         self.event_count += 1
         event.callback(*event.args)
-        if event.pooled:
-            self._queue.recycle(event)
-        else:
-            # A caller may still hold this event and cancel() it later;
-            # marking it cancelled keeps that a true no-op instead of
-            # corrupting the queue's dead-entry accounting.
-            event.cancelled = True
+        # A caller may still hold this event and cancel() it later;
+        # marking it cancelled keeps that a true no-op instead of
+        # corrupting the queue's dead-entry accounting.
+        event.cancelled = True
 
     def step(self) -> bool:
         """Execute the next event; returns False when the queue is empty."""
@@ -168,7 +165,6 @@ class Simulator:
         fired = 0
         queue = self._queue
         pop = queue._pop_or_none
-        recycle = queue.recycle
         rec = self._recorder
         # Hoisted next-tick time: the hot loop pays one local float
         # compare per event instead of a None check + attribute load.
@@ -199,10 +195,7 @@ class Simulator:
                 self._now = time
                 fired += 1
                 event.callback(*event.args)
-                if event.pooled:
-                    recycle(event)
-                else:
-                    event.cancelled = True
+                event.cancelled = True
                 if time >= rec_next:
                     # Fold fired-so-far into event_count first so gauge
                     # probes reading it observe the live total.

@@ -1,10 +1,9 @@
 """Tier-1 metrics smoke: collect metrics from a scheduled run end to
 end and prove the zero-interference + determinism contracts.
 
-Also the kernel regression the calendar queue made necessary: the PR-2
-differential suite only compared traced runs on the *heap* kernel, so
-this file pins traced+metered runs bit-identical under both the
-CalendarQueue default and the frozen HeapEventQueue oracle.
+Also a kernel regression: traced+metered runs must stay bit-identical
+under both the production EventQueue and the frozen HeapEventQueue
+oracle.
 """
 
 import json
@@ -22,7 +21,7 @@ from repro.observe import (
     validate_snapshot,
 )
 from repro.resilience import ResiliencePolicy
-from repro.simcore.event import CalendarQueue
+from repro.simcore.event import EventQueue
 from repro.workloads import beamline_pipeline
 from tests.oracles import HeapEventQueue
 
@@ -148,33 +147,28 @@ class TestKernelRegression:
         return result, tracer
 
     def test_traced_metered_runs_agree_across_kernels(self, monkeypatch):
-        reg_cal = MetricsRegistry()
-        cal, tr_cal = self._run_with_queue(monkeypatch, CalendarQueue,
-                                           reg_cal)
+        reg_prod = MetricsRegistry()
+        prod, tr_prod = self._run_with_queue(monkeypatch, EventQueue,
+                                             reg_prod)
         reg_heap = MetricsRegistry()
         heap, tr_heap = self._run_with_queue(monkeypatch, HeapEventQueue,
                                              reg_heap)
-        assert fingerprint(cal) == fingerprint(heap)
-        spans_cal = [(s.name, s.category, s.begin_s, s.end_s)
-                     for s in tr_cal.finished()]
+        assert fingerprint(prod) == fingerprint(heap)
+        spans_prod = [(s.name, s.category, s.begin_s, s.end_s)
+                      for s in tr_prod.finished()]
         spans_heap = [(s.name, s.category, s.begin_s, s.end_s)
                       for s in tr_heap.finished()]
-        assert spans_cal == spans_heap
+        assert spans_prod == spans_heap
 
     def test_snapshots_agree_across_kernels_modulo_kernel_counters(
             self, monkeypatch):
-        # calendar-specific bookkeeping (rebuilds/advances) aside, the
-        # two kernels must meter the identical simulation
-        reg_cal = MetricsRegistry()
-        self._run_with_queue(monkeypatch, CalendarQueue, reg_cal)
+        # the oracle's free-list counter aside (production has no free
+        # list), the two kernels must meter the identical simulation
+        reg_prod = MetricsRegistry()
+        self._run_with_queue(monkeypatch, EventQueue, reg_prod)
         reg_heap = MetricsRegistry()
         self._run_with_queue(monkeypatch, HeapEventQueue, reg_heap)
-
-        def comparable(reg):
-            snap = reg.snapshot()
-            for name in list(snap["metrics"]):
-                if name.startswith("kernel_calendar_"):
-                    del snap["metrics"][name]
-            return snapshot_to_json(snap)
-
-        assert comparable(reg_cal) == comparable(reg_heap)
+        snap_heap = reg_heap.snapshot()
+        del snap_heap["metrics"]["kernel_pool_reuses_total"]
+        assert (snapshot_to_json(reg_prod.snapshot())
+                == snapshot_to_json(snap_heap))

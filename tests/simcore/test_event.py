@@ -45,16 +45,6 @@ class TestEventQueue:
         q.note_cancelled()
         assert q.pop().args == ("b",)
 
-    def test_peek_time(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        q.push(5.0, noop)
-        e = q.push(1.0, noop)
-        assert q.peek_time() == 1.0
-        e.cancel()
-        q.note_cancelled()
-        assert q.peek_time() == 5.0
-
     def test_bool(self):
         q = EventQueue()
         assert not q

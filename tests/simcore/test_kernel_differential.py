@@ -21,19 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simcore import Simulator, Timeout
-from repro.simcore.event import (
-    _COMPACT_MIN_DEAD,
-    _POOL_MAX,
-    CalendarQueue,
-    EventQueue,
-    _should_reclaim,
-)
+from repro.simcore.event import _COMPACT_MIN_DEAD, EventQueue, _should_reclaim
 from repro.simcore.process import Process
 from tests.oracles import HeapEventQueue
 
 
-def _calendar_sim():
-    return Simulator(queue=CalendarQueue())
+def _production_sim():
+    return Simulator(queue=EventQueue())
 
 
 def _heap_sim():
@@ -197,10 +191,10 @@ class TestDifferential:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_op, min_size=1, max_size=60))
     def test_identical_firing_sequence(self, ops):
-        """The calendar kernel and the frozen heap kernel must observe
+        """The production kernel and the frozen heap kernel must observe
         the frozen seed kernel's exact firing sequence."""
         ref = _drive(_RefSimulator, ops)
-        assert _drive(_calendar_sim, ops) == ref
+        assert _drive(_production_sim, ops) == ref
         assert _drive(_heap_sim, ops) == ref
 
     def test_dense_same_instant_interleaving(self):
@@ -209,7 +203,7 @@ class TestDifferential:
         ops = [("timeout_proc", 0.0, 5), ("schedule", 0.0, 0)] * 10 + \
               [("cancelable", 0.0, 1)] * 5
         ref = _drive(_RefSimulator, ops)
-        assert _drive(_calendar_sim, ops) == ref
+        assert _drive(_production_sim, ops) == ref
         assert _drive(_heap_sim, ops) == ref
 
 
@@ -264,37 +258,6 @@ class TestCompaction:
         # live events at any instant ~ 2 per process; dead watchdogs
         # must not accumulate past the 50% compaction threshold floor
         assert sim._queue.heap_size <= 4 * procs + 2 * _COMPACT_MIN_DEAD
-
-
-class TestFreeList:
-    def test_internal_events_are_recycled(self):
-        sim = Simulator()
-
-        def ticker(n):
-            for _ in range(n):
-                yield Timeout(1.0)
-
-        for _ in range(4):
-            sim.process(ticker(100))
-        sim.run()
-        assert sim._queue.pool_reuses > 300
-
-    def test_pool_is_capped(self):
-        q = EventQueue()
-        for i in range(2 * _POOL_MAX):
-            q.push_pooled(float(i), _noop, ())
-        while q:
-            q.recycle(q.pop())
-        assert len(q._pool) == _POOL_MAX
-
-    def test_external_events_never_pooled(self):
-        """schedule() handles escape to callers — recycling them could
-        alias a later cancel() onto an unrelated event."""
-        sim = Simulator()
-        event = sim.schedule(1.0, _noop)
-        sim.run()
-        assert not event.pooled
-        assert len(sim._queue._pool) == 0
 
     def test_cancel_after_fire_is_harmless(self):
         """Regression: cancelling an already-fired event must not corrupt
@@ -362,7 +325,7 @@ class TestReclaimPolicy:
         assert not _should_reclaim(dead=7, live=0)     # below small floor
         assert _should_reclaim(dead=9, live=2)
 
-    @pytest.mark.parametrize("queue_cls", [HeapEventQueue, CalendarQueue])
+    @pytest.mark.parametrize("queue_cls", [HeapEventQueue, EventQueue])
     def test_small_heap_churn_stays_bounded(self, queue_cls):
         """Sustained cancel churn against a tiny live set: the old
         ``dead >= 64`` floor never fired here, so dead entries pinned
@@ -377,7 +340,7 @@ class TestReclaimPolicy:
         assert q.compactions >= 1
         assert not keeper.cancelled
 
-    @pytest.mark.parametrize("queue_cls", [HeapEventQueue, CalendarQueue])
+    @pytest.mark.parametrize("queue_cls", [HeapEventQueue, EventQueue])
     def test_reclaim_preserves_order(self, queue_cls):
         q = queue_cls()
         events = [q.push(float(i % 7), _noop, (i,)) for i in range(300)]
@@ -392,84 +355,10 @@ class TestReclaimPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Calendar-queue mechanics
+# Pop order under interleaved push / pop / cancel
 # ---------------------------------------------------------------------------
 
-class TestCalendarMechanics:
-    def test_insert_behind_cursor_rewinds(self):
-        """An insert that precedes the consuming front (cursor already
-        deep into the window) must fire in exact order, not be lost or
-        deferred past later events."""
-        q = CalendarQueue()
-        for i in range(64):
-            q.push(float(i), _noop, (i,))
-        # drag the cursor forward
-        popped = [q.pop().time for _ in range(10)]
-        assert popped == [float(i) for i in range(10)]
-        # now insert *between* the last pop and the bucket being drained
-        q.push(9.25, _noop, ("rewind",))
-        q.push(9.5, _noop, ("rewind2",))
-        rest = [q.pop().time for _ in range(len(q))]
-        assert rest == sorted(rest)
-        assert rest[0] == 9.25 and rest[1] == 9.5
-
-    def test_window_advance_covers_far_future(self):
-        # few enough events that no growth rebuild widens the window:
-        # the tail events stay in the far list until a window advance
-        q = CalendarQueue()
-        times = [float(i) for i in range(20)] + [1e6, 2e6]
-        for t in times:
-            q.push(t, _noop)
-        popped = [q.pop().time for _ in range(len(q))]
-        assert popped == sorted(times)
-        assert q.advances >= 1          # far events required a new window
-
-    def test_empty_reseed_reanchors(self):
-        """Draining the queue and scheduling far from the old window
-        must not degrade into spill traffic: the first insert into an
-        empty calendar re-anchors the regime."""
-        q = CalendarQueue()
-        for i in range(20):
-            q.push(float(i), _noop)
-        while q:
-            q.pop()
-        q.push(1e9, _noop, ("late",))
-        q.push(1e9 + 1.0, _noop)
-        assert q.pop().args == ("late",)
-        assert q.pop().time == 1e9 + 1.0
-
-    def test_far_list_sweep_skips_full_rebuild(self):
-        """Cancelled far-future watchdogs are reclaimed by the in-place
-        far sweep — the bucketed window is left untouched."""
-        q = CalendarQueue()
-        # teach the queue a pop rate so rebuilt windows are rate-sized
-        # (narrow) and far-future arms actually land in the far list
-        for i in range(64):
-            q.push(i * 0.1, _noop)
-        while q:
-            q.pop()
-        q.push(6.5, _noop)              # hot event inside the window
-        events = [q.push(1e6 + i, _noop) for i in range(600)]
-        assert len(q._far) > 500        # the arms really are far-future
-        rebuilds_before = q.rebuilds
-        for e in events:
-            e.cancel()
-            q.note_cancelled()
-        assert q.compactions >= 1
-        assert q.heap_size <= 70        # dead harvested wholesale
-        # growth rebuilds aside, reclamation itself never re-laid-out
-        assert q.rebuilds == rebuilds_before
-        assert q.pop().time == 6.5
-
-    def test_adaptive_bucket_count_tracks_population(self):
-        q = CalendarQueue()
-        assert q._nb == 16              # minimum regime
-        for i in range(5000):
-            q.push(float(i) * 0.25, _noop)
-        assert q._nb >= 1024            # grew with the live population
-        while q:
-            q.pop()
-
+class TestPopOrder:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(
         st.tuples(st.floats(0, 1e4), st.integers(0, 3)),
@@ -477,9 +366,9 @@ class TestCalendarMechanics:
     ))
     def test_property_interleaved_push_pop_order(self, spec):
         """Random interleaving of pushes, pops, and cancels: the popped
-        (time, seq) sequence must be globally sorted. Exercises rewind,
-        spill, window advance, and reclamation together."""
-        q = CalendarQueue()
+        (time, seq) sequence must be globally sorted, with reclamation
+        running underneath."""
+        q = EventQueue()
         last = (-1.0, -1)
         live = 0
         cancelable = []
