@@ -5,7 +5,7 @@ randomized timeouts, quorum commit, follower catch-up,
 snapshot/compaction) carrying `ReplicaCatalog` and endpoint-registry
 mutations across N federation control sites, plus the client session
 layer exposing ``quorum`` / ``stale`` / ``lease`` read modes to the
-scheduler, datafabric, and faas routing. Single-copy runs never touch
+scheduler and datafabric. Single-copy runs never touch
 this package — the control plane is strictly opt-in per run.
 """
 
@@ -20,11 +20,7 @@ from repro.controlplane.node import RaftNode, Role
 from repro.controlplane.runtime import ControlRuntime
 from repro.controlplane.session import ControlPlaneSession, ControlPlaneStats
 from repro.controlplane.state import ControlState
-from repro.controlplane.view import (
-    MirroredCatalog,
-    RegistryView,
-    ReplicatedCatalogView,
-)
+from repro.controlplane.view import MirroredCatalog, ReplicatedCatalogView
 
 __all__ = [
     "READ_MODES",
@@ -38,7 +34,6 @@ __all__ = [
     "LogEntry",
     "MirroredCatalog",
     "RaftNode",
-    "RegistryView",
     "ReplicatedCatalogView",
     "ReplicatedLog",
     "Role",

@@ -174,11 +174,6 @@ class WriteTicket:
 
 
 @dataclass
-class _ClientRequest:
-    ticket: WriteTicket
-
-
-@dataclass
 class PartitionEvent:
     """What actually happened when a window opened (for reports)."""
 
@@ -213,7 +208,9 @@ class ControlPlane:
         self._deadlines = [node.next_deadline() for node in self.nodes]
         self._time = 0.0
         self._started = False
-        self._queue: list[tuple[float, int, int, object]] = []
+        # (deliver_at, seq, src, dst, msg); a client request is its
+        # WriteTicket, sent from src=None
+        self._queue: list[tuple[float, int, int | None, int, object]] = []
         self._seq = 0
         self._islands: list[frozenset[int]] | None = None
         self._outbox: list[WriteTicket] = []
@@ -280,9 +277,9 @@ class ControlPlane:
             if t_msg is not None and t_msg <= t_timer:
                 if t_msg > now:
                     break
-                t, _seq, dst, msg = heapq.heappop(self._queue)
+                t, _seq, src, dst, msg = heapq.heappop(self._queue)
                 self._time = max(self._time, t)
-                self._deliver(dst, msg, t)
+                self._deliver(src, dst, msg, t)
             else:
                 if t_timer > now:
                     break
@@ -338,8 +335,8 @@ class ControlPlane:
         # island lands, or the first client request, which may be
         # forwarded into it along leader hints
         first = math.inf
-        for at, _seq, dst, msg in self._queue:
-            if at < first and (dst in island or type(msg) is _ClientRequest):
+        for at, _seq, src, dst, _msg in self._queue:
+            if at < first and (dst in island or src is None):
                 first = at
         rounds = 0
         while True:
@@ -372,34 +369,31 @@ class ControlPlane:
                 return b in island
         return False
 
+    def _post(self, src: int | None, dst: int, msg, at: float) -> None:
+        """Queue ``msg`` from ``src`` (``None`` for a client request)
+        for delivery to ``dst`` one replication lag after ``at``."""
+        self._seq += 1
+        heapq.heappush(self._queue, (at + self.config.replication_lag_s,
+                                     self._seq, src, dst, msg))
+
     def _send_all(self, src: int, outgoing, now: float) -> None:
         split = self._islands is not None
-        arrive = now + self.config.replication_lag_s
         for dst, msg in outgoing:
             self.messages_sent += 1
             if split and not self.reachable(src, dst):
                 self.messages_dropped += 1
                 continue
-            self._seq += 1
-            heapq.heappush(self._queue, (arrive, self._seq, dst, msg))
+            self._post(src, dst, msg, now)
 
-    def _deliver(self, dst: int, msg, t: float) -> None:
-        if type(msg) is _ClientRequest:
-            self._deliver_client(dst, msg.ticket, t)
+    def _deliver(self, src: int | None, dst: int, msg, t: float) -> None:
+        if src is None:
+            self._deliver_client(dst, msg, t)
             return
-        if self._islands is not None:
-            sender = getattr(msg, "leader", None)
-            if sender is None:
-                sender = getattr(msg, "candidate", None)
-            if sender is None:
-                sender = getattr(msg, "voter", None)
-            if sender is None:
-                sender = getattr(msg, "follower", None)
-            # partition applies at delivery too: packets in flight when
-            # the split lands are lost with it
-            if sender is not None and not self.reachable(int(sender), dst):
-                self.messages_dropped += 1
-                return
+        # partition applies at delivery too: packets in flight when the
+        # split lands are lost with it
+        if self._islands is not None and not self.reachable(src, dst):
+            self.messages_dropped += 1
+            return
         node = self.nodes[dst]
         self._send_all(dst, node.on_message(msg, t), t)
         self._deadlines[dst] = node.next_deadline()
@@ -454,11 +448,7 @@ class ControlPlane:
         if leader is None:
             self._outbox.append(ticket)
         else:
-            self._seq += 1
-            heapq.heappush(
-                self._queue,
-                (now + self.config.replication_lag_s, self._seq, leader,
-                 _ClientRequest(ticket)))
+            self._post(None, leader, ticket, now)
         return ticket
 
     def _deliver_client(self, dst: int, ticket: WriteTicket, t: float) -> None:
@@ -475,11 +465,7 @@ class ControlPlane:
             return
         hint = node.leader_hint
         if hint is not None and hint != dst:
-            self._seq += 1
-            heapq.heappush(
-                self._queue,
-                (t + self.config.replication_lag_s, self._seq, hint,
-                 _ClientRequest(ticket)))
+            self._post(None, hint, ticket, t)
         else:
             self._outbox.append(ticket)
 
@@ -491,11 +477,7 @@ class ControlPlane:
             return
         box, self._outbox = self._outbox, []
         for ticket in box:
-            self._seq += 1
-            heapq.heappush(
-                self._queue,
-                (now + self.config.replication_lag_s, self._seq, leader,
-                 _ClientRequest(ticket)))
+            self._post(None, leader, ticket, now)
 
     # -- cluster views ---------------------------------------------------------------
     def leader_id(self) -> int | None:

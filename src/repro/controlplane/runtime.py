@@ -1,9 +1,9 @@
-"""Per-run bundle: plane + session + mirrored catalog + views.
+"""Per-run bundle: plane + session + mirrored catalog + view.
 
 The scheduler owns one :class:`ControlRuntime` when a run opts into the
 replicated control plane (``control=ControlPlaneConfig(...)``). It
 wires the catalog mirror, the client session, and the planner-facing
-views together so the scheduler touches one object instead of five.
+view together so the scheduler touches one object instead of four.
 """
 
 from __future__ import annotations
@@ -11,10 +11,8 @@ from __future__ import annotations
 from repro.continuum.topology import Topology
 from repro.controlplane.cluster import ControlPlane, ControlPlaneConfig
 from repro.controlplane.session import ControlPlaneSession, ControlPlaneStats
-from repro.controlplane.view import (
-    MirroredCatalog, RegistryView, ReplicatedCatalogView,
-)
-from repro.faults.partitions import PartitionSchedule, PartitionWindow
+from repro.controlplane.view import MirroredCatalog, ReplicatedCatalogView
+from repro.faults.partitions import PartitionSchedule
 from repro.utils.rng import RngRegistry
 
 
@@ -29,7 +27,6 @@ class ControlRuntime:
         self.session = ControlPlaneSession(self.plane, stats=self.stats)
         self.catalog = MirroredCatalog(self.plane)
         self.view = ReplicatedCatalogView(self.session, self.catalog, topology)
-        self.registry = RegistryView(self.session)
 
     def bind_clock(self, clock) -> None:
         self.catalog.bind_clock(clock)
@@ -91,15 +88,6 @@ class ControlRuntime:
                                       count=30)
             for lat in latencies:
                 hist.observe(lat)
-
-    def placement_read(self, now: float) -> float:
-        return self.session.placement_read(now)
-
-    def begin_partition(self, window: PartitionWindow, now: float) -> None:
-        self.plane.begin_partition(window, now)
-
-    def end_partition(self, now: float) -> None:
-        self.plane.end_partition(now)
 
     def arm_partitions(self, sim, schedule: PartitionSchedule) -> None:
         """Schedule every window's split and heal on the simulator; the

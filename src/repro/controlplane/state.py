@@ -1,12 +1,14 @@
 """The control-plane state machine: a catalog + registry image.
 
 Each control node applies its committed log prefix to one
-:class:`ControlState`. The read API deliberately mirrors
-:class:`~repro.datafabric.catalog.ReplicaCatalog` — same method names,
-same insertion-order iteration, same strict ``<`` first-wins
-``nearest_source`` scan — so a quorum read and a single-copy catalog
-read are *differentially testable*: applied over the same mutation
-sequence they must agree bit-for-bit.
+:class:`ControlState`. It *is* a
+:class:`~repro.datafabric.catalog.ReplicaCatalog` — the read API,
+insertion-order iteration and strict ``<`` first-wins
+``nearest_source`` scan are the catalog's own — so a quorum read and a
+single-copy catalog read are *differentially testable*: applied over
+the same mutation sequence they must agree bit-for-bit. What the class
+adds is what the log needs: :meth:`ControlState.apply`, the applied
+index, the endpoint registry, and the snapshot/fingerprint documents.
 
 ``version`` counts replica mutations in the applied prefix. Because
 committed prefixes are identical across nodes (Raft log matching), two
@@ -17,26 +19,27 @@ when reads migrate between replicas.
 
 from __future__ import annotations
 
-from repro.continuum.topology import Topology
 from repro.controlplane.log import Command
-from repro.datafabric.dataset import Dataset, Replica
-from repro.errors import ControlPlaneError, DataFabricError
+from repro.datafabric.catalog import ReplicaCatalog
+from repro.datafabric.dataset import Dataset
+from repro.errors import ControlPlaneError
 
 
-class ControlState:
+class ControlState(ReplicaCatalog):
     """Applied image of the replicated catalog/registry log."""
 
     def __init__(self) -> None:
-        self._datasets: dict[str, Dataset] = {}
-        self._replicas: dict[str, dict[str, float]] = {}
-        self._version = 0
-        self._dataset_versions: dict[str, int] = {}
+        super().__init__()
         self._endpoints: dict[str, bool] = {}
         self._entries = 0
         self.applied_index = 0
 
     # -- log application ----------------------------------------------------------
     def apply(self, command: Command, index: int) -> None:
+        """Apply the committed entry at ``index``. Unlike the catalog's
+        mutators, ``register`` is first-wins and dropping an absent
+        replica still counts as a replica change; both keep every
+        node's image a pure function of its log."""
         if index != self.applied_index + 1:
             raise ControlPlaneError(
                 f"apply out of order: index {index} after {self.applied_index}"
@@ -49,31 +52,19 @@ class ControlState:
             name, size_bytes, kind = args
             if name not in self._datasets:
                 self._entries += 3
-            self._datasets.setdefault(
-                name, Dataset(name, float(size_bytes), kind)
-            )
-            self._replicas.setdefault(name, {})
-            self._dataset_versions.setdefault(name, 0)
+                self.register(Dataset(name, float(size_bytes), kind))
             return
-        if op == "add_replica":
-            name, site, created_at = args
-            if name not in self._datasets:
+        if op in ("add_replica", "drop_replica"):
+            name, site = args[0], args[1]
+            reps = self._replicas.get(name)
+            if reps is None:
                 raise ControlPlaneError(
-                    f"add_replica for unregistered dataset {name!r}"
-                )
-            reps = self._replicas[name]
-            if site not in reps:
-                self._entries += 1
-            reps[site] = float(created_at)
-            self._bump(name)
-            return
-        if op == "drop_replica":
-            name, site = args
-            if name not in self._datasets:
-                raise ControlPlaneError(
-                    f"drop_replica for unregistered dataset {name!r}"
-                )
-            if self._replicas[name].pop(site, None) is not None:
+                    f"{op} for unregistered dataset {name!r}")
+            if op == "add_replica":
+                if site not in reps:
+                    self._entries += 1
+                reps[site] = float(args[2])
+            elif reps.pop(site, None) is not None:
                 self._entries -= 1
             self._bump(name)
             return
@@ -83,87 +74,6 @@ class ControlState:
             self._endpoints[args[0]] = op == "endpoint_up"
             return
         raise ControlPlaneError(f"unknown command op {op!r}")
-
-    def _bump(self, name: str) -> None:
-        self._version += 1
-        self._dataset_versions[name] = self._dataset_versions.get(name, 0) + 1
-
-    # -- catalog read API (mirrors ReplicaCatalog) --------------------------------
-    @property
-    def version(self) -> int:
-        return self._version
-
-    def dataset_version(self, name: str) -> int:
-        return self._dataset_versions.get(name, 0)
-
-    def dataset(self, name: str) -> Dataset:
-        try:
-            return self._datasets[name]
-        except KeyError:
-            raise DataFabricError(f"unknown dataset {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._datasets
-
-    @property
-    def dataset_names(self) -> list[str]:
-        return list(self._datasets)
-
-    def locations(self, name: str) -> list[str]:
-        self.dataset(name)
-        return list(self._replicas.get(name, {}))
-
-    def has_replica(self, name: str, site: str) -> bool:
-        return site in self._replicas.get(name, {})
-
-    def replica(self, name: str, site: str) -> Replica:
-        created = self._replicas.get(name, {}).get(site)
-        if created is None:
-            raise DataFabricError(f"no replica of {name!r} at {site!r}")
-        return Replica(self.dataset(name), site, created_at=created)
-
-    def nearest_source(
-        self, topology: Topology, name: str, to_site: str
-    ) -> tuple[str, float]:
-        """Identical scan to ``ReplicaCatalog.nearest_source``: insertion
-        order, strict ``<``, first winner kept."""
-        dataset = self.dataset(name)
-        sources = self.locations(name)
-        if not sources:
-            raise DataFabricError(f"dataset {name!r} has no replicas")
-        best_site, best_time = None, None
-        for src in sources:
-            est = topology.path_info(src, to_site).transfer_time(dataset.size_bytes)
-            if best_time is None or est < best_time:
-                best_site, best_time = src, est
-        return best_site, best_time
-
-    def bytes_at(self, site: str) -> float:
-        return sum(
-            self._datasets[name].size_bytes
-            for name, reps in self._replicas.items()
-            if site in reps
-        )
-
-    def datasets_at(self, site: str) -> list[Dataset]:
-        return [
-            self._datasets[name]
-            for name, reps in self._replicas.items()
-            if site in reps
-        ]
-
-    # -- endpoint registry --------------------------------------------------------
-    def endpoint_known(self, site: str) -> bool:
-        return site in self._endpoints
-
-    def endpoint_live(self, site: str) -> bool:
-        """Liveness per this replica's view; unknown endpoints default to
-        live (the registry only records observed transitions)."""
-        return self._endpoints.get(site, True)
-
-    @property
-    def down_endpoints(self) -> list[str]:
-        return [s for s, up in self._endpoints.items() if not up]
 
     # -- snapshot / convergence ---------------------------------------------------
     @property
@@ -195,8 +105,7 @@ class ControlState:
         state.applied_index = int(doc["applied_index"])
         state._version = int(doc["version"])
         for name, size_bytes, kind in doc["datasets"]:
-            state._datasets[name] = Dataset(name, float(size_bytes), kind)
-            state._replicas.setdefault(name, {})
+            state.register(Dataset(name, float(size_bytes), kind))
         for name, reps in doc["replicas"]:
             state._replicas[name] = {site: float(t) for site, t in reps}
         state._dataset_versions = dict(doc["dataset_versions"])

@@ -1,26 +1,26 @@
-"""Catalog/registry views over the replicated control plane.
+"""Catalog views over the replicated control plane.
 
-Three adapters connect the consensus machinery to the layers that
-consume metadata:
+Two adapters connect the consensus machinery to the layers that consume
+metadata:
 
 - :class:`MirroredCatalog` — a drop-in :class:`ReplicaCatalog` that
   *also* submits every replica mutation to the control plane. The bare
   catalog stays the physical ground truth (a site always knows what is
   on its own disk); the plane is the federation's lagged metadata
   service replicating that truth.
-- :class:`ReplicatedCatalogView` — duck-types the catalog *read* API
-  against the image the session's last placement read resolved: the
-  physical catalog itself when the read linearized at a leased or
+- :class:`ReplicatedCatalogView` — the catalog *read* API against the
+  image the session's last placement read resolved: the physical
+  catalog itself when the read linearized at a leased or
   quorum-confirmed leader (the leader serializes every mutation the
   moment it physically happens, so its image *is* ground truth), or a
-  follower's lagged applied state otherwise. :class:`CostModel`,
-  placement strategies, and the transfer service all plan against
-  this view. It also does the staleness accounting: every
+  follower's lagged applied state otherwise. Both images are
+  :class:`ReplicaCatalog` instances, so the view picks one in one place
+  and adds only what a lagged image needs: the origin fallback for
+  datasets it has not heard of, and the staleness accounting — every
   transfer-source decision is compared against the physical catalog,
   and divergence is booked as a misplacement (plus wasted bytes when
-  the stale choice is strictly slower).
-- :class:`RegistryView` — endpoint liveness per the replicated
-  registry, for faas routing's ``healthy_endpoints``.
+  the stale choice is strictly slower). :class:`CostModel`, placement
+  strategies, and the transfer service all plan against this view.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.continuum.topology import Topology
 from repro.controlplane.cluster import ControlPlane
 from repro.controlplane.log import Command
 from repro.controlplane.session import ControlPlaneSession
-from repro.datafabric.catalog import ReplicaCatalog
+from repro.datafabric.catalog import ReplicaCatalog, nearest_of
 from repro.datafabric.dataset import Dataset, Replica
 from repro.errors import DataFabricError
 
@@ -103,41 +103,35 @@ class ReplicatedCatalogView:
         self.stats = session.stats
 
     @property
-    def _truth(self) -> bool:
-        return self.session.pinned_truth
-
-    @property
-    def _state(self):
-        return self.session.current_state()
+    def _catalog(self) -> ReplicaCatalog:
+        """The image reads resolve against: the physical catalog after
+        a linearized read, else the pinned follower state."""
+        session = self.session
+        if session.pinned_truth:
+            return self.authoritative
+        return session.current_state()
 
     # -- read API (CostModel / strategies) ---------------------------------------
     @property
     def version(self) -> int:
-        if self._truth:
-            return self.authoritative.version
-        return self._state.version
+        return self._catalog.version
 
     def dataset_version(self, name: str) -> int:
-        if self._truth:
-            return self.authoritative.dataset_version(name)
-        return self._state.dataset_version(name)
+        return self._catalog.dataset_version(name)
 
     def dataset(self, name: str) -> Dataset:
-        if self._truth:
-            return self.authoritative.dataset(name)
-        state = self._state
-        if name in state:
-            return state.dataset(name)
+        catalog = self._catalog
+        if name in catalog:
+            return catalog.dataset(name)
         return self.authoritative.dataset(name)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._state or name in self.authoritative
+        return name in self.session.current_state() or \
+            name in self.authoritative
 
     @property
     def dataset_names(self) -> list[str]:
-        if self._truth:
-            return self.authoritative.dataset_names
-        return self._state.dataset_names
+        return self._catalog.dataset_names
 
     def locations(self, name: str) -> list[str]:
         """Replica sites per the view. When a follower view knows
@@ -147,10 +141,8 @@ class ReplicatedCatalogView:
         completion event. It does NOT get the full physical replica
         set: closer staged copies the control plane hasn't told it
         about stay invisible. Counted as a fallback read."""
-        if self._truth:
-            return self.authoritative.locations(name)
-        state = self._state
-        locs = state.locations(name) if name in state else []
+        catalog = self._catalog
+        locs = catalog.locations(name) if name in catalog else []
         if locs:
             return locs
         origin = self._origin(name)
@@ -167,35 +159,18 @@ class ReplicatedCatalogView:
         return auth_locs[0] if auth_locs else None
 
     def has_replica(self, name: str, site: str) -> bool:
-        if self._truth:
-            return self.authoritative.has_replica(name, site)
-        return self._state.has_replica(name, site)
+        return self._catalog.has_replica(name, site)
 
     def nearest_source(self, topology: Topology, name: str,
                        to_site: str) -> tuple[str, float]:
-        if self._truth:
-            return self.authoritative.nearest_source(topology, name, to_site)
         sources = self.locations(name)
-        dataset = self.dataset(name)
-        if not sources:
-            raise DataFabricError(f"dataset {name!r} has no replicas")
-        best_site, best_time = None, None
-        for src in sources:
-            est = topology.path_info(src, to_site).transfer_time(
-                dataset.size_bytes)
-            if best_time is None or est < best_time:
-                best_site, best_time = src, est
-        return best_site, best_time
+        return nearest_of(topology, self.dataset(name), sources, to_site)
 
     def bytes_at(self, site: str) -> float:
-        if self._truth:
-            return self.authoritative.bytes_at(site)
-        return self._state.bytes_at(site)
+        return self._catalog.bytes_at(site)
 
     def datasets_at(self, site: str) -> list[Dataset]:
-        if self._truth:
-            return self.authoritative.datasets_at(site)
-        return self._state.datasets_at(site)
+        return self._catalog.datasets_at(site)
 
     # -- transfer-source resolution with staleness accounting ---------------------
     def transfer_source(self, name: str, to_site: str) -> tuple[str, float]:
@@ -204,31 +179,24 @@ class ReplicatedCatalogView:
         catalog as misplacement/waste, and guarding against *phantom*
         sources (the view says a replica exists; physically it
         doesn't — the puller discovers this and re-resolves against the
-        authoritative catalog, paying an extra metadata round)."""
-        if self._truth:
-            # linearized read: the leader's image is the physical
-            # catalog, so divergence is structurally impossible
-            src, _ = self.authoritative.nearest_source(
-                self.topology, name, to_site)
-            return src, 0.0
-        view_src = self._best_or_none(self._state, name, to_site)
+        authoritative catalog, paying an extra metadata round). After a
+        linearized read the view is the physical catalog, so divergence
+        is structurally impossible."""
+        view_src = self._best_or_none(self._catalog, name, to_site)
+        ref_src, ref_est = self.authoritative.nearest_source(
+            self.topology, name, to_site)
         if view_src is None:
             # the follower view has never heard of this dataset's
             # replicas: pull from the origin the completion event named
             # (the only location known out-of-band), even if a closer
-            # staged copy physically exists
+            # staged copy physically exists (the lookup above found a
+            # physical replica, so the origin exists)
             self.stats.fallback_reads += 1
             origin = self._origin(name)
-            if origin is None:
-                src, _ = self.authoritative.nearest_source(
-                    self.topology, name, to_site)
-                return src, 0.0
             size = self.authoritative.dataset(name).size_bytes
             view_src = (origin, self.topology.path_info(
                 origin, to_site).transfer_time(size))
         src, est = view_src
-        ref_src, ref_est = self.authoritative.nearest_source(
-            self.topology, name, to_site)
         if src != ref_src:
             self.stats.misplacements += 1
             if est > ref_est:
@@ -240,24 +208,10 @@ class ReplicatedCatalogView:
             return ref_src, 2.0 * self.session.config.local_read_rtt_s
         return src, 0.0
 
-    def _best_or_none(self, state, name, to_site):
-        if name not in state:
+    def _best_or_none(self, catalog, name, to_site):
+        if name not in catalog:
             return None
         try:
-            return state.nearest_source(self.topology, name, to_site)
+            return catalog.nearest_source(self.topology, name, to_site)
         except DataFabricError:
             return None
-
-
-class RegistryView:
-    """Endpoint liveness per the replicated registry."""
-
-    def __init__(self, session: ControlPlaneSession):
-        self.session = session
-
-    def is_live(self, site: str) -> bool:
-        return self.session.current_state().endpoint_live(site)
-
-    @property
-    def down_endpoints(self) -> list[str]:
-        return self.session.current_state().down_endpoints

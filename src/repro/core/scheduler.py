@@ -712,7 +712,7 @@ class _Run:
         if self._ctl_read_state == "ready":
             self._ctl_read_state = "idle"
             return True
-        latency = self.control.placement_read(self.sim.now)
+        latency = self.control.session.placement_read(self.sim.now)
         if latency <= 0.0:
             return True
         self._ctl_read_state = "waiting"

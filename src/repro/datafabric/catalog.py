@@ -2,26 +2,47 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from repro.continuum.topology import Topology
 from repro.datafabric.dataset import Dataset, Replica
 from repro.errors import DataFabricError
 
 
+def nearest_of(topology: Topology, dataset: Dataset, sources: list[str],
+               to_site: str) -> tuple[str, float]:
+    """The source with the lowest unloaded transfer time of ``dataset``
+    to ``to_site``: scanned in order, strict ``<``, so the first of tied
+    sources wins. Returns ``(site, estimated_seconds)``.
+
+    Raises :class:`DataFabricError` when ``sources`` is empty.
+    """
+    if not sources:
+        raise DataFabricError(f"dataset {dataset.name!r} has no replicas")
+    best_site, best_time = None, None
+    for src in sources:
+        est = topology.path_info(src, to_site).transfer_time(dataset.size_bytes)
+        if best_time is None or est < best_time:
+            best_site, best_time = src, est
+    return best_site, best_time
+
+
 class ReplicaCatalog:
-    """Authoritative mapping dataset -> {site: Replica}.
+    """Authoritative mapping dataset -> {site: creation time}.
 
     The catalog is the source of truth for placement decisions: both the
     transfer service (pick a source) and data-gravity scheduling (pick a
     compute site near the bytes) query it.
+
+    A dataset gets its replica map and version counter when it is
+    registered, so reads never add keys: the replicated control plane's
+    applied images (:class:`~repro.controlplane.state.ControlState`)
+    must stay equal across nodes however often each is read.
     """
 
     def __init__(self) -> None:
         self._datasets: dict[str, Dataset] = {}
-        self._replicas: dict[str, dict[str, Replica]] = defaultdict(dict)
+        self._replicas: dict[str, dict[str, float]] = {}
         self._version = 0
-        self._dataset_versions: dict[str, int] = defaultdict(int)
+        self._dataset_versions: dict[str, int] = {}
 
     @property
     def version(self) -> int:
@@ -33,7 +54,12 @@ class ReplicaCatalog:
         """Per-dataset replica-change counter: finer-grained than
         :attr:`version`, so caches of one dataset's placement survive
         other datasets being staged around the continuum."""
-        return self._dataset_versions[name]
+        return self._dataset_versions.get(name, 0)
+
+    def _bump(self, name: str) -> None:
+        """Count one replica change of ``name``."""
+        self._version += 1
+        self._dataset_versions[name] += 1
 
     # -- datasets ---------------------------------------------------------------
     def register(self, dataset: Dataset) -> Dataset:
@@ -45,6 +71,9 @@ class ReplicaCatalog:
                 f"definition"
             )
         self._datasets[dataset.name] = dataset
+        if existing is None:
+            self._replicas[dataset.name] = {}
+            self._dataset_versions[dataset.name] = 0
         return dataset
 
     def dataset(self, name: str) -> Dataset:
@@ -63,18 +92,15 @@ class ReplicaCatalog:
     # -- replicas -----------------------------------------------------------------
     def add_replica(self, name: str, site: str, time: float = 0.0) -> Replica:
         dataset = self.dataset(name)
-        replica = Replica(dataset, site, created_at=time)
-        self._replicas[name][site] = replica
-        self._version += 1
-        self._dataset_versions[name] += 1
-        return replica
+        self._replicas[name][site] = time
+        self._bump(name)
+        return Replica(dataset, site, created_at=time)
 
     def drop_replica(self, name: str, site: str) -> None:
         self.dataset(name)
         if self._replicas[name].pop(site, None) is None:
             raise DataFabricError(f"no replica of {name!r} at {site!r}")
-        self._version += 1
-        self._dataset_versions[name] += 1
+        self._bump(name)
 
     def locations(self, name: str) -> list[str]:
         """Sites currently holding a replica (may be empty)."""
@@ -88,32 +114,24 @@ class ReplicaCatalog:
         self, topology: Topology, name: str, to_site: str
     ) -> tuple[str, float]:
         """Replica site with the lowest unloaded transfer time to
-        ``to_site``; returns ``(site, estimated_seconds)``.
+        ``to_site`` (see :func:`nearest_of`).
 
         Raises :class:`DataFabricError` when the dataset has no replica.
         """
-        dataset = self.dataset(name)
-        sources = self.locations(name)
-        if not sources:
-            raise DataFabricError(f"dataset {name!r} has no replicas")
-        best_site, best_time = None, None
-        for src in sources:
-            est = topology.path_info(src, to_site).transfer_time(dataset.size_bytes)
-            if best_time is None or est < best_time:
-                best_site, best_time = src, est
-        return best_site, best_time
+        return nearest_of(topology, self.dataset(name), self.locations(name),
+                          to_site)
 
     def bytes_at(self, site: str) -> float:
         """Total dataset bytes replicated at ``site``."""
         return sum(
-            reps[site].dataset.size_bytes
-            for reps in self._replicas.values()
+            self._datasets[name].size_bytes
+            for name, reps in self._replicas.items()
             if site in reps
         )
 
     def datasets_at(self, site: str) -> list[Dataset]:
         return [
-            reps[site].dataset
-            for reps in self._replicas.values()
+            self._datasets[name]
+            for name, reps in self._replicas.items()
             if site in reps
         ]

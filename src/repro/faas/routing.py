@@ -34,19 +34,9 @@ def estimate_total_latency(fabric: FaaSFabric, function: str,
 
 def healthy_endpoints(fabric: FaaSFabric, *,
                       breakers: BreakerRegistry | None = None,
-                      avoid=(), now: float | None = None,
-                      registry=None) -> list[str]:
-    """Deployed endpoint sites minus open circuits, ``avoid``, and —
-    when a replicated ``registry`` view is given — endpoints the
-    control plane currently believes down; degrades to the full set
-    when that would leave nothing.
-
-    ``registry`` is a *possibly-stale* view (see
-    :class:`repro.controlplane.RegistryView`): during replication lag
-    or a partition it may still admit a dead endpoint (the caller's
-    breakers then catch it) or hide a recovered one — exactly the
-    trade the read mode selected.
-    """
+                      avoid=(), now: float | None = None) -> list[str]:
+    """Deployed endpoint sites minus open circuits and ``avoid``;
+    degrades to the full set when that would leave nothing."""
     sites = fabric.endpoint_sites
     if not sites:
         return sites
@@ -55,8 +45,6 @@ def healthy_endpoints(fabric: FaaSFabric, *,
     excluded = set(avoid)
     if breakers is not None:
         excluded |= breakers.blocked_targets(sites, now)
-    if registry is not None:
-        excluded |= {s for s in sites if not registry.is_live(s)}
     healthy = [s for s in sites if s not in excluded]
     return healthy if healthy else sites
 
@@ -64,8 +52,7 @@ def healthy_endpoints(fabric: FaaSFabric, *,
 def pick_endpoint(fabric: FaaSFabric, function: str, client_site: str,
                   policy: str = "fastest", *,
                   breakers: BreakerRegistry | None = None,
-                  avoid=(), now: float | None = None,
-                  registry=None) -> str:
+                  avoid=(), now: float | None = None) -> str:
     """Choose an endpoint site for one invocation.
 
     - ``fastest`` — minimal estimated RTT + service time,
@@ -84,7 +71,7 @@ def pick_endpoint(fabric: FaaSFabric, function: str, client_site: str,
                         f"known: {POLICIES}")
     fabric.registry.get(function)
     sites = healthy_endpoints(fabric, breakers=breakers, avoid=avoid,
-                              now=now, registry=registry)
+                              now=now)
 
     if policy == "nearest":
         return min(sites,

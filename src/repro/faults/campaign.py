@@ -39,6 +39,7 @@ from repro.faults.outages import (
     LinkBrownout,
     OutageSchedule,
     poisson_outages,
+    renewal_windows,
 )
 from repro.faults.partitions import (
     PARTITION_STYLES,
@@ -165,30 +166,10 @@ def poisson_brownouts(
     events: list[LinkBrownout] = []
     for a, b, _link in topology.links():
         rng = registry.stream(f"brownouts:{a}--{b}")
-        t = 0.0
-        while True:
-            t += float(rng.exponential(1.0 / rate_per_link_per_s))
-            if t >= horizon_s:
-                break
-            duration = max(float(rng.exponential(mean_duration_s)), 1e-3)
+        for t, duration in renewal_windows(rng, rate_per_link_per_s,
+                                           horizon_s, mean_duration_s):
             events.append(LinkBrownout(a, b, t, duration, factor))
-            t += duration
     return events
-
-
-def _poisson_windows(rng, rate: float, horizon_s: float,
-                     mean_duration_s: float) -> tuple[tuple[float, float], ...]:
-    """Non-overlapping (start, end) windows of one Poisson process."""
-    windows = []
-    t = 0.0
-    while True:
-        t += float(rng.exponential(1.0 / rate))
-        if t >= horizon_s:
-            break
-        duration = max(float(rng.exponential(mean_duration_s)), 1e-3)
-        windows.append((t, t + duration))
-        t += duration
-    return tuple(windows)
 
 
 @dataclass
@@ -301,12 +282,13 @@ class ChaosCampaign:
         degraded: dict[str, tuple[tuple[float, float], ...]] = {}
         if self.degraded_rate_per_site_per_s > 0:
             for name in topology.site_names:
-                windows = _poisson_windows(
-                    rngs.stream(f"degraded:{name}"),
-                    self.degraded_rate_per_site_per_s,
-                    self.horizon_s,
-                    self.degraded_mean_duration_s,
-                )
+                windows = tuple(
+                    (t, t + duration) for t, duration in renewal_windows(
+                        rngs.stream(f"degraded:{name}"),
+                        self.degraded_rate_per_site_per_s,
+                        self.horizon_s,
+                        self.degraded_mean_duration_s,
+                    ))
                 if windows:
                     degraded[name] = windows
         chaos = TaskChaos(

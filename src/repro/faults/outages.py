@@ -89,6 +89,25 @@ class OutageSchedule:
             topology.link(brownout.a, brownout.b)
 
 
+def renewal_windows(rng, rate: float, horizon_s: float,
+                    mean_duration_s: float):
+    """Yield the ``(onset, duration)`` windows of one alternating
+    renewal process on ``[0, horizon_s)``: exponential gaps at ``rate``,
+    exponential durations of mean ``mean_duration_s`` (at least 1 ms).
+    The next onset is drawn after the previous window ends, so windows
+    never overlap, and only when the generator is resumed, so draws the
+    caller makes from ``rng`` between windows keep their place in the
+    stream."""
+    t = 0.0
+    while True:
+        t += float(rng.exponential(1.0 / rate))
+        if t >= horizon_s:
+            return
+        duration = max(float(rng.exponential(mean_duration_s)), 1e-3)
+        yield t, duration
+        t += duration
+
+
 def poisson_outages(
     topology: Topology,
     *,
@@ -118,13 +137,7 @@ def poisson_outages(
     names = list(dict.fromkeys(names))
     for name in names:
         topology.site(name)
-        t = 0.0
-        while True:
-            t += float(rng.exponential(1.0 / rate_per_site_per_s))
-            if t >= horizon_s:
-                break
-            duration = float(rng.exponential(mean_duration_s))
-            duration = max(duration, 1e-3)
+        for t, duration in renewal_windows(rng, rate_per_site_per_s,
+                                           horizon_s, mean_duration_s):
             schedule.add(SiteOutage(name, t, duration))
-            t += duration
     return schedule

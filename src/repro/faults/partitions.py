@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
+from repro.faults.outages import renewal_windows
 from repro.utils.rng import RngRegistry
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -141,12 +142,8 @@ def poisson_partitions(
     rng = (rngs or RngRegistry(0)).stream("partitions")
     schedule = PartitionSchedule()
     minority = max(1, n_control_sites // 2)
-    t = 0.0
-    while True:
-        t += float(rng.exponential(1.0 / rate_per_s))
-        if t >= horizon_s:
-            break
-        duration = max(float(rng.exponential(mean_duration_s)), 1e-3)
+    for t, duration in renewal_windows(rng, rate_per_s, horizon_s,
+                                       mean_duration_s):
         style = styles[int(rng.integers(len(styles)))]
         if style == "leader":
             island = ()
@@ -155,5 +152,4 @@ def poisson_partitions(
             picks = rng.permutation(n_control_sites)[:size]
             island = tuple(sorted(int(i) for i in picks))
         schedule.add(PartitionWindow(t, t + duration, style, island))
-        t += duration
     return schedule

@@ -205,9 +205,9 @@ def long_run(monkeypatch, mutation, writes=2000):
     adopted = {}
     deliver = ControlPlane._deliver
 
-    def tracking(plane, dst, msg, t):
+    def tracking(plane, src, dst, msg, t):
         before = plane.nodes[dst].state
-        deliver(plane, dst, msg, t)
+        deliver(plane, src, dst, msg, t)
         if isinstance(msg, InstallSnapshot) and \
                 plane.nodes[dst].state is not before:
             adopted[id(msg.snapshot)] = msg.snapshot

@@ -109,13 +109,22 @@ class TestControlState:
         assert not state.has_replica("d", "a")
 
     def test_endpoint_liveness(self):
+        """Endpoint transitions are part of the image: the latest state
+        per endpoint is in the snapshot, one entry each, and a flip
+        changes the fingerprint."""
         state = self._apply_all([
             Command("endpoint_up", ("edge-1",)),
             Command("endpoint_down", ("edge-2",)),
         ])
-        assert state.endpoint_live("edge-1")
-        assert not state.endpoint_live("edge-2")
-        assert state.down_endpoints == ["edge-2"]
+        assert state.to_snapshot()["endpoints"] == (
+            ("edge-1", True), ("edge-2", False))
+        assert state.entries == 2
+        before = state.fingerprint()
+        state.apply(Command("endpoint_up", ("edge-2",)), 3)
+        assert state.to_snapshot()["endpoints"] == (
+            ("edge-1", True), ("edge-2", True))
+        assert state.entries == 2
+        assert state.fingerprint() != before
 
     def test_same_commands_same_fingerprint(self):
         commands = [cmd_register("d"), cmd_add("d", "a", 1.0),

@@ -119,9 +119,9 @@ def test_idle_plane_is_replayed(monkeypatch):
     delivered = [0]
     deliver = ControlPlane._deliver
 
-    def counting(plane, dst, msg, t):
+    def counting(plane, src, dst, msg, t):
         delivered[0] += 1
-        deliver(plane, dst, msg, t)
+        deliver(plane, src, dst, msg, t)
 
     monkeypatch.setattr(ControlPlane, "_deliver", counting)
     assert play(config, 0, [(0.0, ("advance", 100.0))],

@@ -73,6 +73,24 @@ class TestUnavailability:
             3 * plane.config.read_retry_interval_s
             + plane.config.local_read_rtt_s)
 
+    def test_retried_read_runs_the_plane_ahead_of_the_caller(self):
+        # each probe advances the plane to its own time, so a retried
+        # read leaves the plane's clock past the read's stamp; a caller
+        # stamped in between is served at the plane's later clock. A
+        # plane driven by kernel events could not look ahead like this.
+        plane, session = make("quorum")
+        plane.advance(1.0)
+        plane.begin_partition(PartitionWindow(1.0, 400.0, "leader"), 1.0)
+        now = 2.0
+        session.placement_read(now)
+        assert session.pinned_truth          # a majority leader answered
+        assert session.stats.unavailable_events == 1
+        assert plane.now > now
+        assert plane.now == now + session.stats.unavailable_s
+        ahead = plane.now
+        plane.advance(now + 0.5)
+        assert plane.now == ahead
+
     def test_breaker_trips_and_short_circuits_probing(self):
         plane, session = make(
             "quorum", warm_start=False,

@@ -1,4 +1,4 @@
-"""The catalog/registry views over the plane: mirroring, staleness
+"""The catalog views over the plane: mirroring, staleness
 accounting (misplacements, wasted bytes, phantoms, fallbacks), and the
 truth-serving behaviour of linearized reads."""
 
@@ -10,7 +10,6 @@ from repro.controlplane import (
     ControlPlaneConfig,
     ControlPlaneSession,
     MirroredCatalog,
-    RegistryView,
     ReplicatedCatalogView,
 )
 from repro.datafabric import Dataset
@@ -62,6 +61,19 @@ class TestMirroredCatalog:
         # followers only after commit + heartbeat propagation
         plane.advance(20.0)
         assert all(n.state.has_replica("d", "b") for n in plane.nodes)
+
+    def test_endpoint_transitions_are_replicated_writes(self):
+        plane, session, catalog, _, clock = make("stale")
+        session.placement_read(0.5)
+        clock[0] = 1.0
+        catalog.endpoint_down("b")
+        assert plane.writes_submitted == 1
+        session.placement_read(1.5)
+        # the bad news hasn't reached the pinned follower image yet
+        assert session.current_state().to_snapshot()["endpoints"] == ()
+        session.placement_read(20.0)
+        assert all(n.state.to_snapshot()["endpoints"] == (("b", False),)
+                   for n in plane.nodes)
 
 
 class TestStaleAccounting:
@@ -141,16 +153,3 @@ class TestTruthServingReads:
         assert view.version == catalog.version
         assert view.locations("d") == catalog.locations("d")
 
-
-class TestRegistryView:
-    def test_liveness_follows_the_replicated_registry(self):
-        plane, session, catalog, _, clock = make("stale")
-        registry = RegistryView(session)
-        session.placement_read(0.5)
-        clock[0] = 1.0
-        catalog.endpoint_down("b")
-        session.placement_read(1.5)
-        assert registry.is_live("b")         # the bad news hasn't landed
-        session.placement_read(20.0)
-        assert not registry.is_live("b")
-        assert registry.down_endpoints == ["b"]

@@ -83,6 +83,28 @@ class TestPoissonPartitions:
             elif w.style == "single":
                 assert len(w.island) == 1
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_style_draws_interleave_with_onsets(self, seed):
+        """Each window's style and island are drawn between its
+        duration and the next onset, as one hand-written loop would."""
+        rng = RngRegistry(seed).stream("partitions")
+        expected, t = [], 0.0
+        while True:
+            t += float(rng.exponential(100.0))
+            if t >= 2000.0:
+                break
+            duration = max(float(rng.exponential(30.0)), 1e-3)
+            style = PARTITION_STYLES[int(rng.integers(len(PARTITION_STYLES)))]
+            island = ()
+            if style != "leader":
+                size = 2 if style == "minority" else 1
+                island = tuple(sorted(
+                    int(i) for i in rng.permutation(5)[:size]))
+            expected.append((t, t + duration, style, island))
+            t += duration
+        assert [(w.start_s, w.end_s, w.style, w.island)
+                for w in self._gen(seed).windows] == expected
+
     def test_style_restriction_honoured(self):
         schedule = self._gen(styles=("leader",))
         assert all(w.style == "leader" for w in schedule.windows)
