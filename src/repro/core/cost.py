@@ -141,9 +141,12 @@ class CostModel:
         # within a dispatch round; this cache was the top line of the
         # scheduler profile before it existed.
         self._nearest_cache: dict[tuple[str, str], tuple[str, float]] = {}
-        # per-dataset staging arrays over a fixed candidate tuple,
-        # validated by (routes epoch, per-dataset replica version)
-        self._stage_cache: dict = {}
+        # per-dataset staging arrays: dataset -> candidate tuple ->
+        # entry, each validated by (routes epoch, per-dataset replica
+        # version). The scheduler drops a dataset's entries with
+        # forget_dataset once its last reader completes, so the cache
+        # holds only datasets that in-flight work may still read.
+        self._stage_cache: dict[str, dict] = {}
         # per-candidate-tuple static site arrays (sites are frozen):
         # matrix columns (validated by routes epoch), speeds per task
         # kind, busy watts, compute price
@@ -238,9 +241,9 @@ class CostModel:
         order and ``argmin`` keeps the first minimum, matching the
         scalar strict-``<`` first-wins scan.
         """
-        key = (name, names)
         dsver = self.catalog.dataset_version(name)
-        hit = self._stage_cache.get(key)
+        per_names = self._stage_cache.get(name)
+        hit = per_names.get(names) if per_names is not None else None
         if hit is not None and hit[0] == epoch and hit[1] == dsver:
             return hit[5]
         size = self.catalog.dataset(name).size_bytes
@@ -300,8 +303,15 @@ class CostModel:
                 np.where(need, size, 0.0),
                 np.where(need, usd_term, 0.0),
             )
-        self._stage_cache[key] = (epoch, dsver, sources, t_best, u_best, arrays)
+        self._stage_cache.setdefault(name, {})[names] = (
+            epoch, dsver, sources, t_best, u_best, arrays)
         return arrays
+
+    def forget_dataset(self, name: str) -> None:
+        """Drop every staging entry of dataset ``name``. Safe at any
+        time: a later lookup re-derives the entry, and both the fold and
+        the rebuild path keep the first minimum, so the floats match."""
+        self._stage_cache.pop(name, None)
 
     def estimate_batch(self, task: TaskSpec, sites: list[Site]) -> BatchEstimate:
         """Vectorized :meth:`estimate` over many candidate sites.

@@ -49,6 +49,7 @@ network contention — the planned-vs-measured gap is real and intended.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -150,9 +151,9 @@ class StreamJob:
     external_inputs: tuple = ()
 
     def __post_init__(self):
-        if self.arrival_s < 0:
+        if not math.isfinite(self.arrival_s) or self.arrival_s < 0:
             raise SchedulingError(
-                f"arrival_s must be >= 0, got {self.arrival_s}"
+                f"arrival_s must be finite and >= 0, got {self.arrival_s}"
             )
 
 
@@ -372,12 +373,17 @@ class _Run:
             site.name: Resource(self.sim, site.slots, name=site.name)
             for site in self.ctx.candidates
         }
-        # cross-job task bookkeeping (names must be globally unique)
+        # cross-job task bookkeeping (names must be globally unique).
+        # _readers counts each dataset's not-yet-completed reader tasks:
+        # when it reaches zero nothing in flight can read the dataset
+        # again, so the cost model drops its staging arrays.
         self._dag_of: dict[str, WorkflowDAG] = {}
         self._job_of: dict[str, int] = {}
         self.remaining: dict[str, int] = {}
+        self._readers: dict[str, int] = {}
         for idx, job in enumerate(jobs):
-            for name in job.dag.task_names:
+            for task in job.dag.tasks:
+                name = task.name
                 if name in self._dag_of:
                     raise SchedulingError(
                         f"duplicate task name {name!r} across stream jobs"
@@ -385,6 +391,8 @@ class _Run:
                 self._dag_of[name] = job.dag
                 self._job_of[name] = idx
                 self.remaining[name] = len(job.dag.dependencies(name))
+                for dataset in task.inputs:
+                    self._readers[dataset] = self._readers.get(dataset, 0) + 1
         self._job_pending = [len(job.dag) for job in jobs]
         self._job_finish = [0.0 for _ in jobs]
         self._register_datasets()
@@ -397,15 +405,18 @@ class _Run:
         self.compute_usd = 0.0
         self.energy_j = 0.0
         self.site_busy: dict[str, float] = {s.name: 0.0 for s in self.ctx.candidates}
-        self.attempts: dict[str, int] = {n: 0 for n in self._dag_of}
-        self.failures_of: dict[str, int] = {n: 0 for n in self._dag_of}
-        self.attempt_log: dict[str, list[str]] = {n: [] for n in self._dag_of}
+        # per-task attempt state, kept only while the task is in flight:
+        # entries appear on first use and _settle drops them once the
+        # task has its record and its last attempt has ended
+        self.attempts: dict[str, int] = {}
+        self.failures_of: dict[str, int] = {}
+        self.attempt_log: dict[str, list[str]] = {}
+        self._hedges_of: dict[str, int] = {}
         # task -> attempt_id -> (Process, site); several attempts of one
         # task run concurrently only while a hedge duplicate races
         self._active_at: dict[str, dict[int, tuple]] = {}
         self._attempt_seq = 0
         self._timeout_events: dict[int, object] = {}
-        self._hedges_of: dict[str, int] = {n: 0 for n in self._dag_of}
         self._probe_wake_at: float | None = None
         self.interruptions = 0
         self.wasted_exec_s = 0.0
@@ -552,7 +563,6 @@ class _Run:
                    default=0.0)
 
     def _final_stats(self) -> ResilienceStats:
-        self.stats.attempts_total = sum(self.attempts.values())
         if self.breakers is not None:
             self.stats.breaker_trips = self.breakers.total_trips
             self.stats.breaker_probes = self.breakers.total_probes
@@ -778,7 +788,7 @@ class _Run:
             )
         if (self.hedge is not None and not is_hedge
                 and task.pinned_site is None
-                and self._hedges_of[task.name] < self.hedge.max_hedges):
+                and self._hedges_of.get(task.name, 0) < self.hedge.max_hedges):
             self.sim.schedule_at(
                 self.hedge.hedge_at(now, decision.est_finish),
                 self._maybe_hedge, task.name, attempt_id,
@@ -815,7 +825,7 @@ class _Run:
         attempts = self._active_at.get(name)
         if not attempts or attempt_id not in attempts:
             return   # that attempt already ended; its successor re-arms
-        if self._hedges_of[name] >= self.hedge.max_hedges:
+        if self._hedges_of.get(name, 0) >= self.hedge.max_hedges:
             return
         task = self._dag_of[name].task(name)
         self.ctx.set_now(self.sim.now)
@@ -837,7 +847,7 @@ class _Run:
             self.ctx.set_vetoed(())
         decision = record_placement(self, task, site_name, est.stage_time_s,
                                     est.exec_time_s, est_finish)
-        self._hedges_of[name] += 1
+        self._hedges_of[name] = self._hedges_of.get(name, 0) + 1
         self.stats.hedges_launched += 1
         self.tracer.instant("hedge_launch", "resilience", task=name,
                             site=site_name, racing=sorted(running_sites))
@@ -847,8 +857,9 @@ class _Run:
                    decision: PlacementDecision, attempt_id: int,
                    is_hedge: bool = False):
         site = self.ctx.site(site_name)
-        self.attempts[task.name] += 1
-        attempt_no = self.attempts[task.name]
+        attempt_no = self.attempts[task.name] = (
+            self.attempts.get(task.name, 0) + 1)
+        self.stats.attempts_total += 1
         record = TaskRecord(
             task=task.name, site=site_name, kind=task.kind,
             ready_at=self.sim.now, deadline_s=task.deadline_s,
@@ -953,6 +964,7 @@ class _Run:
             # a sibling won at this same instant; count this as waste
             self._burn(site_name, record.exec_time)
             self.stats.hedges_lost += 1
+            self._settle(name)
             return
         # cancel racing duplicates (hedge losers)
         for _aid, (proc, loser_site) in list(
@@ -977,6 +989,7 @@ class _Run:
         self.compute_usd += record.compute_usd
         self.site_busy[site_name] += record.exec_time
         self.records[name] = record
+        self._settle(name)
         if self._m_decisions is not None:
             self._m_stage.observe(record.stage_time)
             self._m_queue_wait.observe(record.queue_time)
@@ -984,6 +997,11 @@ class _Run:
         for out in task.outputs:
             self.catalog.add_replica(out.name, site_name, time=self.sim.now)
         self.strategy.observe(record, self.ctx)
+        for dataset in task.inputs:
+            self._readers[dataset] -= 1
+            if self._readers[dataset] == 0:
+                del self._readers[dataset]
+                self.ctx.cost.forget_dataset(dataset)
 
         job_idx = self._job_of[name]
         self._job_pending[job_idx] -= 1
@@ -1021,6 +1039,7 @@ class _Run:
             self.stats.hedges_lost += 1
             self.tracer.instant("hedge_lost", "resilience", task=name,
                                 site=site_name, wasted_s=wasted)
+            self._settle(name)
             return
         if cause.startswith("outage@"):
             self.interruptions += 1
@@ -1028,9 +1047,9 @@ class _Run:
             "interrupted", "scheduler", task=name, site=site_name,
             cause=cause, wasted_s=wasted,
         )
-        self.failures_of[name] += 1
-        self.attempt_log[name].append(
-            f"attempt {self.failures_of[name]} at {site_name}: {cause}"
+        failures = self.failures_of[name] = self.failures_of.get(name, 0) + 1
+        self.attempt_log.setdefault(name, []).append(
+            f"attempt {failures} at {site_name}: {cause}"
         )
         if self.breakers is not None and not cause.startswith("staging@"):
             breaker = self.breakers.get(site_name)
@@ -1038,15 +1057,26 @@ class _Run:
             breaker.record_failure(self.sim.now)
             if breaker.trips > trips_before:
                 self.tracer.instant("breaker_open", "resilience",
-                                    site=site_name,
-                                    failures=self.failures_of[name])
+                                    site=site_name, failures=failures)
 
         if self._active_at.get(name):
             # a hedge duplicate is still racing; it owns the outcome now
             return
         if name in self.records:
+            # a loser that outlived its winner (its watchdog fired at the
+            # win's instant, ahead of the cancel): the task's last attempt
+            self._settle(name)
             return
         self._retry_or_fail(task, cause)
+
+    def _settle(self, name: str) -> None:
+        """Drop a finished task's attempt state once no attempt of it is
+        still running (a racing hedge loser still reads the counts)."""
+        if name in self.records and name not in self._active_at:
+            self.attempts.pop(name, None)
+            self.failures_of.pop(name, None)
+            self.attempt_log.pop(name, None)
+            self._hedges_of.pop(name, None)
 
     def _burn(self, site_name: str, seconds: float) -> None:
         """Account execution that produced no result (the slot burned)."""

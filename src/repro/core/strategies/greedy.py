@@ -66,7 +66,8 @@ class HEFTStrategy(PlacementStrategy):
             return exec_mean + comm_mean
 
         # merge (not replace): in stream mode prepare() is called per
-        # arriving job while earlier jobs' tasks are still in flight
+        # arriving job while earlier jobs' tasks are still in flight;
+        # observe() drops each rank once its task completes
         self._rank.update(dag.bottom_levels(time_of=mean_time))
 
     def prioritize(self, ready: list[TaskSpec], ctx: SchedulingContext) -> list[TaskSpec]:
@@ -75,3 +76,7 @@ class HEFTStrategy(PlacementStrategy):
 
     def select_site(self, task: TaskSpec, ctx: SchedulingContext) -> str:
         return earliest_finish_site(task, ctx)
+
+    def observe(self, record, ctx: SchedulingContext) -> None:
+        """A completed task is never ranked again: forget its rank."""
+        self._rank.pop(record.task, None)

@@ -52,8 +52,11 @@ class TestStreamBasics:
             )
 
     def test_negative_arrival_rejected(self):
-        with pytest.raises(SchedulingError):
-            job(-1.0, "x")
+        """Negative and non-finite arrivals fail at construction, naming
+        the field, not later inside the kernel."""
+        for arrival in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(SchedulingError, match="arrival_s"):
+                job(arrival, "x")
 
 
 class TestQueueingBehavior:
