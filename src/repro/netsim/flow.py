@@ -11,9 +11,12 @@ from repro.continuum.topology import PathInfo
 class Flow:
     """One in-flight (or completed) transfer.
 
-    The network updates ``remaining_bytes``/``rate_Bps`` on every
-    reallocation; ``finish_time`` is set when the last byte arrives
-    (transmission done + propagation latency).
+    The network writes ``rate_Bps`` and ``remaining_bytes`` together
+    whenever a rate solve changes this flow's rate, so
+    ``remaining_bytes`` is the byte count as of that solve (the live
+    count is kept in the network's per-column arrays); it is set to 0
+    when the last byte leaves. ``finish_time`` is set when the last
+    byte arrives (transmission done + propagation latency).
     """
 
     flow_id: int

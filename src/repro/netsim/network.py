@@ -12,11 +12,12 @@ Two structural optimizations keep busy networks cheap:
 - **Persistent incidence matrix.** The link x flow 0/1 matrix the
   allocator consumes is maintained incrementally: preallocated and grown
   geometrically on the flow axis, a column is written on ``transfer()``
-  and removed on drain by shifting the columns to its right one slot
-  left (one vectorized copy). The shift — rather than a swap with the
-  last column — preserves flow insertion order, which keeps weighted
-  allocations (whose matvec summation order is order-sensitive in
-  floating point) bit-identical to a freshly rebuilt matrix. A
+  and marked dead on drain. Dead columns are compacted away in one
+  order-preserving pass before the matrix is next read (in practice once
+  per rate solve, however many flows drained at that instant). Keeping
+  insertion order — rather than swapping in the last column — keeps
+  weighted allocations (whose matvec summation order is order-sensitive
+  in floating point) bit-identical to a freshly rebuilt matrix. A
   reallocation therefore does O(levels x links x flows) numpy work with
   zero per-event matrix construction.
 - **Same-instant coalescing.** Flow arrivals/departures/brownouts mark
@@ -86,7 +87,8 @@ class FlowNetwork:
         self._next_id = 0
         # persistent incidence state: column c of _A[:, :_n_active]
         # belongs to flow _col_flow[c]; parallel per-column arrays hold
-        # weight, current rate, and remaining bytes
+        # weight, current rate, and remaining bytes. Drained columns
+        # wait in _dead (and are absent from _col_of) until _compact().
         self._A = np.zeros((n_links, _INITIAL_COLS))
         self._col_w = np.ones(_INITIAL_COLS)
         self._col_rates = np.zeros(_INITIAL_COLS)
@@ -94,6 +96,7 @@ class FlowNetwork:
         self._col_flow: list[int] = []         # column -> flow_id
         self._col_of: dict[int, int] = {}      # flow_id -> column
         self._n_active = 0
+        self._dead: list[int] = []
         self._solve_pending = False
         # aggregate accounting
         self.flows_started = 0
@@ -115,10 +118,14 @@ class FlowNetwork:
         cross the wire). ``weight`` sets this flow's share under
         weighted fairness (background traffic uses < 1).
         """
-        if size_bytes < 0:
-            raise NetworkError(f"negative transfer size {size_bytes}")
-        if weight <= 0:
-            raise NetworkError(f"flow weight must be positive, got {weight}")
+        if not math.isfinite(size_bytes) or size_bytes < 0:
+            raise NetworkError(
+                f"size_bytes must be non-negative and finite, got {size_bytes}"
+            )
+        if not math.isfinite(weight) or weight <= 0:
+            raise NetworkError(
+                f"weight must be positive and finite, got {weight}"
+            )
         path = self.topology.path_info(src, dst)
         flow = Flow(self._next_id, src, dst, float(size_bytes), path,
                     self.sim.now, weight=float(weight))
@@ -174,9 +181,9 @@ class FlowNetwork:
         topology and will be stale, which is exactly how real systems
         mis-plan during congestion events.
         """
-        if bandwidth_Bps <= 0:
+        if not math.isfinite(bandwidth_Bps) or bandwidth_Bps <= 0:
             raise NetworkError(
-                f"bandwidth must be positive, got {bandwidth_Bps}"
+                f"bandwidth_Bps must be positive and finite, got {bandwidth_Bps}"
             )
         try:
             idx = self._link_index[frozenset((a, b))]
@@ -201,6 +208,7 @@ class FlowNetwork:
             idx = self._link_index[frozenset((a, b))]
         except KeyError:
             raise NetworkError(f"no link {a!r}--{b!r}") from None
+        self._compact()
         n = self._n_active
         load = float(self._A[idx, :n] @ self._col_rates[:n])
         return load / self._capacities[idx]
@@ -229,42 +237,50 @@ class FlowNetwork:
             arr[:old_cap] = old
             setattr(self, name, arr)
 
-    def _remove_column(self, fid: int) -> None:
-        """Free a drained flow's column, preserving column order.
+    def _compact(self) -> None:
+        """Drop every dead column in one order-preserving pass.
 
-        Later columns shift one slot left (vectorized copies); keeping
-        insertion order — instead of swapping in the last column — makes
-        the persistent matrix bit-identical to one rebuilt from scratch,
-        so order-sensitive weighted matvecs produce identical rates.
+        Each run of live columns between dead ones shifts left over the
+        gap, so k drains at one instant cost one pass, not k. Keeping
+        insertion order — instead of swapping in the last column — keeps
+        the matrix bit-identical to one rebuilt from scratch, so
+        order-sensitive weighted matvecs produce identical rates.
         """
-        col = self._col_of.pop(fid)
+        dead = self._dead
+        if not dead:
+            return
+        # same-instant drains fire in scheduling order, not column order
+        dead.sort()
         n = self._n_active
-        last = n - 1
-        if col < last:
-            self._A[:, col:last] = self._A[:, col + 1:n]
-            self._col_w[col:last] = self._col_w[col + 1:n]
-            self._col_rates[col:last] = self._col_rates[col + 1:n]
-            self._col_remaining[col:last] = self._col_remaining[col + 1:n]
-            del self._col_flow[col]
-            for c in range(col, last):
-                self._col_of[self._col_flow[c]] = c
-        else:
-            self._col_flow.pop()
-        self._A[:, last] = 0.0
-        self._n_active = last
+        arrays = (self._A, self._col_w, self._col_rates, self._col_remaining)
+        dst = dead[0]
+        for col, next_dead in zip(dead, dead[1:] + [n]):
+            width = next_dead - col - 1
+            if width:
+                for arr in arrays:
+                    arr[..., dst:dst + width] = arr[..., col + 1:next_dead]
+                dst += width
+        self._A[:, dst:n] = 0.0
+        col_flow, col_of = self._col_flow, self._col_of
+        for col in reversed(dead):
+            del col_flow[col]
+        for c in range(dead[0], dst):
+            col_of[col_flow[c]] = c
+        dead.clear()
+        self._n_active = dst
 
     # -- internals ------------------------------------------------------------------
     def _drain_to_now(self) -> None:
         """Advance remaining-byte counters to the current instant."""
         elapsed = self.sim.now - self._last_update
-        n = self._n_active
-        if elapsed > 0 and n:
-            moved = self._col_rates[:n] * elapsed
-            rem = self._col_remaining[:n]
-            np.maximum(rem - moved, 0.0, out=rem)
-            self.bytes_per_link += self._A[:, :n] @ moved
-            for col, fid in enumerate(self._col_flow):
-                self._active[fid].remaining_bytes = rem[col]
+        if elapsed > 0:
+            self._compact()
+            n = self._n_active
+            if n:
+                moved = self._col_rates[:n] * elapsed
+                rem = self._col_remaining[:n]
+                np.maximum(rem - moved, 0.0, out=rem)
+                self.bytes_per_link += self._A[:, :n] @ moved
         self._last_update = self.sim.now
 
     def _mark_dirty(self) -> None:
@@ -277,6 +293,7 @@ class FlowNetwork:
         """Re-solve rates; reschedule drain events for changed flows."""
         self._solve_pending = False
         self.rate_solves += 1
+        self._compact()
         n = self._n_active
         if n == 0:
             return
@@ -294,18 +311,20 @@ class FlowNetwork:
             fid = self._col_flow[col]
             flow = self._active[fid]
             rate = float(rates[col])
+            left = float(remaining[col])
             flow.rate_Bps = rate
+            flow.remaining_bytes = left
             old_event = self._events.pop(fid, None)
             if old_event is not None:
                 self.sim.cancel(old_event)
-            if remaining[col] <= _EPSILON_BYTES:
+            if left <= _EPSILON_BYTES:
                 drain_in = 0.0
             elif rate <= 0 or not math.isfinite(rate):
                 continue  # starved; will be rescheduled at next change
             else:
                 # plain-float division keeps event timestamps (and thus
                 # sim.now) native floats, as before the persistent matrix
-                drain_in = float(remaining[col]) / rate
+                drain_in = left / rate
             self._events[fid] = self.sim.schedule(drain_in, self._on_drained, fid)
         self._col_rates[:n] = rates
 
@@ -316,7 +335,7 @@ class FlowNetwork:
         if flow is None:
             return
         self._events.pop(fid, None)
-        self._remove_column(fid)
+        self._dead.append(self._col_of.pop(fid))
         flow.remaining_bytes = 0.0
         self.sim.schedule(flow.path.latency_s, self._complete, flow)
         self._mark_dirty()

@@ -5,7 +5,7 @@ import pytest
 from repro.continuum import Link, Site, Tier, Topology, edge_cloud_pair
 from repro.core import ContinuumScheduler, GreedyEFTStrategy, TierStrategy
 from repro.datafabric import Dataset
-from repro.errors import SchedulingError
+from repro.errors import NetworkError, SchedulingError
 from repro.faults import LinkBrownout, OutageSchedule, SiteOutage
 from repro.workflow import TaskSpec, WorkflowDAG
 
@@ -191,7 +191,8 @@ class TestLiveBandwidthChange:
         from repro.simcore import Simulator
 
         net = FlowNetwork(Simulator(), edge_cloud_pair())
-        with pytest.raises(Exception):
-            net.set_link_bandwidth("edge", "cloud", 0.0)
+        for bandwidth in (0.0, float("nan"), float("inf")):
+            with pytest.raises(NetworkError, match="bandwidth_Bps"):
+                net.set_link_bandwidth("edge", "cloud", bandwidth)
         with pytest.raises(Exception):
             net.set_link_bandwidth("edge", "mars", 10.0)

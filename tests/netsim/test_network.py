@@ -75,8 +75,9 @@ class TestSingleFlow:
     def test_negative_size_rejected(self):
         sim = Simulator()
         net = FlowNetwork(sim, pair())
-        with pytest.raises(NetworkError):
-            net.transfer("a", "b", -1)
+        for size in (-1, float("nan"), float("inf")):
+            with pytest.raises(NetworkError, match="size_bytes"):
+                net.transfer("a", "b", size)
 
     def test_multihop_bottleneck(self):
         sim = Simulator()

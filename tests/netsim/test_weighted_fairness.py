@@ -127,8 +127,9 @@ class TestWeightedFlows:
 
     def test_invalid_weight_rejected(self):
         sim, net = self.make_net()
-        with pytest.raises(NetworkError):
-            net.transfer("a", "b", 10.0, weight=0.0)
+        for weight in (0.0, float("nan"), float("inf")):
+            with pytest.raises(NetworkError, match="weight"):
+                net.transfer("a", "b", 10.0, weight=weight)
 
     def test_replication_uses_low_weight(self):
         """Background replication barely perturbs a foreground flow."""
