@@ -51,27 +51,20 @@ class SchedulingContext:
         names = candidate_sites if candidate_sites is not None else topology.site_names
         if not names:
             raise SchedulingError("no candidate sites")
+        if len(set(names)) != len(names):
+            dup = next(n for i, n in enumerate(names) if n in names[:i])
+            raise SchedulingError(f"duplicate candidate site {dup!r}")
         self._all_candidates: list[Site] = [topology.site(n) for n in names]
         self._down: set[str] = set()
         self._vetoed: set[str] = set()
-        self._slots: dict[str, np.ndarray] = {
-            s.name: np.zeros(s.slots) for s in self._all_candidates
-        }
-        # (busy-until, slot-index) heap mirror of _slots, updated in
-        # lockstep: reserve() runs once per placed task, and one O(log
-        # slots) heapreplace beats two O(slots) reductions there. The
-        # lexicographic pop picks the smallest busy-until and, on ties,
-        # the lowest slot index — exactly ndarray.argmin's first-minimum
-        # rule — while load_of keeps the ndarray (same slot layout, so
-        # its pairwise mean stays bit-stable).
+        # per-site (busy-until, slot-index) heap: reserve() runs once per
+        # placed task and takes the root in O(log slots). The
+        # lexicographic order picks the smallest busy-until and, on
+        # ties, the lowest slot index; heap[0][0] is the earliest-free
+        # slot time.
         self._slot_heap: dict[str, list[tuple[float, int]]] = {
             s.name: [(0.0, i) for i in range(s.slots)]
             for s in self._all_candidates
-        }
-        # maintained copy of each site's earliest-free slot time, so the
-        # hot est_available path is a dict lookup instead of a ufunc min
-        self._slot_min: dict[str, float] = {
-            s.name: 0.0 for s in self._all_candidates
         }
         # earliest-free vectors per candidate tuple for the batch path.
         # Reservations update the chosen site's entry of every cached
@@ -104,7 +97,7 @@ class SchedulingContext:
 
     # -- availability (failure injection) -----------------------------------------
     def mark_down(self, site: str) -> None:
-        if site not in self._slots:
+        if site not in self._slot_heap:
             raise SchedulingError(f"{site!r} is not a candidate site")
         if site not in self._down:
             self._down.add(site)
@@ -140,7 +133,7 @@ class SchedulingContext:
     def est_available(self, site: str) -> float:
         """Earliest time a slot at ``site`` is expected to be free."""
         try:
-            earliest = self._slot_min[site]
+            earliest = self._slot_heap[site][0][0]
         except KeyError:
             raise SchedulingError(f"{site!r} is not a candidate site") from None
         return max(earliest, self._now)
@@ -149,14 +142,11 @@ class SchedulingContext:
         """Record that the earliest slot at ``site`` is now believed busy
         until ``finish_time``."""
         heap = self._slot_heap[site]
-        i = heap[0][1]
-        heapq.heapreplace(heap, (finish_time, i))
-        self._slots[site][i] = finish_time
+        heapq.heapreplace(heap, (finish_time, heap[0][1]))
         earliest = heap[0][0]
-        self._slot_min[site] = earliest
         # changed-column-only maintenance of the cached earliest-free
         # vectors: only this site's entry moved, so every cached vector
-        # stays exactly equal to a fresh _slot_min gather
+        # stays exactly equal to a fresh gather of the heap roots
         for avail, pos in self._avail_cache.values():
             i = pos.get(site)
             if i is not None:
@@ -165,13 +155,13 @@ class SchedulingContext:
     def load_of(self, site: str) -> float:
         """Mean remaining busy time across slots (a load signal for
         least-loaded tie-breaking)."""
-        slots = self._slots[site]
+        heap = self._slot_heap[site]
+        slots = np.empty(len(heap))
+        for busy, i in heap:
+            slots[i] = busy
         return float(np.maximum(slots - self._now, 0.0).mean())
 
     # -- planner estimates ------------------------------------------------------------
-    def estimate(self, task: TaskSpec, site: Site) -> TaskEstimate:
-        return self.cost.estimate(task, site)
-
     def estimate_finish(self, task: TaskSpec, site: Site) -> tuple[TaskEstimate, float]:
         """EFT rule: staging overlaps the queue wait; execution starts at
         ``max(now + stage, slot available)`` and runs for ``exec``."""
@@ -193,7 +183,7 @@ class SchedulingContext:
         else:
             try:
                 earliest = np.fromiter(
-                    (self._slot_min[s.name] for s in sites),
+                    (self._slot_heap[s.name][0][0] for s in sites),
                     dtype=float, count=len(sites),
                 )
             except KeyError as exc:
@@ -204,7 +194,7 @@ class SchedulingContext:
             self._avail_cache[est.sites] = (earliest, pos)
             if len(self._avail_cache) > _AVAIL_CACHE_MAX:
                 self._avail_cache.popitem(last=False)
-        # max(slot_min, now) elementwise == scalar est_available
+        # max(earliest, now) elementwise == scalar est_available
         avail = np.maximum(earliest, self._now)
         start = np.maximum(self._now + est.stage_time_s, avail)
         return est, start + est.exec_time_s

@@ -135,26 +135,15 @@ class CostModel:
     def __init__(self, topology: Topology, catalog: ReplicaCatalog):
         self.topology = topology
         self.catalog = catalog
-        # nearest-source memo: (dataset, site) -> (src, est), valid for
-        # one catalog version. Placement evaluates every candidate site
-        # for every ready task, so identical lookups repeat heavily
-        # within a dispatch round; this cache was the top line of the
-        # scheduler profile before it existed.
-        self._nearest_cache: dict[tuple[str, str], tuple[str, float]] = {}
         # per-dataset staging arrays: dataset -> candidate tuple ->
         # entry, each validated by (routes epoch, per-dataset replica
         # version). The scheduler drops a dataset's entries with
         # forget_dataset once its last reader completes, so the cache
         # holds only datasets that in-flight work may still read.
         self._stage_cache: dict[str, dict] = {}
-        # per-candidate-tuple static site arrays (sites are frozen):
-        # matrix columns (validated by routes epoch), speeds per task
-        # kind, busy watts, compute price
-        self._cols_cache: dict = {}
-        self._speed_cache: dict = {}
-        self._watts_cache: dict = {}
-        self._price_cache: dict = {}
-        self._cache_version = catalog.version
+        # per-candidate-tuple site arrays, validated by routes epoch:
+        # (matrix columns, busy watts, compute price, speeds per kind)
+        self._site_cache: dict = {}
         # whole-row memo for wave dispatch: tasks that share an input
         # signature (inputs, kind, work) over the same candidate tuple
         # reuse one set of estimate arrays. Keys validate against
@@ -172,17 +161,6 @@ class CostModel:
         """Service time of ``task`` on one slot of ``site``."""
         return site.service_time(task.work, kind=task.kind)
 
-    def _nearest(self, name: str, site_name: str) -> tuple[str, float]:
-        if self._cache_version != self.catalog.version:
-            self._nearest_cache.clear()
-            self._cache_version = self.catalog.version
-        key = (name, site_name)
-        hit = self._nearest_cache.get(key)
-        if hit is None:
-            hit = self.catalog.nearest_source(self.topology, name, site_name)
-            self._nearest_cache[key] = hit
-        return hit
-
     def stage_plan(
         self, task: TaskSpec, site: Site
     ) -> list[tuple[str, str, float]]:
@@ -193,7 +171,8 @@ class CostModel:
         for name in task.inputs:
             if self.catalog.has_replica(name, site.name):
                 continue
-            src, est = self._nearest(name, site.name)
+            src, est = self.catalog.nearest_source(
+                self.topology, name, site.name)
             plan.append((name, src, est))
         return plan
 
@@ -237,9 +216,10 @@ class CostModel:
         does (nothing to stage anywhere).
 
         Source choice reproduces :meth:`ReplicaCatalog.nearest_source`
-        exactly: candidate sources are scanned in replica-registration
-        order and ``argmin`` keeps the first minimum, matching the
-        scalar strict-``<`` first-wins scan.
+        exactly: sources are folded in replica-registration order and a
+        later source wins only on strictly smaller time, the scalar
+        first-wins scan. A fold resumes from the cached minimum when
+        replicas were only appended since, which keeps the same floats.
         """
         dsver = self.catalog.dataset_version(name)
         per_names = self._stage_cache.get(name)
@@ -250,42 +230,22 @@ class CostModel:
         sources = self.catalog.locations(name)
         if not sources:
             raise DataFabricError(f"dataset {name!r} has no replicas")
-        n = len(names)
-        t_best = u_best = None
-        if hit is not None and hit[0] == epoch:
-            # stale only because replicas changed; if sources merely grew
-            # (the common staging pattern), fold the appended ones into
-            # the cached per-source minimum instead of rebuilding. A
-            # later source wins only on strictly smaller time — the same
-            # rule as argmin keeping its first occurrence.
-            old = hit[2]
-            if len(sources) >= len(old) and sources[:len(old)] == old:
-                t_best, u_best = hit[3], hit[4]
-                for src in sources[len(old):]:
-                    lat, bw, usd = self.topology.path_rows(src)
-                    t_new = _stage_times(lat, bw, cols, size)
-                    better = t_new < t_best
-                    t_best = np.where(better, t_new, t_best)
-                    u_best = np.where(better, usd[cols], u_best)
-        if t_best is None:
-            if len(sources) == 1:
-                lat, bw, usd = self.topology.path_rows(sources[0])
-                t_best = _stage_times(lat, bw, cols, size)
-                u_best = usd[cols]
-            else:
-                times = np.empty((len(sources), n))
-                usds = np.empty((len(sources), n))
-                for i, src in enumerate(sources):
-                    lat, bw, usd = self.topology.path_rows(src)
-                    times[i] = _stage_times(lat, bw, cols, size)
-                    usds[i] = usd[cols]
-                best = times.argmin(axis=0)
-                picked = np.arange(n)
-                t_best = times[best, picked]
-                u_best = usds[best, picked]
+        old = hit[2] if hit is not None and hit[0] == epoch else None
+        if old is not None and sources[:len(old)] == old:
+            start, t_best, u_best = len(old), hit[3], hit[4]
+        else:
+            lat, bw, usd = self.topology.path_rows(sources[0])
+            start = 1
+            t_best, u_best = _stage_times(lat, bw, cols, size), usd[cols]
+        for src in sources[start:]:
+            lat, bw, usd = self.topology.path_rows(src)
+            t_new = _stage_times(lat, bw, cols, size)
+            better = t_new < t_best
+            t_best = np.where(better, t_new, t_best)
+            u_best = np.where(better, usd[cols], u_best)
         held = set(sources)
         need = np.fromiter(
-            (nm not in held for nm in names), dtype=bool, count=n,
+            (nm not in held for nm in names), dtype=bool, count=len(names),
         )
         if not need.any():
             arrays = None
@@ -309,8 +269,8 @@ class CostModel:
 
     def forget_dataset(self, name: str) -> None:
         """Drop every staging entry of dataset ``name``. Safe at any
-        time: a later lookup re-derives the entry, and both the fold and
-        the rebuild path keep the first minimum, so the floats match."""
+        time: a later lookup re-derives the entry with the same fold, so
+        the floats match."""
         self._stage_cache.pop(name, None)
 
     def estimate_batch(self, task: TaskSpec, sites: list[Site]) -> BatchEstimate:
@@ -333,18 +293,7 @@ class CostModel:
             batch = BatchEstimate(task.name, names, *row[2])
             self._last_row = (row_key, epoch, version, batch)
             return batch
-        hit = self._cols_cache.get(names)
-        if hit is not None and hit[0] == epoch:
-            cols = hit[1]
-        else:
-            index = self.topology.site_index
-            try:
-                cols = np.fromiter(
-                    (index[nm] for nm in names), dtype=np.intp, count=n
-                )
-            except KeyError as exc:
-                raise SchedulingError(f"unknown site {exc.args[0]!r}") from None
-            self._cols_cache[names] = (epoch, cols)
+        cols, watts, price, _ = self._site_arrays(names, sites)
         stage = np.zeros(n)
         bytes_moved = np.zeros(n)
         transfer_usd = np.zeros(n)
@@ -360,19 +309,6 @@ class CostModel:
             bytes_moved += b_add
             transfer_usd += u_add
         exec_t = task.work / self._speeds(names, task.kind, sites)
-        watts = self._watts_cache.get(names)
-        if watts is None:
-            watts = np.fromiter(
-                (s.power.busy_watts for s in sites), dtype=float, count=n
-            )
-            self._watts_cache[names] = watts
-        price = self._price_cache.get(names)
-        if price is None:
-            price = np.fromiter(
-                (s.pricing.usd_per_core_hour for s in sites),
-                dtype=float, count=n,
-            )
-            self._price_cache[names] = price
         # elementwise forms of PowerModel.marginal_energy and
         # PricingModel.compute_cost (slots=1): same operation order,
         # bit-identical to the scalar calls
@@ -424,19 +360,47 @@ class CostModel:
             return None
         return float(batch.stage_time_s[i]), float(batch.exec_time_s[i])
 
+    def _site_arrays(
+        self, names: tuple[str, ...], sites: list[Site]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+        """``(matrix columns, busy watts, compute price, speeds by
+        kind)`` for one candidate tuple, rebuilt when the routes epoch
+        moves (sites are frozen; the columns follow the topology)."""
+        epoch = self.topology.routes_epoch
+        hit = self._site_cache.get(names)
+        if hit is not None and hit[0] == epoch:
+            return hit[1]
+        n = len(names)
+        index = self.topology.site_index
+        try:
+            cols = np.fromiter(
+                (index[nm] for nm in names), dtype=np.intp, count=n
+            )
+        except KeyError as exc:
+            raise SchedulingError(f"unknown site {exc.args[0]!r}") from None
+        entry = (
+            cols,
+            np.fromiter((s.power.busy_watts for s in sites),
+                        dtype=float, count=n),
+            np.fromiter((s.pricing.usd_per_core_hour for s in sites),
+                        dtype=float, count=n),
+            {},
+        )
+        self._site_cache[names] = (epoch, entry)
+        return entry
+
     def _speeds(
         self, names: tuple[str, ...], kind: str | None, sites: list[Site]
     ) -> np.ndarray:
-        """Cached per-candidate effective speeds for a task kind (sites
-        are frozen, so these never expire)."""
-        key = (names, kind)
-        speeds = self._speed_cache.get(key)
+        """Per-candidate effective speeds for a task kind, cached in the
+        candidate tuple's site arrays."""
+        by_kind = self._site_arrays(names, sites)[3]
+        speeds = by_kind.get(kind)
         if speeds is None:
-            speeds = np.fromiter(
+            speeds = by_kind[kind] = np.fromiter(
                 (s.effective_speed(kind) for s in sites),
                 dtype=float, count=len(names),
             )
-            self._speed_cache[key] = speeds
         return speeds
 
     def mean_exec_time(self, task: TaskSpec, sites: list[Site]) -> float:

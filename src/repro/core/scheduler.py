@@ -629,7 +629,7 @@ class _Run:
             # registry learns of the death through the replicated log;
             # stale readers keep routing to the corpse until it commits
             self.catalog.endpoint_down(outage.site)
-        if outage.site in self.ctx._slots:
+        if outage.site in self.resources:
             self.ctx.mark_down(outage.site)
         victims = [
             (name, proc)

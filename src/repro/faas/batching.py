@@ -77,10 +77,6 @@ class Batcher:
             )
         return signal
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
     def _on_timer(self) -> None:
         self._flush_event = None
         if self._pending:

@@ -129,29 +129,6 @@ class Simulator:
                           kind="gauge")
 
     # -- running ---------------------------------------------------------------
-    def _dispatch(self, event: Event) -> None:
-        """Advance the clock to ``event`` and run its callback."""
-        if event.time < self._now:
-            raise SimulationError("event queue produced a time in the past")
-        self._now = event.time
-        self.event_count += 1
-        event.callback(*event.args)
-        # A caller may still hold this event and cancel() it later;
-        # marking it cancelled keeps that a true no-op instead of
-        # corrupting the queue's dead-entry accounting.
-        event.cancelled = True
-
-    def step(self) -> bool:
-        """Execute the next event; returns False when the queue is empty."""
-        event = self._queue._pop_or_none()
-        if event is None:
-            return False
-        self._dispatch(event)
-        rec = self._recorder
-        if rec is not None and self._now >= rec.next_t:
-            rec.tick(self._now)
-        return True
-
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Run until the queue drains, ``until`` is reached, or
         ``max_events`` more events have fired. Returns the final clock.
@@ -195,6 +172,8 @@ class Simulator:
                 self._now = time
                 fired += 1
                 event.callback(*event.args)
+                # a caller may still hold this event and cancel() it
+                # later; marking it keeps that a true no-op
                 event.cancelled = True
                 if time >= rec_next:
                     # Fold fired-so-far into event_count first so gauge

@@ -9,9 +9,12 @@ same site it picked with the scalar loops — including on exact ties.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.continuum import Link, Site, Tier, Topology, geo_random_continuum
 from repro.core import SchedulingContext
+from repro.core.cost import CostModel
 from repro.core.strategies import (
     CostAwareStrategy,
     DataGravityStrategy,
@@ -23,7 +26,7 @@ from repro.core.strategies import (
 from repro.continuum.power import PowerModel
 from repro.continuum.pricing import PricingModel
 from repro.datafabric import Dataset, ReplicaCatalog
-from repro.errors import DataFabricError, SchedulingError
+from repro.errors import DataFabricError, SchedulingError, TopologyError
 from repro.workflow.task import TaskSpec
 
 
@@ -234,3 +237,67 @@ class TestStrategiesMatchScalarReference:
         task = TaskSpec("t", work=3.0, inputs=("d0",), deadline_s=100.0)
         assert (strategy.select_site(task, ctx)
                 == _scalar_reference(ref_name, task, ctx))
+
+
+def _fold_world():
+    """A hub with four spokes whose links tie on time but differ in
+    $/GB (a tie-break that picks the wrong source shows in dollars), a
+    slower far site, and an unreachable island."""
+    topo = Topology("fold")
+    topo.add_site(Site("hub", Tier.CLOUD))
+    for i in range(4):
+        topo.add_site(Site(f"s{i}", Tier.EDGE))
+        topo.add_link("hub", f"s{i}",
+                      Link(0.01, 1e8, usd_per_gb=0.01 * (i + 1)))
+    topo.add_site(Site("far", Tier.CLOUD))
+    topo.add_link("hub", "far", Link(0.2, 1e7, usd_per_gb=0.001))
+    topo.add_site(Site("island", Tier.FOG))
+    catalog = ReplicaCatalog()
+    catalog.register(Dataset("big", 5e7))
+    catalog.register(Dataset("empty", 0.0))
+    catalog.add_replica("big", "s0")
+    catalog.add_replica("empty", "s1")
+    return topo, catalog
+
+
+_FOLD_OPS = st.lists(
+    st.tuples(st.sampled_from(["add", "drop", "forget"]),
+              st.sampled_from(["big", "empty"]),
+              st.sampled_from(["hub", "s0", "s1", "s2", "s3", "far",
+                               "island"])),
+    min_size=1, max_size=25,
+)
+
+
+class TestStagingFoldProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_FOLD_OPS)
+    def test_warm_equals_cold_and_scalar(self, ops):
+        """Random add/drop/forget sequences: the warm model's arrays
+        (resumed or restarted folds) equal a cold model's bit for bit,
+        and every candidate where a scalar estimate exists equals it."""
+        topo, catalog = _fold_world()
+        warm = CostModel(topo, catalog)
+        sites = topo.sites
+        task = TaskSpec("t", work=3.0, inputs=("big", "empty"))
+        fields = ("stage_time_s", "exec_time_s", "bytes_moved", "energy_j",
+                  "compute_usd", "transfer_usd")
+        for op, name, site in ops:
+            held = catalog.locations(name)
+            if op == "add":
+                catalog.add_replica(name, site)
+            elif op == "drop" and site in held and len(held) > 1:
+                catalog.drop_replica(name, site)
+            elif op == "forget":
+                warm.forget_dataset(name)
+            got = warm.estimate_batch(task, sites)
+            cold = CostModel(topo, catalog).estimate_batch(task, sites)
+            for field in fields:
+                assert (getattr(got, field).tobytes()
+                        == getattr(cold, field).tobytes()), field
+            for i, s in enumerate(sites):
+                try:
+                    scalar = warm.estimate(task, s)
+                except TopologyError:   # a route the scalar path rejects
+                    continue
+                assert got.at(i) == scalar

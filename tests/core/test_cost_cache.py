@@ -1,4 +1,4 @@
-"""The nearest-source memo must never serve stale placement data."""
+"""Stage plans must follow replica changes: never stale placement data."""
 
 import pytest
 

@@ -102,9 +102,15 @@ class TestSchedulingContext:
             ctx.est_available("edge")
 
     def test_empty_candidates_rejected(self):
+        # every rejected candidate list, in one test
         topo, cat = make_world()
-        with pytest.raises(SchedulingError):
-            SchedulingContext(topo, cat, candidate_sites=[])
+        for names, match in [
+            ([], "no candidate sites"),
+            (["edge", "edge"], "duplicate candidate site 'edge'"),
+            (["edge", "cloud", "edge"], "duplicate candidate site 'edge'"),
+        ]:
+            with pytest.raises(SchedulingError, match=match):
+                SchedulingContext(topo, cat, candidate_sites=names)
 
     def test_reservation_bookkeeping(self):
         topo, cat = make_world()

@@ -167,10 +167,12 @@ class TestAvailabilityCache:
         assert len(ctx._avail_cache) == _AVAIL_CACHE_MAX
 
     def test_incremental_update_equals_fresh_gather(self):
-        """Every cached vector must stay bit-equal to rebuilding it
-        from ``_slot_min`` after any pattern of reservations."""
+        """Every cached vector must stay bit-equal to a fresh gather of
+        ``est_available`` — and to an independent per-slot ndarray
+        model — after any pattern of reservations."""
         topo, catalog = make_world(n_sites=6)
         ctx = SchedulingContext(topo, catalog)
+        model = {s.name: np.zeros(s.slots) for s in topo.sites}
         t = task()
         ctx.estimate_finish_batch(t, ctx.candidates)         # all-up tuple
         ctx.mark_down(topo.site_names[0])
@@ -179,27 +181,38 @@ class TestAvailabilityCache:
         rng = np.random.default_rng(0)
         for i in range(50):
             site = topo.site_names[int(rng.integers(len(topo.site_names)))]
-            ctx.reserve(site, float(rng.uniform(1.0, 100.0)))
+            finish = float(rng.uniform(1.0, 100.0))
+            ctx.reserve(site, finish)
+            slots = model[site]
+            slots[slots.argmin()] = finish
             for key, (vec, _) in ctx._avail_cache.items():
-                fresh = np.fromiter((ctx._slot_min[n] for n in key),
+                fresh = np.fromiter((ctx.est_available(n) for n in key),
                                     dtype=float, count=len(key))
+                expect = np.array([model[n].min() for n in key])
                 assert np.array_equal(vec, fresh)
+                assert np.array_equal(vec, expect)
 
     def test_reserve_matches_slot_semantics(self):
         """The heap-backed reserve keeps ``est_available`` and
-        ``load_of`` exactly as the ndarray argmin/min did."""
+        ``load_of`` exactly as an ndarray model with argmin/min gives
+        them, ties (lowest slot first) and slot layout included."""
         topo, catalog = make_world(n_sites=4)
         ctx = SchedulingContext(topo, catalog)
-        site = topo.site_names[0]
-        slots = ctx._slots[site]
+        site = max(topo.sites, key=lambda s: s.slots)
+        assert site.slots > 1
+        slots = np.zeros(site.slots)
         rng = np.random.default_rng(1)
-        for _ in range(4 * len(slots)):
-            finish = float(rng.uniform(0.0, 50.0))
-            expect = slots.copy()
-            expect[expect.argmin()] = finish
-            ctx.reserve(site, finish)
-            assert np.array_equal(ctx._slots[site], expect)
-            assert ctx.est_available(site) == float(slots.min())
+        for step in range(8 * site.slots):
+            # a coarse grid of finish times forces exact ties
+            finish = float(rng.integers(0, 6)) * 7.3
+            slots[slots.argmin()] = finish
+            ctx.reserve(site.name, finish)
+            now = 0.0 if step % 3 == 0 else float(rng.uniform(0.0, 40.0))
+            ctx.set_now(now)
+            assert ctx.est_available(site.name) == max(float(slots.min()),
+                                                       now)
+            expect = float(np.maximum(slots - now, 0.0).mean())
+            assert ctx.load_of(site.name) == expect
 
 
 class TestPrioritizePurity:
