@@ -44,7 +44,7 @@ from repro.core.scheduler import wave_dispatch
 from repro.core.strategies import DataGravityStrategy, GreedyEFTStrategy
 from repro.datafabric import Dataset, ReplicaCatalog
 from repro.workflow import TaskSpec
-from tests.oracles import scalar_dispatch, scalar_engine
+from tests.oracles import per_input_staging, scalar_dispatch, scalar_engine
 
 
 class _Clock:
@@ -211,6 +211,37 @@ def dag_ladder(mode, n_levels, width):
     return run.decisions
 
 
+def _fan_in_world(n_tasks):
+    """Reduce tasks each reading 24-32 partitions of their own, every
+    partition held at one site: no two tasks share an input, so every
+    row and every staging entry is built cold."""
+    topo = _warm_topology(geo_random_continuum(24, seed=3))
+    names = topo.site_names
+    catalog = ReplicaCatalog()
+    tasks = []
+    for r in range(n_tasks):
+        parts = tuple(f"r{r}-m{m}" for m in range(24 + r % 9))
+        for m, part in enumerate(parts):
+            catalog.register(Dataset(part, 1e6 * (1 + m % 5)))
+            catalog.add_replica(part, names[(r + 7 * m) % len(names)])
+        tasks.append(TaskSpec(f"r{r}", 2.0 + r % 3, inputs=parts))
+    return topo, catalog, tasks
+
+
+def fan_in_reduce(mode, n_tasks):
+    """One wave of fan-in reduce tasks (the shuffle and stream-join
+    shape) under greedy EFT. The reference side pairs the scalar loop
+    with the frozen per-input staging build, so the ratio measures
+    building each task's cold inputs in one block, and the decision
+    cross-check compares the two builds' estimates bit for bit."""
+    topo, catalog, tasks = _world(("fan-in", n_tasks),
+                                  lambda: _fan_in_world(n_tasks))
+    with per_input_staging() if mode == "scalar" else nullcontext():
+        run = _Harness(topo, catalog, GreedyEFTStrategy(), mode)
+        run.dispatch(list(tasks), mode)
+    return run.decisions
+
+
 def _best_of(fn, arg, repeat):
     best, result = float("inf"), None
     gc.collect()
@@ -225,7 +256,7 @@ def _best_of(fn, arg, repeat):
     return best, result
 
 
-def _compare(name, workload, reps):
+def _compare(name, workload, reps, baseline="scalar-dispatch"):
     base_s, base_obs = _best_of(workload, "scalar", reps)
     opt_s, opt_obs = _best_of(workload, "wave", reps)
     if base_obs != opt_obs:
@@ -238,7 +269,7 @@ def _compare(name, workload, reps):
     tasks = len(opt_obs)
     return {
         "name": name,
-        "baseline": "scalar-dispatch",
+        "baseline": baseline,
         "events": tasks,
         "reference_s": round(base_s, 6),
         "optimized_s": round(opt_s, 6),
@@ -261,9 +292,13 @@ def run_benchmarks(repeat: int = 5, quick: bool = False) -> dict:
          lambda mode: churn_veto_storm(mode, 50_000 * min(scale, 2))),
         ("dag_ladder",
          lambda mode: dag_ladder(mode, 50 * scale, 1000)),
+        ("fan_in_reduce",
+         lambda mode: fan_in_reduce(mode, 500 * scale),
+         "scalar-dispatch+per-input-staging"),
     ]
     reps = 1 if quick else max(2, repeat // 2)
-    rows = [_compare(name, fn, reps) for name, fn in workloads]
+    rows = [_compare(name, fn, reps, *baseline)
+            for name, fn, *baseline in workloads]
     return {
         "schema": "repro-bench-scheduler/1",
         "generated": datetime.now(timezone.utc).isoformat(timespec="seconds"),

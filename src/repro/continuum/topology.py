@@ -60,21 +60,18 @@ class Topology:
         self.graph = nx.Graph()
         self._sites: dict[str, Site] = {}
         self._path_cache: dict[tuple[str, str], PathInfo] = {}
-        # all-pairs path-property matrices (see path_rows); rebuilt lazily
-        # after any mutation, rows filled on demand
+        # all-pairs path properties (see path_rows), one plane each for
+        # latency, bandwidth and $/GB; rebuilt lazily after any
+        # mutation, rows filled on demand
         self._site_index: dict[str, int] | None = None
-        self._lat_matrix: np.ndarray | None = None
-        self._bw_matrix: np.ndarray | None = None
-        self._usd_matrix: np.ndarray | None = None
+        self._path_matrix: np.ndarray | None = None
         self._row_filled: np.ndarray | None = None
         self._routes_epoch = 0
 
     def _invalidate_routes(self) -> None:
         self._path_cache.clear()
         self._site_index = None
-        self._lat_matrix = None
-        self._bw_matrix = None
-        self._usd_matrix = None
+        self._path_matrix = None
         self._row_filled = None
         self._routes_epoch += 1
 
@@ -203,23 +200,36 @@ class Topology:
         zero (an ``inf`` there would make an unreachable site the most
         attractive destination on the continuum).
         """
+        row = self._filled_row(src)
+        lat, bw, usd = self._path_matrix[:, row]
+        return lat, bw, usd
+
+    def path_block(self, sources: list[str], cols: np.ndarray) -> np.ndarray:
+        """``(latency_s, bandwidth_Bps, usd_per_gb)`` blocks, stacked
+        in one fresh ``(3, len(sources), len(cols))`` array the caller
+        may write to: row ``i`` of each plane is that :meth:`path_rows`
+        array of ``sources[i]`` at the matrix columns ``cols``, with the
+        same unreachable encoding. Two gathers in all, so a caller
+        needing many source rows pays no numpy call per source."""
+        rows = [self._filled_row(src) for src in sources]
+        return self._path_matrix.take(rows, axis=1).take(cols, axis=2)
+
+    def _filled_row(self, src: str) -> int:
+        """Matrix row of ``src``, running its Dijkstra pass first if the
+        row is not filled yet."""
         index = self.site_index
         try:
             row = index[src]
         except KeyError:
             raise TopologyError(f"unknown site {src!r}") from None
-        if self._lat_matrix is None:
+        if self._path_matrix is None:
             n = len(index)
-            self._lat_matrix = np.zeros((n, n))
-            self._bw_matrix = np.zeros((n, n))
-            self._usd_matrix = np.zeros((n, n))
+            self._path_matrix = np.zeros((3, n, n))
             self._row_filled = np.zeros(n, dtype=bool)
-            for m in (self._lat_matrix, self._bw_matrix, self._usd_matrix):
-                m.flags.writeable = False
+            self._path_matrix.flags.writeable = False
         if not self._row_filled[row]:
-            lat, bw, usd = self._lat_matrix, self._bw_matrix, self._usd_matrix
-            for m in (lat, bw, usd):
-                m.flags.writeable = True
+            self._path_matrix.flags.writeable = True
+            lat, bw, usd = self._path_matrix
             # one single-source Dijkstra pass covers every destination;
             # composed PathInfos are shared with the scalar path cache so
             # the two APIs can never disagree on a route
@@ -242,14 +252,9 @@ class Topology:
                 lat[row, col] = info.latency_s
                 bw[row, col] = info.bandwidth_Bps
                 usd[row, col] = info.usd_per_gb
-            for m in (lat, bw, usd):
-                m.flags.writeable = False
+            self._path_matrix.flags.writeable = False
             self._row_filled[row] = True
-        return (
-            self._lat_matrix[row],
-            self._bw_matrix[row],
-            self._usd_matrix[row],
-        )
+        return row
 
     def validate(self) -> None:
         """Raise :class:`TopologyError` unless the topology is non-empty

@@ -29,23 +29,6 @@ _SITE_NAME = operator.attrgetter("name")
 _ROW_CACHE_MAX = 4096
 
 
-def _stage_times(lat: np.ndarray, bw: np.ndarray, cols: np.ndarray,
-                 size: float) -> np.ndarray:
-    """Unloaded staging times ``lat + size / bw`` over candidate columns.
-
-    Unreachable destinations carry ``bw == 0`` in the path matrices
-    (see :meth:`Topology.path_rows`); they must estimate as ``inf`` —
-    including for zero-byte datasets, where a bare ``0/0`` would poison
-    the row with NaN and win every ``argmin``.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        times = lat[cols] + size / bw[cols]
-    unreachable = bw[cols] == 0.0
-    if unreachable.any():
-        times[unreachable] = np.inf
-    return times
-
-
 @dataclass(frozen=True)
 class TaskEstimate:
     """Planner estimate for one (task, site) pairing."""
@@ -206,66 +189,116 @@ class CostModel:
         )
 
     def _stage_arrays(
-        self, name: str, names: tuple[str, ...], cols: np.ndarray, epoch: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Per-candidate staging contributions for one dataset, memoized
-        per (routes epoch, dataset replica version) so one dataset's
-        arrays survive other datasets being staged. Returns
-        ``(stage_time, bytes, transfer_usd)`` with zeros at candidates
-        that already hold a replica, or ``None`` when every candidate
-        does (nothing to stage anywhere).
+        self, inputs: tuple[str, ...], names: tuple[str, ...],
+        cols: np.ndarray, epoch: int,
+    ) -> list:
+        """Per-input staging contributions over one candidate tuple, in
+        ``inputs`` order: ``(stage_time, bytes, transfer_usd)`` with
+        zeros at candidates that already hold a replica, or ``None``
+        where every candidate does (nothing to stage anywhere).
+
+        Entries are memoized per dataset, validated by (routes epoch,
+        dataset replica version), so one dataset's arrays survive other
+        datasets being staged. The inputs the cache cannot serve are
+        built together: one :meth:`Topology.path_block` gather and one
+        ``(sources x candidates)`` pass give the staging times from
+        every source of every such input. An input's row starts from
+        its first source's, or from the cached minimum when replicas
+        were only appended since, and folds its further sources in one
+        at a time; masking and pricing then run once over the block.
 
         Source choice reproduces :meth:`ReplicaCatalog.nearest_source`
         exactly: sources are folded in replica-registration order and a
         later source wins only on strictly smaller time, the scalar
-        first-wins scan. A fold resumes from the cached minimum when
-        replicas were only appended since, which keeps the same floats.
+        first-wins scan. A resumed fold keeps the same floats.
         """
-        dsver = self.catalog.dataset_version(name)
-        per_names = self._stage_cache.get(name)
-        hit = per_names.get(names) if per_names is not None else None
-        if hit is not None and hit[0] == epoch and hit[1] == dsver:
-            return hit[5]
-        size = self.catalog.dataset(name).size_bytes
-        sources = self.catalog.locations(name)
-        if not sources:
-            raise DataFabricError(f"dataset {name!r} has no replicas")
-        old = hit[2] if hit is not None and hit[0] == epoch else None
-        if old is not None and sources[:len(old)] == old:
-            start, t_best, u_best = len(old), hit[3], hit[4]
-        else:
-            lat, bw, usd = self.topology.path_rows(sources[0])
-            start = 1
-            t_best, u_best = _stage_times(lat, bw, cols, size), usd[cols]
-        for src in sources[start:]:
-            lat, bw, usd = self.topology.path_rows(src)
-            t_new = _stage_times(lat, bw, cols, size)
-            better = t_new < t_best
-            t_best = np.where(better, t_new, t_best)
-            u_best = np.where(better, usd[cols], u_best)
-        held = set(sources)
-        need = np.fromiter(
-            (nm not in held for nm in names), dtype=bool, count=len(names),
-        )
-        if not need.any():
-            arrays = None
-        else:
-            # pre-masked contribution arrays: adding 0.0 at resident
-            # sites is a bit-exact no-op, so estimate_batch can
-            # accumulate with plain ufuncs instead of fancy indexing
-            with np.errstate(invalid="ignore"):
-                usd_term = u_best * (size / 1e9)
-            # unreachable candidates carry inf $/GB; inf * 0 bytes is
-            # NaN, which must rank as unreachable, not free
-            usd_term = np.where(np.isfinite(u_best), usd_term, np.inf)
-            arrays = (
-                np.where(need, t_best, 0.0),
-                np.where(need, size, 0.0),
-                np.where(need, usd_term, 0.0),
-            )
-        self._stage_cache.setdefault(name, {})[names] = (
-            epoch, dsver, sources, t_best, u_best, arrays)
-        return arrays
+        catalog = self.catalog
+        out = []
+        misses = []
+        # one gather row per source: each miss's first source, then the
+        # further sources of multi-source misses, every row staging its
+        # own dataset's size
+        srcs = []
+        sizes = []
+        multi = []
+        for name in inputs:
+            dsver = catalog.dataset_version(name)
+            per_names = self._stage_cache.get(name)
+            hit = per_names.get(names) if per_names is not None else None
+            if hit is not None and hit[0] == epoch and hit[1] == dsver:
+                out.append(hit[5])
+                continue
+            size = catalog.dataset(name).size_bytes
+            sources = catalog.locations(name)
+            if not sources:
+                raise DataFabricError(f"dataset {name!r} has no replicas")
+            if len(sources) > 1:
+                if hit is not None and (hit[0] != epoch
+                                        or sources[:len(hit[2])] != hit[2]):
+                    hit = None
+                multi.append((len(misses), size, sources, hit))
+            misses.append((len(out), name, dsver, sources))
+            out.append(None)
+            srcs.append(sources[0])
+            sizes.append((size,))
+        if not misses:
+            return out
+        folds = []
+        for i, size, sources, hit in multi:
+            folds.append((i, hit, len(srcs), len(srcs) + len(sources) - 1))
+            srcs.extend(sources[1:])
+            sizes.extend([(size,)] * (len(sources) - 1))
+        block = self.topology.path_block(srcs, cols)
+        lat, bw, usd = block
+        sizes = np.array(sizes, dtype=float)
+        index = self.topology.site_index
+        need = np.not_equal.outer([index[src] for src in srcs], cols)
+        # the stage cache keeps each miss's raw minima (for resumed
+        # folds) and its masked contributions, so those live in arrays
+        # of their own: a kept view pins only planes that are used
+        best = np.empty((2,) + lat.shape)
+        times, u = best
+        u[...] = usd
+        # unreachable candidates carry bw == 0 and inf $/GB: their
+        # x / 0, 0 / 0 and inf * 0 bytes are overwritten with inf, so
+        # they rank as unreachable, not free (zero-byte datasets too)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(sizes, bw, out=times)
+            times += lat
+            times[bw == 0.0] = np.inf
+            for i, hit, first, end in folds:
+                if hit is None:
+                    start, t_best, u_best = first, times[i], u[i]
+                else:   # resume past the sources the cached minimum covers
+                    start = first + len(hit[2]) - 1
+                    t_best, u_best = hit[3], hit[4]
+                for t_new, u_new in zip(times[start:end], u[start:end]):
+                    better = t_new < t_best
+                    t_best = np.where(better, t_new, t_best)
+                    u_best = np.where(better, u_new, u_best)
+                times[i] = t_best
+                u[i] = u_best
+                need[i] &= need[first:end].all(axis=0)
+            # the gathered block becomes (seconds, bytes, dollars)
+            np.multiply(u, sizes / 1e9, out=usd)
+        usd[~np.isfinite(u)] = np.inf
+        lat[...] = times
+        bw[...] = sizes
+        # pre-masked contribution arrays: adding 0.0 at resident sites
+        # is a bit-exact no-op, so estimate_batch can accumulate with
+        # plain ufuncs instead of fancy indexing. Rows past the misses
+        # (further sources) are masked too, and never read.
+        masked = np.where(need, block, 0.0)
+        n = len(names)
+        for (slot, name, dsver, sources), t_best, u_best, needs, arrays in zip(
+                misses, times, u, need, zip(*masked)):
+            # with fewer sources than candidates, some candidate stages
+            if len(sources) >= n and not needs.any():
+                arrays = None
+            self._stage_cache.setdefault(name, {})[names] = (
+                epoch, dsver, sources, t_best, u_best, arrays)
+            out[slot] = arrays
+        return out
 
     def forget_dataset(self, name: str) -> None:
         """Drop every staging entry of dataset ``name``. Safe at any
@@ -279,7 +312,11 @@ class CostModel:
         Produces arrays whose entries are bit-identical to the scalar
         estimates (same routing, same nearest-replica tie-breaks, same
         floating-point operation order), at O(inputs x sources) numpy
-        work instead of O(sites x inputs x sources) Python work.
+        work instead of O(sites x inputs x sources) Python work. The
+        staging arrays of every input the stage cache cannot serve come
+        from one ``(inputs x candidates)`` pass (:meth:`_stage_arrays`);
+        only the accumulation below runs per input, because bytes and
+        dollars must add in ``task.inputs`` order.
         """
         if not sites:
             raise SchedulingError("estimate_batch over an empty site list")
@@ -297,8 +334,7 @@ class CostModel:
         stage = np.zeros(n)
         bytes_moved = np.zeros(n)
         transfer_usd = np.zeros(n)
-        for name in task.inputs:
-            arrays = self._stage_arrays(name, names, cols, epoch)
+        for arrays in self._stage_arrays(task.inputs, names, cols, epoch):
             if arrays is None:
                 continue
             t_add, b_add, u_add = arrays

@@ -68,6 +68,11 @@ class TaskSpec:
             raise WorkflowError(
                 f"deadline_s must be positive or None, got {self.deadline_s}"
             )
+        if len(set(self.inputs)) != len(self.inputs):
+            dup = next(n for i, n in enumerate(self.inputs)
+                       if n in self.inputs[:i])
+            raise WorkflowError(
+                f"task {self.name!r} declares input {dup!r} twice")
         seen = set()
         for out in self.outputs:
             if out.name in seen:

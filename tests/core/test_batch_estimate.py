@@ -9,7 +9,7 @@ same site it picked with the scalar loops — including on exact ties.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.continuum import Link, Site, Tier, Topology, geo_random_continuum
@@ -28,6 +28,7 @@ from repro.continuum.pricing import PricingModel
 from repro.datafabric import Dataset, ReplicaCatalog
 from repro.errors import DataFabricError, SchedulingError, TopologyError
 from repro.workflow.task import TaskSpec
+from tests.oracles import staging
 
 
 def make_context(n_sites=12, seed=3, n_datasets=6):
@@ -239,6 +240,17 @@ class TestStrategiesMatchScalarReference:
                 == _scalar_reference(ref_name, task, ctx))
 
 
+# Datasets of the fold world beyond "big" and "empty": a source pair
+# that ties on time (s2, s3), one held only on the unreachable island,
+# one whose first source is the island, and one huge next to eight small
+# ones — with a single candidate, summing nine or more of these in any
+# order but task.inputs order changes the last bits.
+_FOLD_EXTRA = (("pair", 3e6, ("s2", "s3")), ("isle", 1e6, ("island",)),
+               ("moat", 2e6, ("island", "far")),
+               ("huge", 1e16, ("far",))) + tuple(
+    (f"p{i}", 1.0 + i / 3.0, (f"s{i % 4}",)) for i in range(8))
+
+
 def _fold_world():
     """A hub with four spokes whose links tie on time but differ in
     $/GB (a tie-break that picks the wrong source shows in dollars), a
@@ -257,14 +269,20 @@ def _fold_world():
     catalog.register(Dataset("empty", 0.0))
     catalog.add_replica("big", "s0")
     catalog.add_replica("empty", "s1")
+    for name, size, held in _FOLD_EXTRA:
+        catalog.register(Dataset(name, size))
+        for site in held:
+            catalog.add_replica(name, site)
     return topo, catalog
 
+
+_FOLD_SITES = ["hub", "s0", "s1", "s2", "s3", "far", "island"]
+_FOLD_DATASETS = ["big", "empty"] + [name for name, _, _ in _FOLD_EXTRA]
 
 _FOLD_OPS = st.lists(
     st.tuples(st.sampled_from(["add", "drop", "forget"]),
               st.sampled_from(["big", "empty"]),
-              st.sampled_from(["hub", "s0", "s1", "s2", "s3", "far",
-                               "island"])),
+              st.sampled_from(_FOLD_SITES)),
     min_size=1, max_size=25,
 )
 
@@ -301,3 +319,69 @@ class TestStagingFoldProperty:
                 except TopologyError:   # a route the scalar path rejects
                     continue
                 assert got.at(i) == scalar
+
+
+_FAN_IN_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["add", "drop", "forget"]),
+                  st.sampled_from(_FOLD_DATASETS),
+                  st.sampled_from(_FOLD_SITES)),
+        st.tuples(st.just("estimate"),
+                  st.permutations(_FOLD_DATASETS),
+                  st.integers(1, len(_FOLD_DATASETS)),
+                  st.lists(st.sampled_from(_FOLD_SITES), min_size=1,
+                           unique=True)),
+    ),
+    min_size=1, max_size=20,
+)
+
+
+def _stage_entries(model):
+    """The stage cache as comparable bytes."""
+    return {
+        (name, names): (epoch, dsver, sources, t_best.tobytes(),
+                        u_best.tobytes(),
+                        None if arrays is None
+                        else tuple(a.tobytes() for a in arrays))
+        for name, per_names in model._stage_cache.items()
+        for names, (epoch, dsver, sources, t_best, u_best, arrays)
+        in per_names.items()
+    }
+
+
+class TestBlockStagingMatchesPerInputOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(steps=_FAN_IN_STEPS)
+    @example(steps=[("estimate", ["huge"] + [f"p{i}" for i in range(8)],
+                     9, ["hub"])])
+    def test_fan_in_bits_and_cache_entries(self, steps):
+        """Fan-in tasks over random orders of cold single- and
+        multi-source, cached, appended-source, zero-byte and island
+        datasets: the one-block build equals the frozen per-input build
+        (tests/oracles/staging.py) in all six arrays and in every stage
+        cache entry, bit for bit."""
+        topo, catalog = _fold_world()
+        model, oracle = CostModel(topo, catalog), CostModel(topo, catalog)
+        fields = ("stage_time_s", "exec_time_s", "bytes_moved", "energy_j",
+                  "compute_usd", "transfer_usd")
+        for step in steps:
+            if step[0] == "estimate":
+                _, order, k, candidates = step
+                task = TaskSpec("t", work=3.0, inputs=tuple(order[:k]))
+                sites = [topo.site(name) for name in candidates]
+                got = model.estimate_batch(task, sites)
+                want = staging.estimate_batch(oracle, task, sites)
+                for field in fields:
+                    assert (getattr(got, field).tobytes()
+                            == getattr(want, field).tobytes()), field
+                assert _stage_entries(model) == _stage_entries(oracle)
+                continue
+            op, name, site = step
+            held = catalog.locations(name)
+            if op == "add":
+                catalog.add_replica(name, site)
+            elif op == "drop" and site in held and len(held) > 1:
+                catalog.drop_replica(name, site)
+            elif op == "forget":
+                model.forget_dataset(name)
+                oracle.forget_dataset(name)

@@ -144,6 +144,20 @@ class TestStageCacheBound:
         assert strategy._rank == {}
 
 
+class TestRowCacheOwnsMemory:
+    def test_memoized_rows_hold_no_staging_block(self, watched):
+        """Every array the row memo keeps owns its memory (or views a
+        base of its own size): a row that views a task's ``(k x
+        candidates)`` staging block pins the whole block for as long as
+        the memo keeps the row."""
+        topo, jobs = fork_join_stream(6, width=8)
+        ContinuumScheduler(topo).run_stream(jobs, GreedyEFTStrategy())
+        memo = watched.runs[-1].ctx.cost._row_cache
+        arrays = [a for _, _, row in memo.values() for a in row]
+        assert len(memo) >= 6   # the joins' rows at least
+        assert all(a.base is None or a.base.size == a.size for a in arrays)
+
+
 def chaos_run(seed):
     topo = zoo_topology("multi-region", seed=0)
     dag, externals = layered_random_dag(60, n_levels=6, seed=seed,

@@ -10,5 +10,7 @@ results; nothing in ``repro`` imports from here.
 from tests.oracles.controlplane import stepwise
 from tests.oracles.dispatch import scalar_dispatch, scalar_engine
 from tests.oracles.heap_queue import HeapEventQueue
+from tests.oracles.staging import per_input_staging
 
-__all__ = ["HeapEventQueue", "scalar_dispatch", "scalar_engine", "stepwise"]
+__all__ = ["HeapEventQueue", "per_input_staging", "scalar_dispatch",
+           "scalar_engine", "stepwise"]

@@ -36,6 +36,12 @@ class TestTaskSpec:
         with pytest.raises(WorkflowError):
             TaskSpec("t", 1.0, outputs=(Dataset("x", 1), Dataset("x", 2)))
 
+    def test_duplicate_inputs_rejected(self):
+        """A repeated input would be staged and costed twice while the
+        network moves it once."""
+        with pytest.raises(WorkflowError, match="input 'd' twice"):
+            TaskSpec("t", 1.0, inputs=("a", "d", "d"))
+
     def test_bad_deadline(self):
         with pytest.raises(WorkflowError):
             TaskSpec("t", 1.0, deadline_s=0.0)
