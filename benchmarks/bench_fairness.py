@@ -40,7 +40,6 @@ from repro.netsim.fairness import (
     _incidence,
     equal_share_rates,
     max_min_fair_rates,
-    weighted_max_min_rates,
 )
 
 
@@ -95,49 +94,6 @@ def scalar_max_min(caps, flow_links):
     return rates
 
 
-def scalar_weighted_max_min(caps, flow_links, weights):
-    n_links = len(caps)
-    n_flows = len(flow_links)
-    rates = [0.0] * n_flows
-    active = [True] * n_flows
-    n_active = n_flows
-    link_flows = [[] for _ in range(n_links)]
-    for f, links in enumerate(flow_links):
-        for l in links:
-            link_flows[l].append(f)
-        if not links:
-            rates[f] = math.inf
-            active[f] = False
-            n_active -= 1
-    remaining = [float(c) for c in caps]
-    while n_active > 0:
-        best_l, best_level = -1, math.inf
-        for l in range(n_links):
-            wload = 0.0
-            for f in link_flows[l]:
-                if active[f]:
-                    wload += weights[f]
-            if wload > 0.0:
-                level = remaining[l] / wload
-                if level < best_level:
-                    best_level, best_l = level, l
-        if best_l < 0:
-            break
-        newly = [f for f in link_flows[best_l] if active[f]]
-        for f in newly:
-            rates[f] = best_level * weights[f]
-            active[f] = False
-        n_active -= len(newly)
-        newly_set = set(newly)
-        for l in range(n_links):
-            drained = 0.0
-            for f in link_flows[l]:
-                if f in newly_set:
-                    drained += rates[f]
-            remaining[l] = max(remaining[l] - drained, 0.0)
-    return rates
-
-
 def scalar_equal_share(caps, flow_links):
     n_links = len(caps)
     counts = [0] * n_links
@@ -165,16 +121,13 @@ def make_scenario(n_links: int, n_flows: int, seed: int = 42):
         rng.sample(range(n_links), rng.randint(1, min(4, n_links)))
         for _ in range(n_flows)
     ]
-    weights = [rng.choice((0.1, 0.5, 1.0, 2.0)) for _ in range(n_flows)]
-    return caps, flow_links, weights
+    return caps, flow_links
 
 
 SOLVERS = [
-    # (row name, scalar fn, vectorized fn, needs_weights)
-    ("max_min_fair_rates", scalar_max_min, max_min_fair_rates, False),
-    ("weighted_max_min_rates", scalar_weighted_max_min,
-     weighted_max_min_rates, True),
-    ("equal_share_rates", scalar_equal_share, equal_share_rates, False),
+    # (row name, scalar fn, vectorized fn)
+    ("max_min_fair_rates", scalar_max_min, max_min_fair_rates),
+    ("equal_share_rates", scalar_equal_share, equal_share_rates),
 ]
 
 SCALES = [
@@ -205,24 +158,18 @@ def run_benchmarks(repeat: int = 3, quick: bool = False) -> dict:
     reps = min(2, repeat) if quick else repeat
     rows = []
     for n_links, n_flows in SCALES:
-        caps, flow_links, weights = make_scenario(n_links, n_flows)
+        caps, flow_links = make_scenario(n_links, n_flows)
         # The vectorized solvers are timed on the production fast path:
         # a prebuilt incidence matrix, as maintained persistently by
         # FlowNetwork across flow arrivals/departures. (The scalar
         # references build their link adjacency inline — a negligible
         # fraction of their runtime.)
         A = _incidence(n_links, flow_links)
-        for name, scalar_fn, vector_fn, weighted in SOLVERS:
-            if weighted:
-                scalar_s, scalar_rates = _best_of(
-                    lambda: scalar_fn(caps, flow_links, weights), reps)
-                vector_s, vector_rates = _best_of(
-                    lambda: vector_fn(caps, A, weights), reps)
-            else:
-                scalar_s, scalar_rates = _best_of(
-                    lambda: scalar_fn(caps, flow_links), reps)
-                vector_s, vector_rates = _best_of(
-                    lambda: vector_fn(caps, A), reps)
+        for name, scalar_fn, vector_fn in SOLVERS:
+            scalar_s, scalar_rates = _best_of(
+                lambda: scalar_fn(caps, flow_links), reps)
+            vector_s, vector_rates = _best_of(
+                lambda: vector_fn(caps, A), reps)
             if not np.allclose(np.asarray(scalar_rates), vector_rates,
                                rtol=1e-9, atol=1e-9):
                 raise AssertionError(

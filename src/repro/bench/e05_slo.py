@@ -19,7 +19,7 @@ import numpy as np
 from repro.bench.harness import ExperimentResult
 from repro.continuum import Link, Site, Tier, Topology
 from repro.faas import ContainerModel, FaaSFabric, FunctionDef, pick_endpoint
-from repro.netsim import FlowNetwork, rtt
+from repro.netsim import FlowNetwork
 from repro.simcore import Simulator, Timeout
 from repro.utils.rng import RngRegistry
 from repro.utils.units import Gbps, MILLISECOND, Mbps

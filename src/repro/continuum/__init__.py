@@ -11,7 +11,7 @@ exactly those pieces:
   energy & pricing models, geographic position, accelerator specializations),
 - :class:`Link` — a network edge (propagation latency, bandwidth, $/byte),
 - :class:`Topology` — a routed graph of sites and links,
-- builders — common shapes (hierarchical continuum, star, presets),
+- builders — common shapes (hierarchical continuum, presets),
 - generators — the parameterized topology zoo (clique, chain, ring,
   grid, fat-tree, multi-region) and the duty-cycle churn layer.
 """
@@ -32,10 +32,8 @@ from repro.continuum.builders import (
     edge_cloud_pair,
     geo_random_continuum,
     hierarchical_continuum,
-    linear_chain,
     science_grid,
     smart_city,
-    star_topology,
 )
 from repro.continuum.generators import (
     CHURN_INTENSITIES,
@@ -49,7 +47,6 @@ from repro.continuum.generators import (
     RingParams,
     churn_preset,
     compile_duty_cycles,
-    scaled_params,
     zoo_topology,
 )
 
@@ -64,10 +61,8 @@ __all__ = [
     "edge_cloud_pair",
     "geo_random_continuum",
     "hierarchical_continuum",
-    "linear_chain",
     "science_grid",
     "smart_city",
-    "star_topology",
     "load_topology",
     "save_topology",
     "topology_from_dict",
@@ -83,6 +78,5 @@ __all__ = [
     "RingParams",
     "churn_preset",
     "compile_duty_cycles",
-    "scaled_params",
     "zoo_topology",
 ]

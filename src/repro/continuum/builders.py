@@ -7,8 +7,6 @@ so experiments can sweep "what if the network were 10x faster/slower"
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.continuum.link import Link, propagation_latency
@@ -99,58 +97,6 @@ def edge_cloud_pair(
     )
     topo.add_link("edge", "cloud", Link(latency_s, bandwidth_Bps,
                                         usd_per_gb=egress_usd_per_gb))
-    topo.validate()
-    return topo
-
-
-def linear_chain(
-    n: int,
-    *,
-    tier: Tier | str = Tier.FOG,
-    link_latency_s: float = 5 * MILLISECOND,
-    link_bandwidth_Bps: float = 1 * Gbps,
-    latency_scale: float = 1.0,
-    bandwidth_scale: float = 1.0,
-) -> Topology:
-    """``n`` identical sites in a line; useful for multi-hop routing tests."""
-    if n < 1:
-        raise TopologyError(f"chain needs at least 1 site, got {n}")
-    topo = Topology(f"chain-{n}")
-    for i in range(n):
-        topo.add_site(make_site(f"s{i}", tier))
-    for i in range(n - 1):
-        topo.add_link(
-            f"s{i}", f"s{i+1}",
-            _scaled_link(link_latency_s, link_bandwidth_Bps, 0.0,
-                         latency_scale, bandwidth_scale),
-        )
-    topo.validate()
-    return topo
-
-
-def star_topology(
-    n_leaves: int,
-    *,
-    hub_tier: Tier | str = Tier.CLOUD,
-    leaf_tier: Tier | str = Tier.EDGE,
-    link_latency_s: float = 20 * MILLISECOND,
-    link_bandwidth_Bps: float = 1 * Gbps,
-    latency_scale: float = 1.0,
-    bandwidth_scale: float = 1.0,
-) -> Topology:
-    """A hub site with ``n_leaves`` peripheral sites — the classic
-    cloud-centric deployment the continuum generalizes."""
-    if n_leaves < 1:
-        raise TopologyError(f"star needs at least 1 leaf, got {n_leaves}")
-    topo = Topology(f"star-{n_leaves}")
-    topo.add_site(make_site("hub", hub_tier))
-    for i in range(n_leaves):
-        topo.add_site(make_site(f"leaf{i}", leaf_tier))
-        topo.add_link(
-            "hub", f"leaf{i}",
-            _scaled_link(link_latency_s, link_bandwidth_Bps, 0.0,
-                         latency_scale, bandwidth_scale),
-        )
     topo.validate()
     return topo
 

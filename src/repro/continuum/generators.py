@@ -39,7 +39,7 @@ sweeps (``none``/``low``/``medium``/``high``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from repro.continuum.builders import make_site, _scaled_link
 from repro.continuum.link import Link, propagation_latency
@@ -521,15 +521,3 @@ def churn_preset(intensity: str, *, seed: int = 0,
         ) from None
     return DutyCycleParams(period_s=period_s, on_fraction=on_fraction,
                            horizon_s=horizon_s, seed=seed)
-
-
-def scaled_params(params, *, bandwidth_scale: float = 1.0,
-                  latency_scale: float = 1.0):
-    """A copy of any family params with network scales multiplied in —
-    the Gilder axis ("what if the network were 10x faster?") for zoo
-    families, used by E14's crossover probes."""
-    return replace(
-        params,
-        bandwidth_scale=params.bandwidth_scale * bandwidth_scale,
-        latency_scale=params.latency_scale * latency_scale,
-    )

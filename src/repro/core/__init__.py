@@ -18,7 +18,6 @@ from repro.core.placement import PlacementDecision, TaskRecord, ScheduleResult
 from repro.core.analytic import (
     OffloadDecision,
     crossover_bandwidth,
-    gilder_ratio,
     offload_analysis,
 )
 from repro.core.energy_analytic import (
@@ -28,7 +27,6 @@ from repro.core.energy_analytic import (
     energy_offload_analysis,
 )
 from repro.core.slo import SLOReport, slo_report
-from repro.core.whatif import sensitivity_sweep
 from repro.core.scheduler import (
     ContinuumScheduler,
     JobResult,
@@ -64,7 +62,6 @@ __all__ = [
     "ScheduleResult",
     "OffloadDecision",
     "crossover_bandwidth",
-    "gilder_ratio",
     "offload_analysis",
     "SLOReport",
     "slo_report",
@@ -72,7 +69,6 @@ __all__ = [
     "EnergyDecision",
     "energy_offload_analysis",
     "energy_crossover_work",
-    "sensitivity_sweep",
     "ContinuumScheduler",
     "SchedulingContext",
     "StreamJob",

@@ -109,20 +109,3 @@ def offload_analysis(
         ),
         speedup=speedup,
     )
-
-
-def gilder_ratio(bandwidth_Bps: float, local_speed: float,
-                 bytes_per_work_unit: float) -> float:
-    """Dimensionless network-vs-compute speed ratio.
-
-    ``1.0`` means the network moves a task's data exactly as fast as the
-    local machine chews through its work — Gilder's disintegration
-    threshold for equal-speed remote appliances with no latency. Defined
-    as ``(B / bytes_per_work_unit) / local_speed``: work units deliverable
-    per second over the wire, relative to work units computable per
-    second locally.
-    """
-    check_positive("bandwidth_Bps", bandwidth_Bps)
-    check_positive("local_speed", local_speed)
-    check_positive("bytes_per_work_unit", bytes_per_work_unit)
-    return (bandwidth_Bps / bytes_per_work_unit) / local_speed

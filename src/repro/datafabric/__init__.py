@@ -11,7 +11,6 @@ from repro.datafabric.dataset import Dataset, Replica
 from repro.datafabric.catalog import ReplicaCatalog
 from repro.datafabric.transfer import TransferService, TransferResult
 from repro.datafabric.cache import Cache, EvictionPolicy
-from repro.datafabric.replication import ReplicationPolicy, ReplicationService
 from repro.datafabric.staging import StagedReader
 
 __all__ = [
@@ -22,7 +21,5 @@ __all__ = [
     "TransferResult",
     "Cache",
     "EvictionPolicy",
-    "ReplicationPolicy",
-    "ReplicationService",
     "StagedReader",
 ]

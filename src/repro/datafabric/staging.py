@@ -32,11 +32,10 @@ class ReadResult:
 class StagedReader:
     """Per-site cached access to the data fabric."""
 
-    def __init__(self, transfers: TransferService, replication=None):
+    def __init__(self, transfers: TransferService):
         self.transfers = transfers
         self.sim = transfers.sim
         self._caches: dict[str, Cache] = {}
-        self.replication = replication  # optional ReplicationService
         # stats
         self.reads = 0
         self.network_bytes = 0.0
@@ -79,8 +78,6 @@ class StagedReader:
         start = self.sim.now
         cache = self._caches.get(site)
         dataset = self.transfers.catalog.dataset(name)
-        if self.replication is not None:
-            self.replication.record_access(name, site)
         if cache is not None and cache.lookup(name):
             signal.trigger(
                 ReadResult(name, site, cache_hit=True,

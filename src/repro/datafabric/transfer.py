@@ -18,7 +18,7 @@ from repro.netsim.network import FlowNetwork
 from repro.simcore.process import Signal, Timeout
 from repro.simcore.simulation import Simulator
 from repro.utils.rng import RngRegistry
-from repro.utils.validation import check_non_negative, check_probability
+from repro.utils.validation import check_probability
 
 
 @dataclass(frozen=True)
@@ -86,16 +86,13 @@ class TransferService:
         self.total_retries = 0
         self.total_bytes_wire = 0.0
 
-    def stage(self, dataset_name: str, to_site: str,
-              *, weight: float = 1.0) -> Signal:
+    def stage(self, dataset_name: str, to_site: str) -> Signal:
         """Make ``dataset_name`` present at ``to_site``.
 
         Returns a signal firing with a :class:`TransferResult` (or
         failing with :class:`DataFabricError` after exhausted retries).
         Concurrent stages of the same dataset to the same site share one
-        transfer (the first requester's ``weight`` applies). Background
-        staging should pass ``weight < 1`` so it yields to foreground
-        flows under weighted fairness.
+        transfer.
         """
         self.total_requests += 1
         dataset = self.catalog.dataset(dataset_name)
@@ -119,7 +116,7 @@ class TransferService:
 
         self._inflight[key] = signal
         self.sim.process(
-            self._stage_proc(dataset.name, to_site, signal, weight),
+            self._stage_proc(dataset.name, to_site, signal),
             name=f"stage:{dataset_name}->{to_site}",
         )
         return signal
@@ -134,8 +131,7 @@ class TransferService:
         src, _est = self.catalog.nearest_source(self.topology, name, to_site)
         return src, 0.0
 
-    def _stage_proc(self, name: str, to_site: str, signal: Signal,
-                    weight: float = 1.0):
+    def _stage_proc(self, name: str, to_site: str, signal: Signal):
         started = self.sim.now
         dataset = self.catalog.dataset(name)
         bytes_moved = 0.0
@@ -149,8 +145,7 @@ class TransferService:
                     # puller discovered it and re-resolved — pay the
                     # extra metadata round before the real transfer
                     yield Timeout(penalty)
-                yield self.network.transfer(src, to_site, dataset.size_bytes,
-                                            weight=weight)
+                yield self.network.transfer(src, to_site, dataset.size_bytes)
                 bytes_moved += dataset.size_bytes
                 self.total_bytes_wire += dataset.size_bytes
                 if self.failure_prob == 0.0 or self._rng.random() >= self.failure_prob:

@@ -13,21 +13,15 @@ work.
 - :class:`Flow` — bookkeeping record per transfer.
 """
 
-from repro.netsim.fairness import (
-    equal_share_rates,
-    max_min_fair_rates,
-    weighted_max_min_rates,
-)
+from repro.netsim.fairness import equal_share_rates, max_min_fair_rates
 from repro.netsim.flow import Flow
 from repro.netsim.network import FlowNetwork
-from repro.netsim.latency import request_response_time, rtt
+from repro.netsim.latency import rtt
 
 __all__ = [
     "max_min_fair_rates",
-    "weighted_max_min_rates",
     "equal_share_rates",
     "Flow",
     "FlowNetwork",
-    "request_response_time",
     "rtt",
 ]

@@ -156,84 +156,6 @@ def max_min_fair_rates(
     return rates
 
 
-def weighted_max_min_rates(
-    capacities: Sequence[float],
-    flow_links,
-    weights: Sequence[float],
-) -> np.ndarray:
-    """Weighted max-min fairness: flows receive bandwidth proportional
-    to their weights at each bottleneck (water-filling on normalized
-    rates). ``weights=ones`` reduces exactly to plain max-min.
-
-    Like :func:`max_min_fair_rates`, ``flow_links`` may be either
-    per-flow link lists or a prebuilt incidence matrix.
-
-    The classic use: mark background traffic (replication, prefetch)
-    with weight < 1 so it yields to foreground transfers while still
-    soaking up otherwise-idle capacity.
-    """
-    cap = _check_capacities(capacities)
-    A = _as_incidence(len(cap), flow_links)
-    n_flows = A.shape[1]
-    w = np.asarray(weights, dtype=float)
-    if len(w) != n_flows:
-        raise NetworkError(
-            f"{len(w)} weights for {n_flows} flows"
-        )
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise NetworkError("all flow weights must be positive and finite")
-    rates = np.zeros(n_flows)
-    if n_flows == 0:
-        return rates
-
-    active = np.ones(n_flows, dtype=bool)
-    local = A.sum(axis=0) == 0
-    rates[local] = math.inf
-    active &= ~local
-    n_remaining = int(active.sum())
-
-    # Per-link sum of active weights, maintained incrementally: each
-    # level subtracts exactly the matvec of the newly-frozen columns
-    # instead of recomputing the full A @ (active * w) — O(links x
-    # frozen) per level rather than O(links x flows), which drops the
-    # whole solve from O(levels x links x flows) to O(links x flows)
-    # total. Unlike unit counts, weight sums are not exact in floats,
-    # so a guard backs the subtraction: per-link *active flow counts*
-    # (exact small integers in float64, like plain max-min keeps) say
-    # which links still carry active flows, and if cancellation ever
-    # drives such a link's load to <= 0 the load is recomputed fresh.
-    weight_load = A @ (active * w)
-    counts = A @ active.astype(float)
-    remaining = cap.copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while n_remaining > 0:
-            # the bottleneck is the link with the smallest capacity per
-            # unit of active weight
-            level = np.where(weight_load > 0, remaining / weight_load,
-                             math.inf)
-            l_star = int(np.argmin(level))
-            fair_level = level[l_star]
-            newly = active & (A[l_star] > 0)
-            rates[newly] = fair_level * w[newly]
-            A_newly = A[:, newly]
-            remaining -= A_newly @ rates[newly]
-            remaining = np.maximum(remaining, 0.0)
-            active &= ~newly
-            weight_load -= A_newly @ w[newly]
-            counts -= A_newly.sum(axis=1)
-            n_remaining -= int(newly.sum())
-            # A link with no active flows left must read exactly zero
-            # load (a fresh recompute would): a leftover subtraction
-            # residual of either sign would otherwise produce a bogus
-            # finite level (0 remaining / tiny residual = 0 would even
-            # win the argmin and stall the loop).
-            weight_load[counts == 0.0] = 0.0
-            if n_remaining > 0 and np.any((weight_load <= 0.0)
-                                          & (counts > 0.0)):
-                weight_load = A @ (active * w)
-    return rates
-
-
 def equal_share_rates(
     capacities: Sequence[float], flow_links
 ) -> np.ndarray:

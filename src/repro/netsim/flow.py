@@ -25,7 +25,6 @@ class Flow:
     size_bytes: float
     path: PathInfo
     start_time: float
-    weight: float = 1.0
     remaining_bytes: float = field(init=False)
     rate_Bps: float = 0.0
     finish_time: float | None = None

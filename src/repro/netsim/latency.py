@@ -1,33 +1,15 @@
-"""Small-message latency helpers.
+"""Small-message latency helper.
 
 Control-plane traffic (function invocations, scheduler RPCs) is dominated
-by propagation latency, not bandwidth. These helpers compute unloaded
-request/response times from path properties; the FaaS substrate uses them
-for invocation overheads, and E5 sweeps them directly.
+by propagation latency, not bandwidth. :func:`rtt` gives the unloaded
+round-trip time between two sites; FaaS routing ranks endpoints by it.
 """
 
 from __future__ import annotations
 
-from repro.continuum.topology import PathInfo, Topology
+from repro.continuum.topology import Topology
 
 
 def rtt(topology: Topology, a: str, b: str) -> float:
     """Unloaded round-trip time between two sites (seconds)."""
     return 2.0 * topology.path_info(a, b).latency_s
-
-
-def request_response_time(
-    path: PathInfo,
-    request_bytes: float,
-    response_bytes: float,
-) -> float:
-    """Unloaded time for a request/response exchange along ``path``.
-
-    Each direction pays one propagation latency plus serialization of its
-    payload at the bottleneck bandwidth. Local paths cost zero.
-    """
-    if path.hop_count == 0:
-        return 0.0
-    out = path.latency_s + request_bytes / path.bandwidth_Bps
-    back = path.latency_s + response_bytes / path.bandwidth_Bps
-    return out + back

@@ -16,8 +16,9 @@ Two structural optimizations keep busy networks cheap:
   order-preserving pass before the matrix is next read (in practice once
   per rate solve, however many flows drained at that instant). Keeping
   insertion order — rather than swapping in the last column — keeps
-  weighted allocations (whose matvec summation order is order-sensitive
-  in floating point) bit-identical to a freshly rebuilt matrix. A
+  the per-link byte counters and link utilizations (matvecs whose
+  summation order is order-sensitive in floating point) bit-identical
+  to a freshly rebuilt matrix. A
   reallocation therefore does O(levels x links x flows) numpy work with
   zero per-event matrix construction.
 - **Same-instant coalescing.** Flow arrivals/departures/brownouts mark
@@ -38,7 +39,7 @@ import numpy as np
 
 from repro.continuum.topology import Topology
 from repro.errors import NetworkError
-from repro.netsim.fairness import max_min_fair_rates, weighted_max_min_rates
+from repro.netsim.fairness import max_min_fair_rates
 from repro.netsim.flow import Flow
 from repro.observe.tracer import NULL_TRACER, Tracer
 from repro.simcore.process import Signal
@@ -87,10 +88,9 @@ class FlowNetwork:
         self._next_id = 0
         # persistent incidence state: column c of _A[:, :_n_active]
         # belongs to flow _col_flow[c]; parallel per-column arrays hold
-        # weight, current rate, and remaining bytes. Drained columns
-        # wait in _dead (and are absent from _col_of) until _compact().
+        # current rate and remaining bytes. Drained columns wait in
+        # _dead (and are absent from _col_of) until _compact().
         self._A = np.zeros((n_links, _INITIAL_COLS))
-        self._col_w = np.ones(_INITIAL_COLS)
         self._col_rates = np.zeros(_INITIAL_COLS)
         self._col_remaining = np.zeros(_INITIAL_COLS)
         self._col_flow: list[int] = []         # column -> flow_id
@@ -107,28 +107,22 @@ class FlowNetwork:
         self.rate_solves = 0                   # fair-share recompute count
 
     # -- public API -------------------------------------------------------------
-    def transfer(self, src: str, dst: str, size_bytes: float,
-                 *, weight: float = 1.0) -> Signal:
+    def transfer(self, src: str, dst: str, size_bytes: float) -> Signal:
         """Start moving ``size_bytes`` from ``src`` to ``dst``.
 
         Returns a :class:`Signal` that fires with the :class:`Flow`
         record when the last byte arrives. Local transfers (same site)
         complete at the current instant; zero-byte transfers pay the
         path's propagation latency only (an empty message still has to
-        cross the wire). ``weight`` sets this flow's share under
-        weighted fairness (background traffic uses < 1).
+        cross the wire).
         """
         if not math.isfinite(size_bytes) or size_bytes < 0:
             raise NetworkError(
                 f"size_bytes must be non-negative and finite, got {size_bytes}"
             )
-        if not math.isfinite(weight) or weight <= 0:
-            raise NetworkError(
-                f"weight must be positive and finite, got {weight}"
-            )
         path = self.topology.path_info(src, dst)
         flow = Flow(self._next_id, src, dst, float(size_bytes), path,
-                    self.sim.now, weight=float(weight))
+                    self.sim.now)
         self._next_id += 1
         signal = self.sim.signal()
         self._signals[flow.flow_id] = signal
@@ -219,7 +213,6 @@ class FlowNetwork:
         if n == self._A.shape[1]:
             self._grow(max(2 * n, _INITIAL_COLS))
         self._A[link_ids, n] = 1.0
-        self._col_w[n] = flow.weight
         self._col_rates[n] = 0.0
         self._col_remaining[n] = flow.remaining_bytes
         self._col_flow.append(flow.flow_id)
@@ -231,7 +224,7 @@ class FlowNetwork:
         A = np.zeros((n_links, new_cap))
         A[:, :old_cap] = self._A
         self._A = A
-        for name in ("_col_w", "_col_rates", "_col_remaining"):
+        for name in ("_col_rates", "_col_remaining"):
             old = getattr(self, name)
             arr = np.zeros(new_cap)
             arr[:old_cap] = old
@@ -243,8 +236,10 @@ class FlowNetwork:
         Each run of live columns between dead ones shifts left over the
         gap, so k drains at one instant cost one pass, not k. Keeping
         insertion order — instead of swapping in the last column — keeps
-        the matrix bit-identical to one rebuilt from scratch, so
-        order-sensitive weighted matvecs produce identical rates.
+        the matrix bit-identical to one rebuilt from scratch, so the
+        order-sensitive matvecs over it (``bytes_per_link`` in
+        :meth:`_drain_to_now`, :meth:`utilization_of`) sum in the same
+        order.
         """
         dead = self._dead
         if not dead:
@@ -252,7 +247,7 @@ class FlowNetwork:
         # same-instant drains fire in scheduling order, not column order
         dead.sort()
         n = self._n_active
-        arrays = (self._A, self._col_w, self._col_rates, self._col_remaining)
+        arrays = (self._A, self._col_rates, self._col_remaining)
         dst = dead[0]
         for col, next_dead in zip(dead, dead[1:] + [n]):
             width = next_dead - col - 1
@@ -297,12 +292,7 @@ class FlowNetwork:
         n = self._n_active
         if n == 0:
             return
-        A = self._A[:, :n]
-        w = self._col_w[:n]
-        if self.allocator is max_min_fair_rates and np.any(w != 1.0):
-            rates = weighted_max_min_rates(self._capacity_arr, A, w)
-        else:
-            rates = self.allocator(self._capacity_arr, A)
+        rates = self.allocator(self._capacity_arr, self._A[:, :n])
         old = self._col_rates[:n]
         unchanged = (old > 0) & (np.abs(rates - old) <= _RATE_RTOL * old)
         changed_cols = np.nonzero(~unchanged)[0]

@@ -4,9 +4,9 @@ The kernel provides:
 
 - :class:`Simulator` — event loop with a float simulated clock,
 - :class:`Process` — generator-based coroutine processes,
-- waitables (:class:`Timeout`, :class:`Signal`, :class:`AllOf`,
-  :class:`AnyOf`) that processes ``yield`` to suspend,
-- :class:`Resource` / :class:`Store` — capacity-limited queueing primitives.
+- waitables (:class:`Timeout`, :class:`Signal`, :class:`AllOf`) that
+  processes ``yield`` to suspend,
+- :class:`Resource` — a capacity-limited FIFO queueing primitive.
 
 Run telemetry does not live here: spans go through
 :class:`repro.observe.Tracer` and counters through
@@ -24,11 +24,10 @@ from repro.simcore.process import (
     Timeout,
     Signal,
     AllOf,
-    AnyOf,
     Interrupt,
     Waitable,
 )
-from repro.simcore.resources import Resource, Request, Store
+from repro.simcore.resources import Resource, Request
 
 __all__ = [
     "Event",
@@ -38,10 +37,8 @@ __all__ = [
     "Timeout",
     "Signal",
     "AllOf",
-    "AnyOf",
     "Interrupt",
     "Waitable",
     "Resource",
     "Request",
-    "Store",
 ]

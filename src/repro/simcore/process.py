@@ -167,35 +167,6 @@ class AllOf(Waitable):
             self._fire([c._value for c in self.children])
 
 
-class AnyOf(Waitable):
-    """Fires when the first child fires; value is ``(index, value)``."""
-
-    __slots__ = ("children",)
-
-    def __init__(self, children):
-        super().__init__()
-        self.children = list(children)
-        if not self.children:
-            raise SimulationError("AnyOf needs at least one child")
-
-    def _bind(self, sim) -> None:
-        first = self._sim is None
-        super()._bind(sim)
-        if not first:
-            return
-        for child in self.children:
-            child._bind(sim)
-            child._subscribe(self._on_child)
-
-    def _on_child(self, child: Waitable) -> None:
-        if self._fired:
-            return
-        if child._exc is not None:
-            self._fire(exc=child._exc)
-            return
-        self._fire((self.children.index(child), child._value))
-
-
 class Process(Waitable):
     """A running generator; fires on return (joinable, interruptible)."""
 

@@ -1,9 +1,8 @@
-"""Capacity-limited queueing primitives built on the process machinery.
+"""Capacity-limited queueing built on the process machinery.
 
 :class:`Resource` models a pool of identical servers (e.g. worker slots at
-a site); :class:`Store` models a FIFO buffer of items (e.g. a task queue).
-Both grant strictly in FIFO request order, which keeps simulated queueing
-behaviour deterministic and analyzable.
+a site). It grants strictly in FIFO request order, which keeps simulated
+queueing behaviour deterministic and analyzable.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.errors import SimulationError
-from repro.simcore.process import Signal, Waitable
+from repro.simcore.process import Waitable
 from repro.utils.validation import check_positive
 
 
@@ -148,64 +147,3 @@ class Resource:
             f"<Resource {self.name!r} {self.in_use}/{self.capacity} "
             f"queued={len(self._waiting)}>"
         )
-
-
-class Store:
-    """Unbounded-or-bounded FIFO buffer of Python objects.
-
-    ``get()`` returns a waitable that fires with the oldest item;
-    ``put(item)`` returns a waitable that fires once the item is stored
-    (immediately unless the store is at capacity).
-    """
-
-    def __init__(self, sim, capacity: float = float("inf"), name: str = "store"):
-        if capacity <= 0:
-            raise SimulationError(f"store capacity must be positive, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self.items: deque = deque()
-        self._getters: deque[Signal] = deque()
-        self._putters: deque[tuple[Signal, object]] = deque()
-        self.total_put = 0
-        self.total_got = 0
-
-    def put(self, item) -> Signal:
-        """Queue ``item``; returned signal fires when it is accepted."""
-        sig = Signal(self.sim)
-        self._putters.append((sig, item))
-        self._drain()
-        return sig
-
-    def get(self) -> Signal:
-        """Returned signal fires with the next item (FIFO)."""
-        sig = Signal(self.sim)
-        self._getters.append(sig)
-        self._drain()
-        return sig
-
-    def _drain(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            # accept puts while there is room
-            if self._putters and len(self.items) < self.capacity:
-                sig, item = self._putters.popleft()
-                self.items.append(item)
-                self.total_put += 1
-                sig.trigger(item)
-                progressed = True
-            # satisfy getters while items exist
-            if self._getters and self.items:
-                sig = self._getters.popleft()
-                item = self.items.popleft()
-                self.total_got += 1
-                sig.trigger(item)
-                progressed = True
-
-    @property
-    def level(self) -> int:
-        return len(self.items)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Store {self.name!r} level={len(self.items)}>"

@@ -18,19 +18,15 @@ from repro.utils.units import (
     SECOND,
     MINUTE,
     HOUR,
-    format_bytes,
-    format_rate,
     format_time,
-    parse_size,
 )
 from repro.utils.rng import RngRegistry, derive_seed
-from repro.utils.stats import RunningStats, percentile, summarize
+from repro.utils.stats import percentile, summarize
 from repro.utils.tables import ascii_table, format_row
 from repro.utils.validation import (
     check_positive,
     check_non_negative,
     check_probability,
-    check_in,
 )
 
 __all__ = [
@@ -47,13 +43,9 @@ __all__ = [
     "SECOND",
     "MINUTE",
     "HOUR",
-    "format_bytes",
-    "format_rate",
     "format_time",
-    "parse_size",
     "RngRegistry",
     "derive_seed",
-    "RunningStats",
     "percentile",
     "summarize",
     "ascii_table",
@@ -61,5 +53,4 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_probability",
-    "check_in",
 ]

@@ -15,8 +15,6 @@ naturally while the stored value stays in library units.
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError
-
 # Data sizes (bytes). Decimal (SI) prefixes, matching how transfer tools
 # like Globus report volumes.
 KB: float = 1e3
@@ -37,47 +35,6 @@ SECOND: float = 1.0
 MINUTE: float = 60.0
 HOUR: float = 3600.0
 
-_SIZE_SUFFIXES = [(TB, "TB"), (GB, "GB"), (MB, "MB"), (KB, "KB")]
-
-_PARSE_UNITS = {
-    "b": 1.0,
-    "kb": KB,
-    "mb": MB,
-    "gb": GB,
-    "tb": TB,
-    "kib": 2.0**10,
-    "mib": 2.0**20,
-    "gib": 2.0**30,
-    "tib": 2.0**40,
-}
-
-
-def format_bytes(n: float) -> str:
-    """Render a byte count with a human-friendly SI suffix.
-
-    >>> format_bytes(2.5e9)
-    '2.50 GB'
-    """
-    sign = "-" if n < 0 else ""
-    n = abs(float(n))
-    for factor, suffix in _SIZE_SUFFIXES:
-        if n >= factor:
-            return f"{sign}{n / factor:.2f} {suffix}"
-    return f"{sign}{n:.0f} B"
-
-
-def format_rate(bytes_per_second: float) -> str:
-    """Render a bandwidth in bits/second marketing units.
-
-    >>> format_rate(10 * Gbps)
-    '10.00 Gbps'
-    """
-    bits = float(bytes_per_second) * 8.0
-    for factor, suffix in [(1e12, "Tbps"), (1e9, "Gbps"), (1e6, "Mbps"), (1e3, "Kbps")]:
-        if bits >= factor:
-            return f"{bits / factor:.2f} {suffix}"
-    return f"{bits:.0f} bps"
-
 
 def format_time(seconds: float) -> str:
     """Render a duration with an adaptive unit.
@@ -97,32 +54,3 @@ def format_time(seconds: float) -> str:
     if s >= MILLISECOND:
         return f"{sign}{s / MILLISECOND:.3f} ms"
     return f"{sign}{s / MICROSECOND:.3f} us"
-
-
-def parse_size(text: str | float | int) -> float:
-    """Parse a human-written size like ``"1.5 GB"`` into bytes.
-
-    Numeric input is returned unchanged (assumed bytes already). Binary
-    (``GiB``) and decimal (``GB``) suffixes are both accepted.
-    """
-    if isinstance(text, (int, float)):
-        return float(text)
-    cleaned = text.strip().lower().replace(" ", "")
-    idx = len(cleaned)
-    while idx > 0 and not (cleaned[idx - 1].isdigit() or cleaned[idx - 1] == "."):
-        idx -= 1
-    number, unit = cleaned[:idx], cleaned[idx:]
-    if not number:
-        raise ConfigurationError(f"cannot parse size {text!r}: no numeric part")
-    try:
-        value = float(number)
-    except ValueError as exc:
-        raise ConfigurationError(f"cannot parse size {text!r}") from exc
-    if not unit:
-        return value
-    try:
-        return value * _PARSE_UNITS[unit]
-    except KeyError:
-        raise ConfigurationError(
-            f"cannot parse size {text!r}: unknown unit {unit!r}"
-        ) from None

@@ -7,7 +7,6 @@ positive, got <value>") across every constructor in the library.
 from __future__ import annotations
 
 import math
-from collections.abc import Container
 
 from repro.errors import ConfigurationError
 
@@ -33,11 +32,4 @@ def check_probability(name: str, value: float) -> float:
     value = float(value)
     if not (0.0 <= value <= 1.0):
         raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
-    return value
-
-
-def check_in(name: str, value, allowed: Container):
-    """Require membership of ``value`` in ``allowed``; return it."""
-    if value not in allowed:
-        raise ConfigurationError(f"{name} must be one of {allowed!r}, got {value!r}")
     return value

@@ -15,15 +15,12 @@ from repro.workflow.task import TaskSpec, TaskState
 from repro.workflow.dag import WorkflowDAG
 from repro.workflow.futures import AppFuture
 from repro.workflow.executors import SerialExecutor, ThreadExecutor
-from repro.workflow.process_executor import ProcessExecutor
 from repro.workflow.memoization import Memoizer
 from repro.workflow.checkpoint import load_checkpoint, save_checkpoint
 from repro.workflow.serialize import (
     dag_from_dict,
     dag_to_dict,
-    load_dag,
     load_workload,
-    save_dag,
     save_workload,
 )
 from repro.workflow.dataflow import DataFlowKernel
@@ -35,14 +32,11 @@ __all__ = [
     "AppFuture",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "Memoizer",
     "load_checkpoint",
     "save_checkpoint",
     "dag_to_dict",
     "dag_from_dict",
-    "save_dag",
-    "load_dag",
     "save_workload",
     "load_workload",
     "DataFlowKernel",

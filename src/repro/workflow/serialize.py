@@ -126,25 +126,3 @@ def load_workload(path: str) -> tuple[WorkflowDAG, list[Dataset]]:
             f"for {sorted(missing)}"
         )
     return dag, externals
-
-
-def save_dag(dag: WorkflowDAG, path: str) -> None:
-    """Write a workflow as JSON (atomically)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(dag_to_dict(dag), handle, indent=1)
-    os.replace(tmp, path)
-
-
-def load_dag(path: str) -> WorkflowDAG:
-    """Read a workflow JSON file."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except FileNotFoundError:
-        raise WorkflowError(f"no workflow file at {path!r}") from None
-    except json.JSONDecodeError as exc:
-        raise WorkflowError(f"corrupt workflow file {path!r}: {exc}") from exc
-    return dag_from_dict(data)

@@ -3,7 +3,7 @@
 DAG families (chains, fork-join, map-reduce, layered random, montage-like)
 parameterize the compute-to-data ratio experiments; the science module
 builds light-source and climate-ensemble pipelines; the edge-AI module
-builds deadline-carrying inference workloads; the streaming module
+builds timed inference request streams; the streaming module
 provides arrival processes and skewed dataset reference streams.
 """
 
@@ -17,12 +17,10 @@ from repro.workloads.dags import (
 )
 from repro.workloads.streaming import (
     poisson_arrivals,
-    uniform_arrivals,
     zipf_dataset_stream,
 )
 from repro.workloads.science import beamline_pipeline, climate_ensemble
-from repro.workloads.edge_ai import inference_dag, InferenceRequest, request_stream
-from repro.workloads.traces import result_rows, save_rows, load_rows
+from repro.workloads.edge_ai import InferenceRequest, request_stream
 
 __all__ = [
     "chain_dag",
@@ -32,14 +30,9 @@ __all__ = [
     "montage_like_dag",
     "stencil_dag",
     "poisson_arrivals",
-    "uniform_arrivals",
     "zipf_dataset_stream",
     "beamline_pipeline",
     "climate_ensemble",
-    "inference_dag",
     "InferenceRequest",
     "request_stream",
-    "result_rows",
-    "save_rows",
-    "load_rows",
 ]

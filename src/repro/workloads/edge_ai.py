@@ -2,9 +2,8 @@
 
 Small requests, tight deadlines, accelerator-specialized work — the
 workload where placement is dominated by latency, not bandwidth (E5).
-Two forms are provided: a deadline-carrying DAG of independent inference
-tasks for the continuum scheduler, and a timed request stream for the
-FaaS fabric.
+:func:`request_stream` draws the timed request stream that E5 replays
+against the FaaS fabric.
 """
 
 from __future__ import annotations
@@ -13,36 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.datafabric.dataset import Dataset
-from repro.errors import WorkflowError
-from repro.workflow.dag import WorkflowDAG
-from repro.workflow.task import TaskSpec
 from repro.workloads.streaming import poisson_arrivals
-
-
-def inference_dag(
-    n_requests: int,
-    *,
-    work: float = 0.5,
-    input_bytes: float = 2e5,
-    deadline_s: float = 0.5,
-    kind: str = "dnn-inference",
-    name: str = "inference",
-) -> tuple[WorkflowDAG, list[Dataset]]:
-    """``n_requests`` independent inference tasks, each with its own
-    (small) input and a per-task deadline."""
-    if n_requests < 1:
-        raise WorkflowError(f"need >= 1 request, got {n_requests}")
-    dag = WorkflowDAG(name)
-    externals = []
-    for i in range(n_requests):
-        payload = Dataset(f"{name}-req{i}", input_bytes)
-        externals.append(payload)
-        dag.add_task(TaskSpec(
-            f"{name}-infer{i}", work=work, kind=kind,
-            inputs=(payload.name,), deadline_s=deadline_s,
-        ))
-    return dag, externals
 
 
 @dataclass(frozen=True)

@@ -28,14 +28,6 @@ def poisson_arrivals(
         n_draw *= 2  # pragma: no cover - astronomically rare
 
 
-def uniform_arrivals(rate_per_s: float, horizon_s: float) -> np.ndarray:
-    """Deterministic, evenly spaced arrivals (the no-burstiness baseline)."""
-    check_positive("rate_per_s", rate_per_s)
-    check_positive("horizon_s", horizon_s)
-    n = int(np.floor(rate_per_s * horizon_s))
-    return np.arange(n) / rate_per_s
-
-
 def zipf_dataset_stream(
     n_datasets: int,
     n_requests: int,

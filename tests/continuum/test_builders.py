@@ -8,10 +8,8 @@ from repro.continuum import (
     edge_cloud_pair,
     geo_random_continuum,
     hierarchical_continuum,
-    linear_chain,
     science_grid,
     smart_city,
-    star_topology,
 )
 from repro.continuum.builders import TIER_PROFILES, make_site
 from repro.errors import TopologyError
@@ -52,39 +50,16 @@ class TestEdgeCloudPair:
         assert topo.site("cloud").effective_speed("sim") == 24.0
 
 
-class TestChainAndStar:
-    def test_chain_routing_is_linear(self):
-        topo = linear_chain(5)
-        info = topo.path_info("s0", "s4")
-        assert info.hop_count == 4
-        assert info.latency_s == pytest.approx(4 * 0.005)
-
-    def test_chain_of_one(self):
-        assert len(linear_chain(1)) == 1
-
-    def test_chain_invalid(self):
-        with pytest.raises(TopologyError):
-            linear_chain(0)
-
-    def test_star_all_leaves_reach_hub(self):
-        topo = star_topology(4)
-        for i in range(4):
-            assert topo.path_info(f"leaf{i}", "hub").hop_count == 1
-
-    def test_star_leaf_to_leaf_via_hub(self):
-        topo = star_topology(3)
-        assert topo.path_info("leaf0", "leaf2").hops == ("leaf0", "hub", "leaf2")
-
+class TestHierarchical:
     def test_scaling_knobs(self):
-        base = linear_chain(3)
-        scaled = linear_chain(3, latency_scale=2.0, bandwidth_scale=0.5)
-        b0 = base.path_info("s0", "s2")
-        s0 = scaled.path_info("s0", "s2")
+        base = hierarchical_continuum()
+        scaled = hierarchical_continuum(latency_scale=2.0, bandwidth_scale=0.5)
+        b0 = base.path_info("dev0", "cloud0")
+        s0 = scaled.path_info("dev0", "cloud0")
+        assert s0.hops == b0.hops
         assert s0.latency_s == pytest.approx(2 * b0.latency_s)
         assert s0.bandwidth_Bps == pytest.approx(0.5 * b0.bandwidth_Bps)
 
-
-class TestHierarchical:
     def test_default_shape(self):
         topo = hierarchical_continuum()
         assert len(topo.sites_by_tier(Tier.DEVICE)) == 8

@@ -20,7 +20,6 @@ from repro.continuum import (
     Tier,
     churn_preset,
     compile_duty_cycles,
-    scaled_params,
     topology_to_dict,
     zoo_topology,
 )
@@ -85,11 +84,6 @@ class TestFamilies:
             assert scaled.bandwidth_Bps == pytest.approx(
                 10.0 * link.bandwidth_Bps)
             assert scaled.latency_s == pytest.approx(0.5 * link.latency_s)
-
-    def test_scaled_params_compounds(self):
-        params = scaled_params(CliqueParams(bandwidth_scale=2.0),
-                               bandwidth_scale=3.0)
-        assert params.bandwidth_scale == pytest.approx(6.0)
 
     def test_unknown_family_and_param_raise(self):
         with pytest.raises(TopologyError, match="unknown topology family"):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.core.analytic import (
     crossover_bandwidth,
-    gilder_ratio,
     local_time,
     offload_analysis,
     remote_time,
@@ -97,16 +96,3 @@ class TestCrossover:
         t_hi = remote_time(10.0, 1000.0, 5.0, hi)
         t_lo = remote_time(10.0, 1000.0, 5.0, lo)
         assert t_hi <= t_lo + 1e-9
-
-
-class TestGilderRatio:
-    def test_unit_ratio(self):
-        # 100 B/work-unit, speed 1 unit/s: 100 B/s network is the threshold
-        assert gilder_ratio(100.0, 1.0, 100.0) == pytest.approx(1.0)
-
-    def test_scales_linearly_with_bandwidth(self):
-        assert gilder_ratio(200.0, 1.0, 100.0) == pytest.approx(2.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(Exception):
-            gilder_ratio(0.0, 1.0, 1.0)

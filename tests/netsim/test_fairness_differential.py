@@ -1,11 +1,11 @@
-"""Differential validation of the vectorized fair-share solvers.
+"""Differential validation of the vectorized fair-share solver.
 
-A frozen pure-Python scalar reference for weighted max-min (progressive
-water-filling with per-flow loops — the implementation shape the
-vectorized solver replaced) lives in this file. Hypothesis-generated
-random topologies drive both implementations, which must agree to 1e-9
-on every flow rate, including the degenerate shapes: single flow,
-all flows on one link, local (link-less) flows, extreme weight ratios.
+A frozen pure-Python scalar reference for max-min fairness (progressive
+filling with per-flow loops — the implementation shape the vectorized
+solver replaced) lives in this file. Hypothesis-generated random
+topologies drive both implementations, which must agree to 1e-9 on
+every flow rate, including the degenerate shapes: single flow, all
+flows on one link, local (link-less) flows.
 
 Also here: the shape/dtype validation contract of ``equal_share_rates``
 and ``link_loads`` (satellite of the calendar-queue PR) and
@@ -27,15 +27,14 @@ from repro.netsim.fairness import (
     equal_share_rates,
     link_loads,
     max_min_fair_rates,
-    weighted_max_min_rates,
 )
 
 
 # ---------------------------------------------------------------------------
-# Frozen scalar reference (pure Python water-filling)
+# Frozen scalar reference (pure Python progressive filling)
 # ---------------------------------------------------------------------------
 
-def scalar_weighted_max_min(caps, flow_links, weights):
+def scalar_max_min(caps, flow_links):
     n_links = len(caps)
     n_flows = len(flow_links)
     rates = [0.0] * n_flows
@@ -53,19 +52,16 @@ def scalar_weighted_max_min(caps, flow_links, weights):
     while n_active > 0:
         best_l, best_level = -1, math.inf
         for l in range(n_links):
-            wload = 0.0
-            for f in link_flows[l]:
-                if active[f]:
-                    wload += weights[f]
-            if wload > 0.0:
-                level = remaining[l] / wload
+            count = sum(1 for f in link_flows[l] if active[f])
+            if count > 0:
+                level = remaining[l] / count
                 if level < best_level:
                     best_level, best_l = level, l
         if best_l < 0:
             break
         newly = [f for f in link_flows[best_l] if active[f]]
         for f in newly:
-            rates[f] = best_level * weights[f]
+            rates[f] = best_level
             active[f] = False
         n_active -= len(newly)
         newly_set = set(newly)
@@ -79,7 +75,7 @@ def scalar_weighted_max_min(caps, flow_links, weights):
 
 
 @st.composite
-def weighted_scenario(draw):
+def scenario(draw):
     n_links = draw(st.integers(1, 6))
     caps = draw(
         st.lists(st.floats(1.0, 1e4), min_size=n_links, max_size=n_links)
@@ -90,34 +86,29 @@ def weighted_scenario(draw):
                       max_size=n_links, unique=True))
         for _ in range(n_flows)
     ]
-    weights = [
-        draw(st.floats(0.01, 100.0, allow_nan=False))
-        for _ in range(n_flows)
-    ]
-    return caps, flows, weights
+    return caps, flows
 
 
-class TestWeightedDifferential:
+class TestMaxMinDifferential:
     @settings(max_examples=200, deadline=None)
-    @given(weighted_scenario())
+    @given(scenario())
     def test_matches_scalar_reference(self, scenario):
-        caps, flows, weights = scenario
-        ref = np.asarray(scalar_weighted_max_min(caps, flows, weights))
-        vec = weighted_max_min_rates(caps, flows, weights)
+        caps, flows = scenario
+        ref = np.asarray(scalar_max_min(caps, flows))
+        vec = max_min_fair_rates(caps, flows)
         np.testing.assert_allclose(vec, ref, rtol=1e-9, atol=1e-9)
 
     def test_single_flow(self):
-        ref = scalar_weighted_max_min([40.0], [[0]], [2.5])
-        vec = weighted_max_min_rates([40.0], [[0]], [2.5])
+        ref = scalar_max_min([40.0], [[0]])
+        vec = max_min_fair_rates([40.0], [[0]])
         np.testing.assert_allclose(vec, ref)
         assert vec[0] == pytest.approx(40.0)
 
     def test_all_flows_one_link(self):
         caps = [100.0]
         flows = [[0]] * 10
-        weights = [float(i + 1) for i in range(10)]
-        ref = np.asarray(scalar_weighted_max_min(caps, flows, weights))
-        vec = weighted_max_min_rates(caps, flows, weights)
+        ref = np.asarray(scalar_max_min(caps, flows))
+        vec = max_min_fair_rates(caps, flows)
         np.testing.assert_allclose(vec, ref, rtol=1e-9)
         assert vec.sum() == pytest.approx(100.0)
 
@@ -125,32 +116,13 @@ class TestWeightedDifferential:
         # capacities must be strictly positive — degenerate topologies
         # are a validation error, not a solver input
         with pytest.raises(NetworkError):
-            weighted_max_min_rates([0.0], [[0]], [1.0])
+            max_min_fair_rates([0.0], [[0]])
         with pytest.raises(NetworkError):
             max_min_fair_rates([0.0, 10.0], [[0], [1]])
 
-    def test_extreme_weight_ratio(self):
-        caps = [1000.0]
-        flows = [[0], [0]]
-        weights = [1e6, 1e-6]
-        ref = np.asarray(scalar_weighted_max_min(caps, flows, weights))
-        vec = weighted_max_min_rates(caps, flows, weights)
-        np.testing.assert_allclose(vec, ref, rtol=1e-9)
-
     def test_local_flows_only(self):
-        vec = weighted_max_min_rates([10.0], [[], []], [1.0, 2.0])
+        vec = max_min_fair_rates([10.0], [[], []])
         assert np.all(np.isinf(vec))
-
-    @settings(max_examples=100, deadline=None)
-    @given(weighted_scenario())
-    def test_unit_weights_reduce_to_plain_maxmin(self, scenario):
-        caps, flows, _ = scenario
-        ones = [1.0] * len(flows)
-        np.testing.assert_allclose(
-            weighted_max_min_rates(caps, flows, ones),
-            max_min_fair_rates(caps, flows),
-            rtol=1e-9, atol=1e-9,
-        )
 
 
 # ---------------------------------------------------------------------------

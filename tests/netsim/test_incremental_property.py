@@ -14,11 +14,7 @@ import numpy as np
 import pytest
 
 from repro.continuum import Link, Site, Tier, Topology, geo_random_continuum
-from repro.netsim.fairness import (
-    _incidence,
-    max_min_fair_rates,
-    weighted_max_min_rates,
-)
+from repro.netsim.fairness import _incidence, max_min_fair_rates
 from repro.netsim.network import FlowNetwork
 from repro.simcore import Simulator
 
@@ -44,11 +40,7 @@ def _check_settled_state(net: FlowNetwork, checked: list) -> None:
     incremental_A = net._A[:, :n]
     assert np.array_equal(incremental_A, fresh_A)
 
-    w = net._col_w[:n]
-    if np.any(w != 1.0):
-        fresh_rates = weighted_max_min_rates(net._capacity_arr, fresh_A, w)
-    else:
-        fresh_rates = max_min_fair_rates(net._capacity_arr, fresh_A)
+    fresh_rates = max_min_fair_rates(net._capacity_arr, fresh_A)
     # bit-identical, not approx: same allocator, same matrix, same order
     assert np.array_equal(fresh_rates, net._col_rates[:n])
     checked.append(n)
@@ -66,11 +58,9 @@ def test_incremental_matrix_matches_rebuild(seed):
         a, b = rng.choice(len(names), size=2, replace=False)
         start = float(rng.uniform(0.0, 5.0))
         size = float(rng.uniform(1e6, 5e7))
-        weight = float(rng.choice([0.5, 1.0, 2.0]))
         sim.schedule(
             start,
-            lambda a=names[a], b=names[b], s=size, w=weight:
-                net.transfer(a, b, s, weight=w),
+            lambda a=names[a], b=names[b], s=size: net.transfer(a, b, s),
         )
 
     links = topo.links()
@@ -111,13 +101,11 @@ def test_burst_drains_compact_to_rebuild(seed):
     for _ in range(6):
         a, b = rng.choice(len(names), size=2, replace=False)
         size = float(rng.uniform(1e6, 2e7))
-        weight = float(rng.choice([0.5, 1.0, 2.0]))
         start = float(rng.uniform(0.0, 2.0))
         for _ in range(int(rng.integers(3, 7))):
             sim.schedule(
                 start,
-                lambda a=names[a], b=names[b], s=size, w=weight:
-                    net.transfer(a, b, s, weight=w),
+                lambda a=names[a], b=names[b], s=size: net.transfer(a, b, s),
             )
 
     dead_per_compaction = []
@@ -146,8 +134,7 @@ def test_burst_drains_compact_to_rebuild(seed):
             assert load == pytest.approx(live, rel=1e-9, abs=1e-9)
             probes.append(fid)
         elif len(restarts) < 3:
-            restarts.append(net.transfer(flow.src, flow.dst, flow.size_bytes,
-                                         weight=flow.weight))
+            restarts.append(net.transfer(flow.src, flow.dst, flow.size_bytes))
 
     def solve():
         dead_per_compaction.append(len(net._dead))

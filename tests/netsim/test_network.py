@@ -2,7 +2,7 @@ import pytest
 
 from repro.continuum import Link, Site, Tier, Topology
 from repro.errors import NetworkError
-from repro.netsim import FlowNetwork, request_response_time, rtt
+from repro.netsim import FlowNetwork, rtt
 from repro.netsim.fairness import equal_share_rates, max_min_fair_rates
 from repro.observe import Tracer
 from repro.simcore import Simulator
@@ -319,13 +319,5 @@ class TestLatencyHelpers:
         topo = pair(latency=0.05)
         assert rtt(topo, "a", "b") == pytest.approx(0.1)
 
-    def test_request_response(self):
-        topo = pair(latency=0.05, bandwidth=100.0)
-        path = topo.path_info("a", "b")
-        # 0.05 + 10/100 out, 0.05 + 20/100 back
-        assert request_response_time(path, 10, 20) == pytest.approx(0.4)
-
     def test_local_request_is_free(self):
-        topo = pair()
-        path = topo.path_info("a", "a")
-        assert request_response_time(path, 1e9, 1e9) == 0.0
+        assert rtt(pair(), "a", "a") == 0.0

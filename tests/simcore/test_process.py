@@ -1,7 +1,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simcore import AllOf, AnyOf, Interrupt, Signal, Simulator, Timeout
+from repro.simcore import AllOf, Interrupt, Signal, Simulator, Timeout
 
 
 class TestTimeout:
@@ -173,19 +173,6 @@ class TestCombinators:
             return values
 
         assert sim.run_process(body()) == []
-
-    def test_anyof_returns_first(self):
-        sim = Simulator()
-
-        def body():
-            idx, value = yield AnyOf([Timeout(3.0, "slow"), Timeout(1.0, "fast")])
-            return (sim.now, idx, value)
-
-        assert sim.run_process(body()) == (1.0, 1, "fast")
-
-    def test_anyof_empty_rejected(self):
-        with pytest.raises(SimulationError):
-            AnyOf([])
 
     def test_allof_of_processes(self):
         sim = Simulator()

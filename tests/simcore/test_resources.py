@@ -1,7 +1,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simcore import Resource, Simulator, Store, Timeout
+from repro.simcore import Resource, Simulator, Timeout
 
 
 def hold(sim, resource, duration, log=None, tag=None):
@@ -130,90 +130,3 @@ class TestResource:
             sim.process(hold(sim, res, 1.0))
         sim.run()
         assert res.total_granted == 4
-
-
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-
-        def producer():
-            yield store.put("item")
-
-        def consumer():
-            item = yield store.get()
-            return item
-
-        sim.process(producer())
-        assert sim.run_process(consumer()) == "item"
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-
-        def consumer():
-            item = yield store.get()
-            return (sim.now, item)
-
-        def producer():
-            yield Timeout(3.0)
-            yield store.put("late")
-
-        sim.process(producer())
-        assert sim.run_process(consumer()) == (3.0, "late")
-
-    def test_fifo_order(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def producer():
-            for i in range(5):
-                yield store.put(i)
-
-        def consumer():
-            for _ in range(5):
-                item = yield store.get()
-                got.append(item)
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert got == list(range(5))
-
-    def test_bounded_capacity_blocks_put(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        log = []
-
-        def producer():
-            for i in range(2):
-                yield store.put(i)
-                log.append(("put", i, sim.now))
-
-        def consumer():
-            yield Timeout(5.0)
-            yield store.get()
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert log == [("put", 0, 0.0), ("put", 1, 5.0)]
-
-    def test_invalid_capacity(self):
-        with pytest.raises(SimulationError):
-            Store(Simulator(), capacity=0)
-
-    def test_level_and_counters(self):
-        sim = Simulator()
-        store = Store(sim)
-
-        def producer():
-            for i in range(3):
-                yield store.put(i)
-
-        sim.process(producer())
-        sim.run()
-        assert store.level == 3
-        assert store.total_put == 3
-        assert store.total_got == 0

@@ -2,72 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.utils.stats import RunningStats, percentile, summarize
-
-
-class TestRunningStats:
-    def test_empty(self):
-        rs = RunningStats()
-        assert rs.count == 0
-        assert math.isnan(rs.mean)
-        assert math.isnan(rs.variance)
-
-    def test_single_value(self):
-        rs = RunningStats()
-        rs.add(3.0)
-        assert rs.mean == 3.0
-        assert rs.min == 3.0 and rs.max == 3.0
-        assert math.isnan(rs.variance)
-
-    def test_matches_numpy(self):
-        data = [1.5, 2.5, -3.0, 4.0, 0.0, 10.0]
-        rs = RunningStats()
-        rs.extend(data)
-        assert rs.mean == pytest.approx(np.mean(data))
-        assert rs.variance == pytest.approx(np.var(data, ddof=1))
-        assert rs.std == pytest.approx(np.std(data, ddof=1))
-        assert rs.min == min(data) and rs.max == max(data)
-
-    def test_merge_matches_single_pass(self):
-        a_data = [1.0, 2.0, 3.0]
-        b_data = [10.0, 20.0]
-        a, b = RunningStats(), RunningStats()
-        a.extend(a_data)
-        b.extend(b_data)
-        merged = a.merge(b)
-        assert merged.count == 5
-        assert merged.mean == pytest.approx(np.mean(a_data + b_data))
-        assert merged.variance == pytest.approx(np.var(a_data + b_data, ddof=1))
-
-    def test_merge_with_empty(self):
-        a = RunningStats()
-        a.extend([1.0, 2.0])
-        merged = a.merge(RunningStats())
-        assert merged.count == 2
-        assert merged.mean == pytest.approx(1.5)
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
-    def test_property_matches_numpy(self, data):
-        rs = RunningStats()
-        rs.extend(data)
-        assert rs.mean == pytest.approx(np.mean(data), rel=1e-9, abs=1e-6)
-        assert rs.variance == pytest.approx(np.var(data, ddof=1), rel=1e-6, abs=1e-6)
-
-    @given(
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30),
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30),
-    )
-    def test_property_merge_equals_concat(self, xs, ys):
-        a, b, c = RunningStats(), RunningStats(), RunningStats()
-        a.extend(xs)
-        b.extend(ys)
-        c.extend(xs + ys)
-        merged = a.merge(b)
-        assert merged.count == c.count
-        assert merged.mean == pytest.approx(c.mean, rel=1e-9, abs=1e-6)
+from repro.utils.stats import percentile, summarize
 
 
 class TestPercentile:

@@ -1,8 +1,5 @@
-import math
-
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.utils import units
 
 
@@ -25,31 +22,6 @@ class TestConstants:
         assert units.MILLISECOND == 1e-3
 
 
-class TestFormatBytes:
-    def test_small(self):
-        assert units.format_bytes(512) == "512 B"
-
-    def test_gigabytes(self):
-        assert units.format_bytes(2.5e9) == "2.50 GB"
-
-    def test_terabytes(self):
-        assert units.format_bytes(3e12) == "3.00 TB"
-
-    def test_negative(self):
-        assert units.format_bytes(-2e6) == "-2.00 MB"
-
-    def test_zero(self):
-        assert units.format_bytes(0) == "0 B"
-
-
-class TestFormatRate:
-    def test_gbps(self):
-        assert units.format_rate(10 * units.Gbps) == "10.00 Gbps"
-
-    def test_slow(self):
-        assert units.format_rate(10) == "80 bps"
-
-
 class TestFormatTime:
     def test_milliseconds(self):
         assert units.format_time(0.0042) == "4.200 ms"
@@ -68,34 +40,3 @@ class TestFormatTime:
 
     def test_negative(self):
         assert units.format_time(-0.5).startswith("-")
-
-
-class TestParseSize:
-    def test_passthrough_numeric(self):
-        assert units.parse_size(1024) == 1024.0
-        assert units.parse_size(1.5) == 1.5
-
-    def test_decimal_units(self):
-        assert units.parse_size("1.5 GB") == pytest.approx(1.5e9)
-        assert units.parse_size("200MB") == pytest.approx(2e8)
-
-    def test_binary_units(self):
-        assert units.parse_size("1 GiB") == pytest.approx(2**30)
-
-    def test_bare_number_string(self):
-        assert units.parse_size("42") == 42.0
-
-    def test_case_insensitive(self):
-        assert units.parse_size("1gb") == pytest.approx(1e9)
-
-    def test_unknown_unit_raises(self):
-        with pytest.raises(ConfigurationError):
-            units.parse_size("5 parsecs")
-
-    def test_no_number_raises(self):
-        with pytest.raises(ConfigurationError):
-            units.parse_size("GB")
-
-    def test_roundtrip_with_format(self):
-        n = 2.5e9
-        assert units.parse_size(units.format_bytes(n)) == pytest.approx(n)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.utils.validation import (
-    check_in,
     check_non_negative,
     check_positive,
     check_probability,
@@ -44,12 +43,3 @@ class TestCheckProbability:
     def test_rejects(self, bad):
         with pytest.raises(ConfigurationError):
             check_probability("p", bad)
-
-
-class TestCheckIn:
-    def test_accepts_member(self):
-        assert check_in("mode", "a", {"a", "b"}) == "a"
-
-    def test_rejects_non_member(self):
-        with pytest.raises(ConfigurationError):
-            check_in("mode", "c", {"a", "b"})

@@ -9,8 +9,8 @@ from repro.workflow import (
     WorkflowDAG,
     dag_from_dict,
     dag_to_dict,
-    load_dag,
-    save_dag,
+    load_workload,
+    save_workload,
 )
 from repro.workloads import beamline_pipeline, montage_like_dag, stencil_dag
 
@@ -78,42 +78,34 @@ class TestValidation:
 
 
 class TestFiles:
-    def test_save_load(self, tmp_path):
-        path = str(tmp_path / "wf" / "dag.json")
-        save_dag(rich_dag(), path)
-        back = load_dag(path)
-        assert back.task_names == ["a", "b", "c"]
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(WorkflowError):
-            load_dag(str(tmp_path / "nope.json"))
+            load_workload(str(tmp_path / "nope.json"))
 
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[[[")
         with pytest.raises(WorkflowError, match="corrupt"):
-            load_dag(str(path))
+            load_workload(str(path))
 
     def test_loaded_dag_schedulable(self, tmp_path):
         from repro.continuum import edge_cloud_pair
         from repro.core import ContinuumScheduler, GreedyEFTStrategy
 
-        path = str(tmp_path / "dag.json")
+        path = str(tmp_path / "wf" / "workload.json")
         dag, externals = beamline_pipeline(2)
-        save_dag(dag, path)
-        loaded = load_dag(path)
+        save_workload(path, dag, externals)
+        loaded, loaded_externals = load_workload(path)
         topo = edge_cloud_pair()
         result = ContinuumScheduler(topo).run(
             loaded, GreedyEFTStrategy(),
-            external_inputs=[(d, "edge") for d in externals],
+            external_inputs=[(d, "edge") for d in loaded_externals],
         )
         assert result.task_count == len(dag)
 
 
 class TestWorkloadFiles:
     def test_roundtrip_with_externals(self, tmp_path):
-        from repro.workflow import load_workload, save_workload
-
         dag, externals = beamline_pipeline(3)
         path = str(tmp_path / "wl.json")
         save_workload(path, dag, externals)
@@ -124,8 +116,6 @@ class TestWorkloadFiles:
             {d.size_bytes for d in externals}
 
     def test_missing_external_definitions_rejected(self, tmp_path):
-        from repro.workflow import load_workload, save_workload
-
         dag, externals = beamline_pipeline(2)
         path = str(tmp_path / "wl.json")
         save_workload(path, dag, externals=None)  # drops the externals

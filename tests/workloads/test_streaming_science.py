@@ -8,10 +8,8 @@ from repro.workloads import (
     InferenceRequest,
     beamline_pipeline,
     climate_ensemble,
-    inference_dag,
     poisson_arrivals,
     request_stream,
-    uniform_arrivals,
     zipf_dataset_stream,
 )
 
@@ -30,13 +28,9 @@ class TestArrivals:
         b = poisson_arrivals(5.0, 10.0, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
 
-    def test_uniform_spacing(self):
-        times = uniform_arrivals(4.0, 2.0)
-        np.testing.assert_allclose(times, [0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75])
-
     def test_invalid_rate(self):
-        with pytest.raises(Exception):
-            uniform_arrivals(0.0, 1.0)
+        with pytest.raises(ConfigurationError):
+            poisson_arrivals(0.0, 1.0, np.random.default_rng(0))
 
 
 class TestZipf:
@@ -126,14 +120,6 @@ class TestClimate:
 
 
 class TestEdgeAI:
-    def test_inference_dag_shape(self):
-        dag, externals = inference_dag(10, deadline_s=0.25)
-        assert len(dag) == 10
-        assert len(externals) == 10
-        assert all(t.deadline_s == 0.25 for t in dag.tasks)
-        assert all(t.kind == "dnn-inference" for t in dag.tasks)
-        assert dag.edge_count == 0  # independent requests
-
     def test_request_stream(self):
         rng = np.random.default_rng(0)
         stream = request_stream(20.0, 10.0, deadline_s=0.3, rng=rng)
@@ -142,5 +128,5 @@ class TestEdgeAI:
         assert all(0 <= r.arrival_s < 10.0 for r in stream)
 
     def test_invalid(self):
-        with pytest.raises(WorkflowError):
-            inference_dag(0)
+        with pytest.raises(ConfigurationError):
+            request_stream(0.0, 10.0, rng=np.random.default_rng(0))
