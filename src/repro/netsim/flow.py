@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.continuum.topology import PathInfo
 
@@ -11,12 +11,9 @@ from repro.continuum.topology import PathInfo
 class Flow:
     """One in-flight (or completed) transfer.
 
-    The network writes ``rate_Bps`` and ``remaining_bytes`` together
-    whenever a rate solve changes this flow's rate, so
-    ``remaining_bytes`` is the byte count as of that solve (the live
-    count is kept in the network's per-column arrays); it is set to 0
-    when the last byte leaves. ``finish_time`` is set when the last
-    byte arrives (transmission done + propagation latency).
+    A flow's live rate, remaining bytes and drain time are kept only in
+    the network's per-column arrays. ``finish_time`` is set when the
+    last byte arrives (transmission done + propagation latency).
     """
 
     flow_id: int
@@ -25,12 +22,7 @@ class Flow:
     size_bytes: float
     path: PathInfo
     start_time: float
-    remaining_bytes: float = field(init=False)
-    rate_Bps: float = 0.0
     finish_time: float | None = None
-
-    def __post_init__(self):
-        self.remaining_bytes = float(self.size_bytes)
 
     @property
     def done(self) -> bool:
@@ -52,5 +44,5 @@ class Flow:
         return self.size_bytes / dur
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self.done else f"{self.remaining_bytes:.3g}B left"
+        state = "done" if self.done else f"{self.size_bytes:.3g}B in flight"
         return f"<Flow {self.flow_id} {self.src}->{self.dst} {state}>"

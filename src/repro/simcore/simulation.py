@@ -85,6 +85,27 @@ class Simulator:
         else:
             self._queue.push(self._now + delay, callback, args)
 
+    def _stamp(self) -> int:
+        """Kernel-internal: reserve the next seq for a later
+        :meth:`_schedule_stamped` push."""
+        queue = self._queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        return seq
+
+    def _schedule_stamped(self, time: float, seq: int, callback: Callable) -> Event:
+        """Kernel-internal: run ``callback()`` at absolute ``time`` under a
+        seq from :meth:`_stamp`, so it sorts as if pushed when stamped. A
+        key may be pushed again after its earlier event was cancelled."""
+        if time < self._now or not isfinite(time):
+            raise SimulationError(
+                f"cannot schedule at non-finite or past time "
+                f"(t={time}, now={self._now})"
+            )
+        event = Event(time, seq, callback)
+        self._queue.push_back(event)
+        return event
+
     # -- processes & waitables ------------------------------------------------
     def process(self, gen: Generator, name: str = "") -> Process:
         """Start a generator as a process; returns the joinable Process."""

@@ -11,6 +11,9 @@ Also here: the shape/dtype validation contract of ``equal_share_rates``
 and ``link_loads`` (satellite of the calendar-queue PR) and
 conservation properties tying ``link_loads`` to independently-computed
 per-link sums.
+
+And the one-flow closed form :class:`FlowNetwork` solves lone flows
+with, which must equal the solver bit for bit.
 """
 
 from __future__ import annotations
@@ -22,12 +25,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import NetworkError
+from repro.continuum import Link, Site, Tier, Topology
+from repro.errors import ConfigurationError, NetworkError
 from repro.netsim.fairness import (
     equal_share_rates,
     link_loads,
     max_min_fair_rates,
 )
+from repro.netsim.network import FlowNetwork, _lone_flow_rate
+from repro.simcore import Simulator
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +129,50 @@ class TestMaxMinDifferential:
     def test_local_flows_only(self):
         vec = max_min_fair_rates([10.0], [[], []])
         assert np.all(np.isinf(vec))
+
+
+# ---------------------------------------------------------------------------
+# One-flow closed form (FlowNetwork's lone-flow solve)
+# ---------------------------------------------------------------------------
+
+@st.composite
+def lone_flow(draw):
+    n_links = draw(st.integers(1, 8))
+    caps = draw(st.lists(st.floats(1e-3, 1e12), min_size=n_links,
+                         max_size=n_links))
+    # brownouts scale a link's capacity by a factor in (0, 1]
+    for link in draw(st.lists(st.integers(0, n_links - 1), unique=True)):
+        caps[link] *= draw(st.floats(1e-3, 1.0))
+    column = np.zeros(n_links)
+    column[draw(st.lists(st.integers(0, n_links - 1), unique=True))] = 1.0
+    return np.asarray(caps), column
+
+
+class TestLoneFlowClosedForm:
+    @settings(max_examples=300, deadline=None)
+    @given(lone_flow())
+    def test_bit_identical_to_solver(self, scenario):
+        caps, column = scenario
+        solved = max_min_fair_rates(caps, column[:, None])
+        closed = _lone_flow_rate(caps, column)
+        assert closed.shape == solved.shape == (1,)
+        assert closed.tobytes() == solved.tobytes()
+
+    def test_every_capacity_write_path_validates(self):
+        """The closed form skips ``_check_capacities``: that is safe only
+        because both ways a capacity reaches the network reject what the
+        check would."""
+        for bandwidth in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="bandwidth_Bps"):
+                Link(0.0, bandwidth)
+        topo = Topology("pair")
+        topo.add_site(Site("a", Tier.EDGE))
+        topo.add_site(Site("b", Tier.CLOUD))
+        topo.add_link("a", "b", Link(0.0, 10.0))
+        net = FlowNetwork(Simulator(), topo)
+        for bandwidth in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(NetworkError, match="bandwidth_Bps"):
+                net.set_link_bandwidth("a", "b", bandwidth)
 
 
 # ---------------------------------------------------------------------------

@@ -281,8 +281,38 @@ class TestBoundedMemory:
         grown = {name: len(value) for name, value in containers()
                  if isinstance(value, (list, dict)) and len(value) >= n}
         assert grown == {}
-        assert not net._signals and not net._spans and not net._events
+        assert not net._signals and not net._spans and net._timer is None
+        # every column compacted away: no drain time or stamp left
+        assert net._n_active == 0 and not net._dead
+        assert net._col_due == [] and net._col_batch == []
         assert net.flows_started == net.flows_completed == n
+
+
+class TestDrainTimer:
+    def test_cancellations_bounded_by_rate_solves(self):
+        """Every arrival changes the rate of every flow on the link. One
+        drain timer is moved at most once per solve; one drain event per
+        flow would be cancelled and re-pushed k times for k flows."""
+        k = 64
+        sim = Simulator()
+        net = FlowNetwork(sim, pair(bandwidth=100.0))
+        for i in range(k):
+            sim.schedule(0.01 * i, net.transfer, "a", "b", 1000.0)
+        sim.run()
+        assert net.flows_completed == k
+        assert sim._queue.cancellations <= net.rate_solves
+
+    def test_same_instant_drains_fire_as_one_event(self):
+        """Equal flows started together drain at one instant from one
+        solve: one timer event drains them all."""
+        sim = Simulator()
+        net = FlowNetwork(sim, pair(bandwidth=100.0))
+        for _ in range(8):
+            net.transfer("a", "b", 100.0)
+        sim.run()
+        # one solve, one drain timer, eight completions, one last solve
+        assert (net.rate_solves, sim.event_count) == (2, 1 + 1 + 8 + 1)
+        assert net.flows_completed == 8 and sim.now == 8.0
 
 
 class TestAllocatorPluggability:
