@@ -226,11 +226,9 @@ def geo_random_continuum(
             if a.distance_km(b) <= connect_radius_km:
                 topo.add_link(a.name, b.name, link_between(a, b))
 
-    # Guarantee connectivity: chain each site to its nearest predecessor.
-    import networkx as nx
-
-    while not nx.is_connected(topo.graph):
-        comps = list(nx.connected_components(topo.graph))
+    # Guarantee connectivity: join the first two components by their
+    # closest pair of sites until one component is left.
+    while len(comps := topo.components()) > 1:
         a_names, b_names = comps[0], comps[1]
         best = None
         for an in a_names:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count, islice
 
-import networkx as nx
 import numpy as np
 
 from repro.continuum.link import Link
@@ -57,7 +58,8 @@ class Topology:
 
     def __init__(self, name: str = "topology"):
         self.name = name
-        self.graph = nx.Graph()
+        # site -> {neighbour: Link}, both directions, in insertion order
+        self._adj: dict[str, dict[str, Link]] = {}
         self._sites: dict[str, Site] = {}
         self._path_cache: dict[tuple[str, str], PathInfo] = {}
         # all-pairs path properties (see path_rows), one plane each for
@@ -86,7 +88,7 @@ class Topology:
         if site.name in self._sites:
             raise TopologyError(f"duplicate site name {site.name!r}")
         self._sites[site.name] = site
-        self.graph.add_node(site.name)
+        self._adj[site.name] = {}
         self._invalidate_routes()
         return site
 
@@ -96,9 +98,10 @@ class Topology:
                 raise TopologyError(f"unknown site {end!r} in link")
         if a == b:
             raise TopologyError(f"self-link on {a!r}")
-        if self.graph.has_edge(a, b):
+        if b in self._adj[a]:
             raise TopologyError(f"duplicate link {a!r}--{b!r}")
-        self.graph.add_edge(a, b, link=link, weight=link.latency_s)
+        self._adj[a][b] = link
+        self._adj[b][a] = link
         self._invalidate_routes()
         return link
 
@@ -129,12 +132,42 @@ class Topology:
 
     def link(self, a: str, b: str) -> Link:
         try:
-            return self.graph.edges[a, b]["link"]
+            return self._adj[a][b]
         except KeyError:
             raise TopologyError(f"no link {a!r}--{b!r}") from None
 
+    @property
+    def link_count(self) -> int:
+        return sum(map(len, self._adj.values())) // 2
+
     def links(self) -> list[tuple[str, str, Link]]:
-        return [(a, b, data["link"]) for a, b, data in self.graph.edges(data=True)]
+        """Every link once, as ``(a, b, link)``: sites in declaration
+        order, each with its neighbours in link order, skipping links
+        already listed from the other end."""
+        out = []
+        done: set[str] = set()
+        for a, nbrs in self._adj.items():
+            out.extend((a, b, link) for b, link in nbrs.items() if b not in done)
+            done.add(a)
+        return out
+
+    def components(self) -> list[list[str]]:
+        """Connected components, each a list in breadth-first discovery
+        order, ordered by their first site in declaration order."""
+        seen: set[str] = set()
+        comps = []
+        for start in self._adj:
+            if start in seen:
+                continue
+            seen.add(start)
+            comp = [start]
+            for v in comp:  # grows while walked: a breadth-first queue
+                for w in self._adj[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+            comps.append(comp)
+        return comps
 
     # -- routing ---------------------------------------------------------------------
     def path_info(self, src: str, dst: str) -> PathInfo:
@@ -151,10 +184,9 @@ class Topology:
         if src == dst:
             info = PathInfo(src, dst, (src,), 0.0, math.inf, 0.0)
         else:
-            try:
-                hops = nx.shortest_path(self.graph, src, dst, weight="weight")
-            except nx.NetworkXNoPath:
-                raise TopologyError(f"no route between {src!r} and {dst!r}") from None
+            hops = self._pair_route(src, dst)
+            if hops is None:
+                raise TopologyError(f"no route between {src!r} and {dst!r}")
             info = self._compose(src, dst, hops)
         self._path_cache[key] = info
         return info
@@ -165,11 +197,90 @@ class Topology:
         bandwidth = math.inf
         cost = 0.0
         for a, b in zip(hops, hops[1:]):
-            link = self.graph.edges[a, b]["link"]
+            link = self._adj[a][b]
             latency += link.latency_s
             bandwidth = min(bandwidth, link.bandwidth_Bps)
             cost += link.usd_per_gb
         return PathInfo(src, dst, tuple(hops), latency, bandwidth, cost)
+
+    # The two Dijkstra loops below follow networkx 3.6.1's
+    # bidirectional_dijkstra and single_source_dijkstra step for step
+    # (same heap keys, same relaxation order, same float sums), so
+    # every route and every tie-break is the one networkx would pick.
+    def _pair_route(self, src: str, dst: str) -> list[str] | None:
+        """Hops of the bidirectional-Dijkstra route from ``src`` to
+        ``dst`` (distinct sites), or None when no route exists."""
+        adj = self._adj
+        dists: tuple[dict, dict] = ({}, {})
+        preds: tuple[dict, dict] = ({src: None}, {dst: None})
+        seen: tuple[dict, dict] = ({src: 0}, {dst: 0})
+        fringe: tuple[list, list] = ([], [])
+        c = count()
+        heappush(fringe[0], (0, next(c), src))
+        heappush(fringe[1], (0, next(c), dst))
+        finaldist = None
+        meetnode = None
+        direction = 1
+        while fringe[0] and fringe[1]:
+            direction = 1 - direction
+            dist, _, v = heappop(fringe[direction])
+            if v in dists[direction]:
+                continue
+            dists[direction][v] = dist
+            if v in dists[1 - direction]:
+                forward = []
+                node = meetnode
+                while node is not None:
+                    forward.append(node)
+                    node = preds[0][node]
+                forward.reverse()
+                node = preds[1][meetnode]
+                while node is not None:
+                    forward.append(node)
+                    node = preds[1][node]
+                return forward
+            for w, link in adj[v].items():
+                vw_dist = dist + link.latency_s
+                if w in dists[direction]:
+                    continue
+                if w not in seen[direction] or vw_dist < seen[direction][w]:
+                    seen[direction][w] = vw_dist
+                    heappush(fringe[direction], (vw_dist, next(c), w))
+                    preds[direction][w] = v
+                    if w in seen[1 - direction]:
+                        meet_dist = vw_dist + seen[1 - direction][w]
+                        if finaldist is None or finaldist > meet_dist:
+                            finaldist, meetnode = meet_dist, w
+        return None
+
+    def _source_routes(self, src: str) -> dict[str, list[str]]:
+        """Hops of the single-source-Dijkstra route from ``src`` to every
+        site it reaches (``src`` itself maps to ``[src]``)."""
+        adj = self._adj
+        dist: dict[str, float] = {}
+        seen: dict[str, float] = {src: 0}
+        pred: dict[str, str] = {}
+        c = count()
+        fringe = [(0, next(c), src)]
+        while fringe:
+            dist_v, _, v = heappop(fringe)
+            if v in dist:
+                continue
+            dist[v] = dist_v
+            for u, link in adj[v].items():
+                vu_dist = dist_v + link.latency_s
+                if u in dist:
+                    continue
+                if u not in seen or vu_dist < seen[u]:
+                    seen[u] = vu_dist
+                    heappush(fringe, (vu_dist, next(c), u))
+                    pred[u] = v
+        # dist is in settling order, so each predecessor's route is built
+        # before any route through it
+        paths = {src: [src]}
+        for v in islice(dist, 1, None):
+            paths[v] = paths[pred[v]] + [v]
+        return paths
 
     @property
     def site_index(self) -> dict[str, int]:
@@ -234,7 +345,7 @@ class Topology:
             # composed PathInfos are shared with the scalar path cache so
             # the two APIs can never disagree on a route
             cache = self._path_cache
-            _, sssp = nx.single_source_dijkstra(self.graph, src, weight="weight")
+            sssp = self._source_routes(src)
             for dst, col in index.items():
                 info = cache.get((src, dst))
                 if info is None:
@@ -261,8 +372,9 @@ class Topology:
         and fully connected (every site can reach every other)."""
         if not self._sites:
             raise TopologyError("topology has no sites")
-        if len(self._sites) > 1 and not nx.is_connected(self.graph):
-            components = [sorted(c) for c in nx.connected_components(self.graph)]
+        components = self.components()
+        if len(components) > 1:
+            components = [sorted(c) for c in components]
             raise TopologyError(f"topology is disconnected: {components}")
 
     # -- summary ---------------------------------------------------------------------
@@ -274,7 +386,7 @@ class Topology:
         tiers = ", ".join(f"{len(v)} {k.lower()}" for k, v in sorted(by_tier.items()))
         return (
             f"{self.name}: {len(self._sites)} sites ({tiers}), "
-            f"{self.graph.number_of_edges()} links"
+            f"{self.link_count} links"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

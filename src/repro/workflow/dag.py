@@ -9,9 +9,8 @@ critical path, bottom levels) the placement strategies need.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Callable, Iterable
-
-import networkx as nx
 
 from repro.errors import WorkflowError
 from repro.workflow.task import TaskSpec
@@ -25,7 +24,10 @@ class WorkflowDAG:
         self._tasks: dict[str, TaskSpec] = {}
         self._producer: dict[str, str] = {}   # dataset name -> task name
         self._consumers: dict[str, set[str]] = {}  # dataset -> task names
-        self._graph = nx.DiGraph()
+        # task -> {successor: None} and task -> {predecessor: None}, each
+        # in edge insertion order
+        self._succ: dict[str, dict[str, None]] = {}
+        self._pred: dict[str, dict[str, None]] = {}
 
     # -- construction ------------------------------------------------------------
     def add_task(self, task: TaskSpec) -> TaskSpec:
@@ -48,7 +50,8 @@ class WorkflowDAG:
                     f"{task.name!r}"
                 )
         self._tasks[task.name] = task
-        self._graph.add_node(task.name)
+        self._succ[task.name] = {}
+        self._pred[task.name] = {}
         for out in task.output_names:
             self._producer[out] = task.name
         for inp in task.inputs:
@@ -59,21 +62,23 @@ class WorkflowDAG:
         for out in task.output_names:
             for consumer in self._consumers.get(out, ()):
                 if consumer != task.name:
-                    self._graph.add_edge(task.name, consumer)
-        # A new node can only close a cycle if it has both incoming and
-        # outgoing edges; skip the (linear-time) acyclicity check otherwise.
-        if (
-            self._graph.in_degree(task.name) > 0
-            and self._graph.out_degree(task.name) > 0
-            and not nx.is_directed_acyclic_graph(self._graph)
-        ):
+                    self._add_edge(task.name, consumer)
+        # The DAG was acyclic before, so a cycle must pass through the new
+        # task: it needs incoming edges and a successor that reaches back.
+        if self._pred[task.name] and self._reaches(self._succ[task.name], task.name):
             # roll back before raising
-            self._graph.remove_node(task.name)
+            for p in self._pred.pop(task.name):
+                del self._succ[p][task.name]
+            for q in self._succ.pop(task.name):
+                del self._pred[q][task.name]
             del self._tasks[task.name]
             for out in task.output_names:
                 del self._producer[out]
             for inp in task.inputs:
-                self._consumers[inp].discard(task.name)
+                consumers = self._consumers[inp]
+                consumers.discard(task.name)
+                if not consumers:
+                    del self._consumers[inp]
             raise WorkflowError(f"adding task {task.name!r} creates a cycle")
         return task
 
@@ -81,9 +86,27 @@ class WorkflowDAG:
         for inp in task.inputs:
             producer = self._producer.get(inp)
             if producer is not None and producer != task.name:
-                self._graph.add_edge(producer, task.name)
+                self._add_edge(producer, task.name)
         for dep in task.after:
-            self._graph.add_edge(dep, task.name)
+            self._add_edge(dep, task.name)
+
+    def _add_edge(self, a: str, b: str) -> None:
+        self._succ[a][b] = None
+        self._pred[b][a] = None
+
+    def _reaches(self, starts: Iterable[str], target: str) -> bool:
+        """True if ``target`` is reachable from any of ``starts``."""
+        stack = list(starts)
+        seen = set(stack)
+        while stack:
+            v = stack.pop()
+            if v == target:
+                return True
+            for w in self._succ[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return False
 
     # -- lookup --------------------------------------------------------------------
     def task(self, name: str) -> TaskSpec:
@@ -112,11 +135,11 @@ class WorkflowDAG:
 
     def dependencies(self, name: str) -> list[str]:
         self.task(name)
-        return sorted(self._graph.predecessors(name))
+        return sorted(self._pred[name])
 
     def dependents(self, name: str) -> list[str]:
         self.task(name)
-        return sorted(self._graph.successors(name))
+        return sorted(self._succ[name])
 
     def external_inputs(self) -> set[str]:
         """Dataset names read by tasks but produced by none — these must
@@ -126,7 +149,7 @@ class WorkflowDAG:
 
     @property
     def edge_count(self) -> int:
-        return self._graph.number_of_edges()
+        return sum(map(len, self._succ.values()))
 
     @property
     def total_work(self) -> float:
@@ -143,19 +166,27 @@ class WorkflowDAG:
             raise WorkflowError(f"workflow {self.name!r} has no tasks")
 
     def topological_order(self) -> list[str]:
-        """Deterministic topological order (ties broken by insertion)."""
-        order_index = {name: i for i, name in enumerate(self._tasks)}
-        return list(
-            nx.lexicographical_topological_sort(
-                self._graph, key=lambda n: order_index[n]
-            )
-        )
+        """Deterministic topological order (ties broken by insertion):
+        Kahn's algorithm, always taking the earliest-inserted ready task."""
+        names = list(self._tasks)
+        index = {name: i for i, name in enumerate(names)}
+        indegree = {name: len(self._pred[name]) for name in names}
+        ready = [i for i, name in enumerate(names) if not indegree[name]]
+        order = []
+        while ready:
+            name = names[heapq.heappop(ready)]
+            order.append(name)
+            for child in self._succ[name]:
+                indegree[child] -= 1
+                if not indegree[child]:
+                    heapq.heappush(ready, index[child])
+        return order
 
     def levels(self) -> list[list[str]]:
         """Tasks grouped by dependency depth (level 0 = sources)."""
         depth: dict[str, int] = {}
         for name in self.topological_order():
-            preds = list(self._graph.predecessors(name))
+            preds = self._pred[name]
             depth[name] = 1 + max((depth[p] for p in preds), default=-1)
         n_levels = max(depth.values(), default=-1) + 1
         grouped: list[list[str]] = [[] for _ in range(n_levels)]
@@ -177,7 +208,7 @@ class WorkflowDAG:
         best_pred: dict[str, str | None] = {}
         for name in self.topological_order():
             task = self._tasks[name]
-            preds = list(self._graph.predecessors(name))
+            preds = self._pred[name]
             if preds:
                 p = max(preds, key=lambda q: finish[q])
                 start = finish[p]
@@ -202,17 +233,17 @@ class WorkflowDAG:
             time_of = lambda t: t.work  # noqa: E731 - tiny default
         rank: dict[str, float] = {}
         for name in reversed(self.topological_order()):
-            succs = list(self._graph.successors(name))
+            succs = self._succ[name]
             tail = max((rank[s] for s in succs), default=0.0)
             rank[name] = time_of(self._tasks[name]) + tail
         return rank
 
     def subgraph_counts(self) -> dict[str, int]:
         """Quick shape summary: sources, sinks, max width."""
-        sources = [n for n in self._graph if self._graph.in_degree(n) == 0]
-        sinks = [n for n in self._graph if self._graph.out_degree(n) == 0]
+        sources = sum(1 for preds in self._pred.values() if not preds)
+        sinks = sum(1 for succs in self._succ.values() if not succs)
         width = max((len(level) for level in self.levels()), default=0)
-        return {"sources": len(sources), "sinks": len(sinks), "max_width": width}
+        return {"sources": sources, "sinks": sinks, "max_width": width}
 
     def extend(self, tasks: Iterable[TaskSpec]) -> "WorkflowDAG":
         """Bulk-add; returns self for chaining."""

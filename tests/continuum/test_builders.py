@@ -1,4 +1,3 @@
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,7 +94,7 @@ class TestHierarchical:
 class TestGeoRandom:
     def test_connected_by_construction(self):
         topo = geo_random_continuum(25, seed=3)
-        assert nx.is_connected(topo.graph)
+        assert len(topo.components()) == 1
 
     def test_determinism(self):
         a = geo_random_continuum(15, seed=9)
@@ -114,7 +113,7 @@ class TestGeoRandom:
     def test_property_always_connected_and_sized(self, n, seed):
         topo = geo_random_continuum(n, seed=seed, connect_radius_km=300.0)
         assert len(topo) == n
-        assert nx.is_connected(topo.graph)
+        assert len(topo.components()) == 1
 
 
 class TestPresets:

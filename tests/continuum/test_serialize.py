@@ -44,7 +44,7 @@ class TestTopologyRoundtrip:
         back = topology_from_dict(topology_to_dict(topo))
         assert back.name == topo.name
         assert sorted(back.site_names) == sorted(topo.site_names)
-        assert back.graph.number_of_edges() == topo.graph.number_of_edges()
+        assert back.link_count == topo.link_count
         # routing behaves identically
         a, b = topo.site_names[0], topo.site_names[-1]
         assert back.path_info(a, b).latency_s == \
