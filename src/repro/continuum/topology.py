@@ -174,21 +174,18 @@ class Topology:
         """Latency-optimal route from ``src`` to ``dst`` with composed
         properties. Identical endpoints give a zero-latency,
         infinite-bandwidth local path."""
-        key = (src, dst)
-        cached = self._path_cache.get(key)
+        cached = self._path_cache.get((src, dst))
         if cached is not None:
             return cached
         for end in (src, dst):
             if end not in self._sites:
                 raise TopologyError(f"unknown site {end!r}")
-        if src == dst:
-            info = PathInfo(src, dst, (src,), 0.0, math.inf, 0.0)
-        else:
-            hops = self._pair_route(src, dst)
-            if hops is None:
-                raise TopologyError(f"no route between {src!r} and {dst!r}")
-            info = self._compose(src, dst, hops)
-        self._path_cache[key] = info
+        # the row fill is the one writer of routes: a pair query fills
+        # its source's row, so every route depends on the topology alone
+        self._filled_row(src)
+        info = self._path_cache.get((src, dst))
+        if info is None:
+            raise TopologyError(f"no route between {src!r} and {dst!r}")
         return info
 
     def _compose(self, src: str, dst: str, hops: list[str]) -> PathInfo:
@@ -203,56 +200,10 @@ class Topology:
             cost += link.usd_per_gb
         return PathInfo(src, dst, tuple(hops), latency, bandwidth, cost)
 
-    # The two Dijkstra loops below follow networkx 3.6.1's
-    # bidirectional_dijkstra and single_source_dijkstra step for step
-    # (same heap keys, same relaxation order, same float sums), so
-    # every route and every tie-break is the one networkx would pick.
-    def _pair_route(self, src: str, dst: str) -> list[str] | None:
-        """Hops of the bidirectional-Dijkstra route from ``src`` to
-        ``dst`` (distinct sites), or None when no route exists."""
-        adj = self._adj
-        dists: tuple[dict, dict] = ({}, {})
-        preds: tuple[dict, dict] = ({src: None}, {dst: None})
-        seen: tuple[dict, dict] = ({src: 0}, {dst: 0})
-        fringe: tuple[list, list] = ([], [])
-        c = count()
-        heappush(fringe[0], (0, next(c), src))
-        heappush(fringe[1], (0, next(c), dst))
-        finaldist = None
-        meetnode = None
-        direction = 1
-        while fringe[0] and fringe[1]:
-            direction = 1 - direction
-            dist, _, v = heappop(fringe[direction])
-            if v in dists[direction]:
-                continue
-            dists[direction][v] = dist
-            if v in dists[1 - direction]:
-                forward = []
-                node = meetnode
-                while node is not None:
-                    forward.append(node)
-                    node = preds[0][node]
-                forward.reverse()
-                node = preds[1][meetnode]
-                while node is not None:
-                    forward.append(node)
-                    node = preds[1][node]
-                return forward
-            for w, link in adj[v].items():
-                vw_dist = dist + link.latency_s
-                if w in dists[direction]:
-                    continue
-                if w not in seen[direction] or vw_dist < seen[direction][w]:
-                    seen[direction][w] = vw_dist
-                    heappush(fringe[direction], (vw_dist, next(c), w))
-                    preds[direction][w] = v
-                    if w in seen[1 - direction]:
-                        meet_dist = vw_dist + seen[1 - direction][w]
-                        if finaldist is None or finaldist > meet_dist:
-                            finaldist, meetnode = meet_dist, w
-        return None
-
+    # The Dijkstra loop below follows networkx 3.6.1's
+    # single_source_dijkstra step for step (same heap keys, same
+    # relaxation order, same float sums), so every route and every
+    # tie-break is the one networkx would pick.
     def _source_routes(self, src: str) -> dict[str, list[str]]:
         """Hops of the single-source-Dijkstra route from ``src`` to every
         site it reaches (``src`` itself maps to ``[src]``)."""
@@ -300,8 +251,8 @@ class Topology:
 
         Rows are filled lazily (one single-source Dijkstra pass per
         source) and the composed :class:`PathInfo` records are written
-        into the shared path cache — already-cached routes win — so the
-        scalar and batch APIs always agree. Rows are invalidated
+        into the path cache that :meth:`path_info` reads, so the scalar
+        and batch APIs agree: only one search exists. Rows are invalidated
         together with the path cache on any mutation. The returned
         arrays are read-only views into the all-pairs matrices.
         Unreachable destinations appear as ``inf`` latency, **``0.0``
@@ -341,25 +292,23 @@ class Topology:
         if not self._row_filled[row]:
             self._path_matrix.flags.writeable = True
             lat, bw, usd = self._path_matrix
-            # one single-source Dijkstra pass covers every destination;
-            # composed PathInfos are shared with the scalar path cache so
-            # the two APIs can never disagree on a route
+            # one single-source Dijkstra pass covers every destination
+            # and writes each composed PathInfo into the path cache that
+            # path_info reads
             cache = self._path_cache
             sssp = self._source_routes(src)
             for dst, col in index.items():
-                info = cache.get((src, dst))
-                if info is None:
-                    if dst == src:
-                        info = PathInfo(src, dst, (src,), 0.0, math.inf, 0.0)
-                    else:
-                        hops = sssp.get(dst)
-                        if hops is None:  # unreachable: rank as infinitely far
-                            lat[row, col] = math.inf
-                            bw[row, col] = 0.0   # no route moves no bytes
-                            usd[row, col] = math.inf
-                            continue
-                        info = self._compose(src, dst, hops)
-                    cache[(src, dst)] = info
+                if dst == src:
+                    info = PathInfo(src, dst, (src,), 0.0, math.inf, 0.0)
+                else:
+                    hops = sssp.get(dst)
+                    if hops is None:  # unreachable: rank as infinitely far
+                        lat[row, col] = math.inf
+                        bw[row, col] = 0.0   # no route moves no bytes
+                        usd[row, col] = math.inf
+                        continue
+                    info = self._compose(src, dst, hops)
+                cache[(src, dst)] = info
                 lat[row, col] = info.latency_s
                 bw[row, col] = info.bandwidth_Bps
                 usd[row, col] = info.usd_per_gb

@@ -139,14 +139,9 @@ class ControlPlaneSession:
 
     # -- lease --------------------------------------------------------------------
     def _read_lease(self, now: float) -> float:
-        cfg = self.config
-        leader = self.plane.leader_id()
-        if leader is not None and self.plane.nodes[leader].lease_valid(
-                now, cfg.lease_duration_s):
-            self._pinned = self.plane.nodes[leader].state
-            self._pinned_truth = True
-            self.stats.lease_reads += 1
-            return 2.0 * cfg.replication_lag_s
+        leader = self._lease_ready(now)
+        if leader is not None:
+            return self._finish_lease(leader, 0.0)
         return self._retry_then_degrade(
             now, self._lease_ready, self._finish_lease)
 
@@ -165,15 +160,10 @@ class ControlPlaneSession:
 
     # -- quorum -------------------------------------------------------------------
     def _read_quorum(self, now: float) -> float:
-        cfg = self.config
-        leader = self.plane.leader_id()
-        if leader is not None and self.plane.quorum_connected(leader):
-            breaker = self.breakers.get("ctl:leader-rpc")
-            breaker.record_success(now)
-            self._pinned = self.plane.nodes[leader].state
-            self._pinned_truth = True
-            self.stats.quorum_reads += 1
-            return 4.0 * cfg.replication_lag_s
+        leader = self._quorum_ready(now)
+        if leader is not None:
+            self.breakers.get("ctl:leader-rpc").record_success(now)
+            return self._finish_quorum(leader, 0.0)
         return self._retry_then_degrade(
             now, self._quorum_ready, self._finish_quorum)
 

@@ -90,32 +90,36 @@ class _TransientFault(Exception):
 
 
 def wave_dispatch(run, batch, vetoed) -> None:
-    """Place one ready batch through the strategy's wave protocol.
+    """Place one ready batch task by task in :meth:`prioritize` order.
 
-    ``select_sites`` yields placements in the same order the scalar loop
-    produced them; reserving between ``next()`` calls keeps the
-    sequential EFT semantics, so the decision stream is bit-identical to
-    the frozen task-at-a-time oracle in ``tests/oracles/dispatch.py`` —
-    the speedup comes from the memoized cost rows and
-    incrementally-maintained availability vectors underneath, not from
-    reordering. Module-level so the oracle can be patched in for
-    differential runs and ``benchmarks/bench_scheduler.py`` can drive
-    both engines against one placement harness.
+    Each chosen slot is reserved before the next task is selected, so
+    every selection sees the earlier placements of its batch (the
+    sequential EFT semantics) and the decision stream is bit-identical
+    to the frozen task-at-a-time oracle in ``tests/oracles/dispatch.py``
+    — the speedup comes from the memoized cost rows read by
+    ``estimate_finish_at`` and the incrementally-maintained
+    availability vectors underneath, not from reordering. Module-level
+    so the oracle can be patched in for differential runs and
+    ``benchmarks/bench_scheduler.py`` can drive both engines against
+    one placement harness.
     """
-    for task, choice in run.strategy.select_sites(batch, run.ctx):
+    for task in run.strategy.prioritize(batch, run.ctx):
         if task.pinned_site and run.ctx.is_down(task.pinned_site):
             # pinned to a dark site: hold until it recovers
             # (pins override breaker vetoes — there is no choice)
             run.ready.append(task)
             continue
-        if isinstance(choice, SchedulingError):
+        try:
+            site_name = task.pinned_site or run.strategy.select_site(
+                task, run.ctx
+            )
+        except SchedulingError:
             if run.failures is not None or vetoed:
                 # transiently unplaceable (e.g. the strategy's whole
                 # tier is dark or vetoed): hold until recovery
                 run.ready.append(task)
                 continue
-            raise choice
-        site_name = choice
+            raise
         if site_name not in run.resources:
             raise SchedulingError(
                 f"strategy chose non-candidate site {site_name!r} "
@@ -840,13 +844,11 @@ class _Run:
                 return
             if site_name not in self.resources:
                 return
-            est, est_finish = self.ctx.estimate_finish(
-                task, self.ctx.site(site_name)
-            )
         finally:
             self.ctx.set_vetoed(())
-        decision = record_placement(self, task, site_name, est.stage_time_s,
-                                    est.exec_time_s, est_finish)
+        decision = record_placement(
+            self, task, site_name,
+            *self.ctx.estimate_finish_at(task, site_name))
         self._hedges_of[name] = self._hedges_of.get(name, 0) + 1
         self.stats.hedges_launched += 1
         self.tracer.instant("hedge_launch", "resilience", task=name,

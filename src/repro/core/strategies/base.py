@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterator
 
 from repro.core.context import SchedulingContext
-from repro.errors import SchedulingError
 from repro.workflow.dag import WorkflowDAG
 from repro.workflow.task import TaskSpec
 
@@ -18,7 +16,10 @@ class PlacementStrategy(ABC):
 
     1. :meth:`prepare` — once, with the full DAG (compute ranks etc.),
     2. :meth:`prioritize` — whenever several tasks are ready at once,
-    3. :meth:`select_site` — per task, returning a site name,
+    3. :meth:`select_site` — per unpinned task, in :meth:`prioritize`
+       order, returning a site name; the scheduler reserves each
+       chosen slot before the next call, so every selection sees
+       the earlier placements of its batch,
     4. :meth:`observe` — after each task completes, with the measured
        record (adaptive strategies learn from this).
 
@@ -37,33 +38,6 @@ class PlacementStrategy(ABC):
     @abstractmethod
     def select_site(self, task: TaskSpec, ctx: SchedulingContext) -> str:
         """Pick the execution site for ``task``."""
-
-    def select_sites(
-        self, tasks: list[TaskSpec], ctx: SchedulingContext
-    ) -> Iterator[tuple[TaskSpec, str | SchedulingError]]:
-        """Wave placement: yield ``(task, choice)`` pairs in placement
-        order, where ``choice`` is a site name or the
-        :class:`SchedulingError` the selection raised for that task.
-
-        The scheduler reserves the chosen slot between ``next()`` calls,
-        so each selection sees availability reflecting every earlier
-        in-wave placement — the sequential EFT-reserve semantics are
-        part of this contract, not an implementation detail. The default
-        reproduces :meth:`prioritize` + per-task :meth:`select_site`
-        exactly (pinned tasks never reach :meth:`select_site`, so
-        RNG-consuming strategies draw the same stream as the scalar
-        loop); batch-estimating strategies get their (tasks x sites)
-        matrix reuse from the cost model's memoized rows underneath this
-        same protocol.
-        """
-        for task in self.prioritize(tasks, ctx):
-            if task.pinned_site:
-                yield task, task.pinned_site
-                continue
-            try:
-                yield task, self.select_site(task, ctx)
-            except SchedulingError as exc:
-                yield task, exc
 
     def observe(self, record, ctx: SchedulingContext) -> None:
         """Completion feedback (measured :class:`TaskRecord`); default
