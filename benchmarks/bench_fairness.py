@@ -20,6 +20,12 @@ Run as a script::
 ``--merge-into`` folds the rows into the kernel perf trajectory file
 (under a top-level ``"fairness"`` key) so one artifact tracks both
 events/s and rate-solves/s; ``--out`` writes a standalone report.
+
+numpy runs with one BLAS thread, as in the end-to-end benchmark's
+samples. On a shared two-vCPU host a threaded matvec waits on its
+slower thread: the 10k-flow vectorized solve read 0.057-0.071 s with
+two threads and 0.029-0.043 s with one, so the gated ratio swung
+between about 5x and 14x from run to run.
 """
 
 from __future__ import annotations
@@ -28,15 +34,19 @@ import argparse
 import gc
 import json
 import math
+import os
 import platform
 import random
 import sys
 import time
 from datetime import datetime, timezone
 
-import numpy as np
+for _threads in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_threads] = "1"
 
-from repro.netsim.fairness import (
+import numpy as np  # noqa: E402  (after the thread settings)
+
+from repro.netsim.fairness import (  # noqa: E402
     _incidence,
     equal_share_rates,
     max_min_fair_rates,

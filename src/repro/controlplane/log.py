@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ControlPlaneError
 
@@ -51,8 +52,7 @@ class Command:
 NOOP = Command("noop")
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     index: int
     term: int
     command: Command
@@ -132,23 +132,28 @@ class ReplicatedLog:
 
     Indices are 1-based as in the Raft paper; index 0 is the empty-log
     sentinel with term 0. After compaction, entries at or below
-    ``base_index`` exist only inside the snapshot.
+    ``base_index`` exist only inside the snapshot. ``last_index`` and
+    ``last_term`` are fields that every mutation keeps current, since
+    every message reads them.
     """
 
     def __init__(self) -> None:
         self._entries: list[LogEntry] = []
         self.base_index = 0
         self.base_term = 0
+        self.last_index = 0
+        self.last_term = 0
         self.snapshot: Snapshot | None = None
 
     # -- shape -------------------------------------------------------------------
-    @property
-    def last_index(self) -> int:
-        return self._entries[-1].index if self._entries else self.base_index
-
-    @property
-    def last_term(self) -> int:
-        return self._entries[-1].term if self._entries else self.base_term
+    def _sync_last(self) -> None:
+        """Refresh ``last_index``/``last_term`` from the entries, or
+        from the base when none are left."""
+        if self._entries:
+            last = self._entries[-1]
+            self.last_index, self.last_term = last.index, last.term
+        else:
+            self.last_index, self.last_term = self.base_index, self.base_term
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -179,7 +184,9 @@ class ReplicatedLog:
 
     # -- mutation -----------------------------------------------------------------
     def append(self, term: int, command: Command) -> LogEntry:
-        entry = LogEntry(self.last_index + 1, term, command)
+        self.last_index += 1
+        self.last_term = term
+        entry = LogEntry(self.last_index, term, command)
         self._entries.append(entry)
         return entry
 
@@ -200,6 +207,7 @@ class ReplicatedLog:
                 f"cannot truncate into compacted prefix at {index}"
             )
         del self._entries[index - self.base_index - 1:]
+        self._sync_last()
 
     def compact(self, snapshot: Snapshot) -> None:
         """Discard entries covered by ``snapshot``, keeping the suffix."""
@@ -210,6 +218,7 @@ class ReplicatedLog:
         self.base_index = snapshot.last_index
         self.base_term = snapshot.last_term
         self.snapshot = snapshot
+        self._sync_last()
 
     def install(self, snapshot: Snapshot) -> None:
         """Replace the whole log with ``snapshot`` (follower catch-up
@@ -218,3 +227,4 @@ class ReplicatedLog:
         self.base_index = snapshot.last_index
         self.base_term = snapshot.last_term
         self.snapshot = snapshot
+        self._sync_last()

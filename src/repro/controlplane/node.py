@@ -9,17 +9,22 @@ node itself stays deterministic and side-effect free.
 
 Election timeouts are drawn per-node from named RNG streams
 (``ctl:election:<id>``), so who wins each election is a pure function of
-the run seed — the property the determinism tests pin.
+the run seed — the property the determinism tests pin. A node draws
+them :data:`TIMEOUT_BLOCK` at a time and hands them out in order: a
+block of ``k`` draws is bitwise equal to ``k`` scalar draws.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from repro.controlplane.log import NOOP, Command, LogEntry, ReplicatedLog, Snapshot
 from repro.controlplane.state import ControlState
 from repro.resilience.retry import RetryBudget
+
+#: Election timeouts a node draws from its stream in one call.
+TIMEOUT_BLOCK = 64
 
 
 class Role(Enum):
@@ -29,23 +34,20 @@ class Role(Enum):
 
 
 # -- messages ---------------------------------------------------------------------
-@dataclass(frozen=True)
-class RequestVote:
+class RequestVote(NamedTuple):
     term: int
     candidate: int
     last_log_index: int
     last_log_term: int
 
 
-@dataclass(frozen=True)
-class VoteReply:
+class VoteReply(NamedTuple):
     term: int
     voter: int
     granted: bool
 
 
-@dataclass(frozen=True)
-class AppendEntries:
+class AppendEntries(NamedTuple):
     term: int
     leader: int
     prev_index: int
@@ -55,8 +57,7 @@ class AppendEntries:
     sent_at: float  # leader clock at send; echoed back for lease math
 
 
-@dataclass(frozen=True)
-class AppendReply:
+class AppendReply(NamedTuple):
     term: int
     follower: int
     success: bool
@@ -64,16 +65,14 @@ class AppendReply:
     sent_at: float     # echo of AppendEntries.sent_at
 
 
-@dataclass(frozen=True)
-class InstallSnapshot:
+class InstallSnapshot(NamedTuple):
     term: int
     leader: int
     snapshot: Snapshot
     sent_at: float
 
 
-@dataclass(frozen=True)
-class SnapshotReply:
+class SnapshotReply(NamedTuple):
     term: int
     follower: int
     match_index: int
@@ -109,6 +108,7 @@ class RaftNode:
         self.commit_index = 0
         self.state = ControlState()
 
+        self._timeouts: list[float] = []  # drawn, unused; the next is last
         self.election_deadline = self._draw_timeout(0.0)
         self.last_leader_contact = 0.0
         self.elections_started = 0
@@ -123,8 +123,11 @@ class RaftNode:
 
     # -- timeouts -----------------------------------------------------------------
     def _draw_timeout(self, now: float) -> float:
-        lo, hi = self.election_timeout_s
-        return now + float(self._rng.uniform(lo, hi))
+        if not self._timeouts:
+            lo, hi = self.election_timeout_s
+            self._timeouts = self._rng.uniform(
+                lo, hi, size=TIMEOUT_BLOCK).tolist()[::-1]
+        return now + self._timeouts.pop()
 
     def next_deadline(self) -> float:
         """When this node next wants a timer callback."""
@@ -228,18 +231,30 @@ class RaftNode:
             return [(msg.leader,
                      AppendReply(self.term, self.id, False, hint,
                                  msg.sent_at))]
-        match = msg.prev_index
-        for entry in msg.entries:
-            if entry.index <= self.log.base_index:
-                match = max(match, entry.index)
-                continue  # already compacted == already committed here
-            existing = self.log.term_at(entry.index)
-            if existing is not None and existing != entry.term:
-                self.log.truncate_from(entry.index)
-                existing = None
-            if existing is None:
+        # log matching: logs that agree on the term at an index agree
+        # on every entry up to it. So when the term agrees at the last
+        # index both logs hold, the carried entries up to it are here
+        # already and only those past it are appended; on a mismatch
+        # every carried entry is checked
+        entries, match = msg.entries, msg.prev_index
+        held = min(match + len(entries), self.log.last_index)
+        if held == match or \
+                self.log.term_at(held) == entries[held - match - 1].term:
+            for entry in entries[held - match:]:
                 self.log.append(entry.term, entry.command)
-            match = entry.index
+            match += len(entries)
+        else:
+            for entry in entries:
+                if entry.index <= self.log.base_index:
+                    match = max(match, entry.index)
+                    continue  # already compacted == already committed here
+                existing = self.log.term_at(entry.index)
+                if existing is not None and existing != entry.term:
+                    self.log.truncate_from(entry.index)
+                    existing = None
+                if existing is None:
+                    self.log.append(entry.term, entry.command)
+                match = entry.index
         if msg.leader_commit > self.commit_index:
             self.commit_index = min(msg.leader_commit, self.log.last_index)
             self._apply_committed()
@@ -325,13 +340,20 @@ class RaftNode:
         """Take the state that ``rounds`` entry-less AppendEntries from
         ``leader`` leave on an up-to-date follower, the last delivered
         at ``last_contact``. The election timeouts those deliveries
-        redraw come from one call, bitwise equal to ``rounds`` scalar
-        draws; only the last one survives."""
-        lo, hi = self.election_timeout_s
+        redraw are the next ``rounds`` draws, those still buffered first
+        and the rest from one call; only the last one survives."""
         self.leader_hint = leader
         self.last_leader_contact = last_contact
-        self.election_deadline = last_contact + float(
-            self._rng.uniform(lo, hi, size=rounds)[-1])
+        drawn = self._timeouts
+        if rounds <= len(drawn):
+            timeout = drawn[-rounds]
+            del drawn[-rounds:]
+        else:
+            lo, hi = self.election_timeout_s
+            timeout = float(self._rng.uniform(
+                lo, hi, size=rounds - len(drawn))[-1])
+            drawn.clear()
+        self.election_deadline = last_contact + timeout
 
     # -- leader internals ---------------------------------------------------------
     def _may_resend(self) -> bool:

@@ -10,7 +10,8 @@ results; nothing in ``repro`` imports from here.
 from tests.oracles.controlplane import stepwise
 from tests.oracles.dispatch import scalar_dispatch, scalar_engine
 from tests.oracles.heap_queue import HeapEventQueue
+from tests.oracles.raft_node import frozen_raft
 from tests.oracles.staging import per_input_staging
 
-__all__ = ["HeapEventQueue", "per_input_staging", "scalar_dispatch",
-           "scalar_engine", "stepwise"]
+__all__ = ["HeapEventQueue", "frozen_raft", "per_input_staging",
+           "scalar_dispatch", "scalar_engine", "stepwise"]
