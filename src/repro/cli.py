@@ -148,13 +148,19 @@ def _cmd_dag(args) -> int:
     return 0
 
 
-def _cmd_schedule(args) -> int:
+def _scenario(args):
+    """Topology, workload (external inputs spread over the peripheral
+    sites) and strategy, as the run commands take them."""
     topo = _get_topology(args.topology)
     dag, externals = _get_workload(args)
     peripheral = [s.name for s in topo.sites if s.tier.is_peripheral]
     sources = peripheral or topo.site_names
     placed = [(d, sources[i % len(sources)]) for i, d in enumerate(externals)]
-    strategy = _get_strategy(args.strategy)
+    return topo, dag, placed, _get_strategy(args.strategy)
+
+
+def _cmd_schedule(args) -> int:
+    topo, dag, placed, strategy = _scenario(args)
     result = ContinuumScheduler(topo, seed=args.seed).run(
         dag, strategy, external_inputs=placed
     )
@@ -183,21 +189,30 @@ def _run_metrics_registry(args) -> MetricsRegistry | None:
     return MetricsRegistry(keep_timeseries=True)
 
 
-def _write_metrics_snapshot(registry: MetricsRegistry, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(snapshot_to_json(registry.snapshot()))
-    print()
-    print(f"metrics snapshot written to {path} "
-          f"({len(registry.families())} metric families)")
+def _write_observations(args, tracer: Tracer,
+                        metrics: MetricsRegistry | None) -> None:
+    """The Chrome trace to ``--out``, the snapshot to ``--metrics``."""
+    if args.out:
+        doc = to_chrome_trace(
+            tracer, recorder=metrics.timeseries if metrics else None
+        )
+        validate_chrome_trace(doc)
+        with open(args.out, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        print()
+        print(f"chrome trace written to {args.out} "
+              f"({len(doc['traceEvents'])} events; open in chrome://tracing "
+              f"or ui.perfetto.dev)")
+    if metrics is not None:
+        with open(args.metrics, "w", encoding="utf-8") as handle:
+            handle.write(snapshot_to_json(metrics.snapshot()))
+        print()
+        print(f"metrics snapshot written to {args.metrics} "
+              f"({len(metrics.families())} metric families)")
 
 
 def _cmd_trace(args) -> int:
-    topo = _get_topology(args.topology)
-    dag, externals = _get_workload(args)
-    peripheral = [s.name for s in topo.sites if s.tier.is_peripheral]
-    sources = peripheral or topo.site_names
-    placed = [(d, sources[i % len(sources)]) for i, d in enumerate(externals)]
-    strategy = _get_strategy(args.strategy)
+    topo, dag, placed, strategy = _scenario(args)
     tracer = Tracer()
     metrics = _run_metrics_registry(args)
     result = ContinuumScheduler(topo, seed=args.seed).run(
@@ -211,19 +226,7 @@ def _cmd_trace(args) -> int:
     print()
     cp = critical_path(result, dag)
     print(critical_path_report(cp))
-    if args.out:
-        doc = to_chrome_trace(
-            tracer, recorder=metrics.timeseries if metrics else None
-        )
-        validate_chrome_trace(doc)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
-        print()
-        print(f"chrome trace written to {args.out} "
-              f"({len(doc['traceEvents'])} events; open in chrome://tracing "
-              f"or ui.perfetto.dev)")
-    if metrics is not None:
-        _write_metrics_snapshot(metrics, args.metrics)
+    _write_observations(args, tracer, metrics)
     return 0
 
 
@@ -255,12 +258,7 @@ def _cmd_chaos(args) -> int:
             f"unknown recovery policy {args.policy!r}; "
             f"known: {sorted(CHAOS_POLICIES)}"
         )
-    topo = _get_topology(args.topology)
-    dag, externals = _get_workload(args)
-    peripheral = [s.name for s in topo.sites if s.tier.is_peripheral]
-    sources = peripheral or topo.site_names
-    placed = [(d, sources[i % len(sources)]) for i, d in enumerate(externals)]
-    strategy = _get_strategy(args.strategy)
+    topo, dag, placed, strategy = _scenario(args)
     plan = campaign.build(topo)
     policy = policy_builder(args.seed)
     tracer = Tracer()
@@ -298,18 +296,7 @@ def _cmd_chaos(args) -> int:
         f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
         for k, v in stats.as_row().items() if k != "policy"
     ))
-    if args.out:
-        doc = to_chrome_trace(
-            tracer, recorder=metrics.timeseries if metrics else None
-        )
-        validate_chrome_trace(doc)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
-        print()
-        print(f"chrome trace written to {args.out} "
-              f"({len(doc['traceEvents'])} events)")
-    if metrics is not None:
-        _write_metrics_snapshot(metrics, args.metrics)
+    _write_observations(args, tracer, metrics)
     return 0
 
 

@@ -140,9 +140,13 @@ def record_placement(run, task, site_name, stage_s, exec_s,
         est_stage_s=stage_s, est_exec_s=exec_s, est_finish=est_finish,
     )
     run.decisions.append(decision)
-    if run._m_decisions is not None:
-        run._m_decisions.labels(
-            site=site_name, strategy=run.strategy.name).inc()
+    counters = run._m_decisions
+    if counters is not None:
+        counter = counters.get(site_name)
+        if counter is None:
+            counter = counters[site_name] = run._m_decision_family.labels(
+                site=site_name, strategy=run.strategy.name)
+        counter.inc()
     return decision
 
 
@@ -339,7 +343,7 @@ class _Run:
         self.sim = Simulator()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if tracer is not None:
-            tracer.bind(lambda: self.sim.now)
+            tracer.bind(self.sim)   # until execute ends
         self.rngs = RngRegistry(sched.seed)
         self.network = FlowNetwork(self.sim, sched.topology, tracer=tracer)
         # replicated control plane (opt-in): the catalog becomes a
@@ -444,13 +448,16 @@ class _Run:
             self._init_metrics()
 
     def _init_metrics(self) -> None:
+        # children resolved once: histograms here, decisions per site
         m = self.metrics
-        self._m_decisions = m.counter(
+        self._m_decision_family = m.counter(
             "scheduler_placement_decisions_total",
             "Placement decisions by chosen site and strategy",
             ("site", "strategy"))
+        self._m_decisions = {}
         self._m_queue_wait, self._m_stage, self._m_exec = (
-            m.histogram(name, help_, start=1e-3, factor=2.0, count=36)
+            m.histogram(name, help_, start=1e-3, factor=2.0,
+                        count=36).labels()
             for name, help_ in (
                 ("scheduler_task_queue_wait_seconds",
                  "Wait for a worker slot after inputs arrived"),
@@ -523,7 +530,11 @@ class _Run:
         self._arm_failures()
         for idx, job in enumerate(self.jobs):
             self.sim.schedule_at(job.arrival_s, self._job_arrives, idx)
-        self.sim.run(until=until)
+        try:
+            self.sim.run(until=until)
+        finally:
+            if self.tracer is not NULL_TRACER:   # let go of the run
+                self.tracer.bind(lambda end=self.sim.now: end)
 
         if self.failed_tasks:
             failed = ", ".join(sorted(self.failed_tasks))

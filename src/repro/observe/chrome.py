@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 
 from repro.errors import ObserveError
+from repro.observe.recorder import series_counter_events
 from repro.observe.span import Span
 
 
@@ -75,12 +76,8 @@ def to_chrome_trace(tracer_or_spans, *, recorder=None) -> dict:
             })
         _tree_events(root, children, tid, events)
     if recorder is not None:
-        if hasattr(recorder, "counter_events"):
-            events.extend(recorder.counter_events())
-        else:
-            from repro.observe.recorder import series_counter_events
-
-            events.extend(series_counter_events(recorder))
+        events.extend(series_counter_events(getattr(recorder, "series",
+                                                    recorder)))
     meta = [e for e in events if e["ph"] == "M"]
     timed = [e for e in events if e["ph"] != "M"]
     timed.sort(key=lambda e: e["ts"])  # stable: per-lane order preserved

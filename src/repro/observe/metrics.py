@@ -605,14 +605,6 @@ def _unescape_label(v: str) -> str:
              .replace(r"\\", "\\"))
 
 
-def _parse_num(s: str) -> float:
-    if s == "+Inf":
-        return math.inf
-    if s == "-Inf":
-        return -math.inf
-    return float(s)
-
-
 def parse_prometheus(text: str) -> dict:
     """Parse text produced by :func:`to_prometheus` back into
     ``{name: {"type", "series": {label_tuple: value-or-histogram}}}``.
@@ -656,14 +648,14 @@ def parse_prometheus(text: str) -> dict:
             series = doc["series"].setdefault(
                 key, {"buckets": {}, "sum": None, "count": None})
             if suffix == "_bucket":
-                series["buckets"][_parse_num(labels["le"])] = (
+                series["buckets"][float(labels["le"])] = (
                     int(float(value_s)))
             elif suffix == "_sum":
-                series["sum"] = _parse_num(value_s)
+                series["sum"] = float(value_s)
             elif suffix == "_count":
                 series["count"] = int(float(value_s))
         else:
-            doc["series"][key] = _parse_num(value_s)
+            doc["series"][key] = float(value_s)
     return out
 
 

@@ -40,48 +40,43 @@ class MetricsRecorder:
         #: Next simulated time at/after which the kernel should tick us.
         self.next_t = 0.0
         self.series: dict[str, list[tuple[float, float]]] = {}
-        self._probes: list[tuple[str, Callable[[], float]]] = []
+        # (probe, its own series list), in registration order
+        self._probes: list[tuple[Callable[[], float], list]] = []
 
     def add_probe(self, name: str, fn: Callable[[], float]) -> None:
         """Register ``fn`` to be sampled as timeseries ``name``."""
-        if any(n == name for n, _ in self._probes):
+        if name in self.series:
             raise ObserveError(f"duplicate recorder probe {name!r}")
-        self._probes.append((name, fn))
-        self.series[name] = []
+        self._probes.append((fn, self.series.setdefault(name, [])))
 
     def tick(self, now: float) -> None:
         """Sample every probe at simulated time ``now``; called by the
         kernel dispatch loop when ``now >= next_t``."""
-        for name, fn in self._probes:
-            self.series[name].append((now, float(fn())))
+        probes = self._probes
+        for fn, pts in probes:
+            pts.append((now, float(fn())))
         self.next_t = now + self.interval_s
-        first = next(iter(self.series.values()), None)
-        if first is not None and len(first) > self.max_samples:
+        if probes and len(probes[0][1]) > self.max_samples:
             self._decimate()
 
     def _decimate(self) -> None:
-        # Keep every other sample (newest kept) and double the interval;
-        # purely a function of sample count, hence deterministic.
-        for name, pts in self.series.items():
-            self.series[name] = pts[1::2] if len(pts) > 1 else pts
+        # Keep every other sample (the odd positions), in place so each
+        # probe keeps its list, and double the interval; purely a
+        # function of sample count, hence deterministic.
+        for pts in self.series.values():
+            if len(pts) > 1:
+                del pts[::2]
         self.interval_s *= 2.0
 
     def sample_count(self) -> int:
-        first = next(iter(self.series.values()), None)
-        return len(first) if first is not None else 0
-
-    def counter_events(self, *, pid: int = 0, tid: int = 0) -> list[dict]:
-        """Chrome trace-event counter records (``"ph": "C"``) — one per
-        sample, timestamps in microseconds, renderable alongside span
-        events in ``chrome://tracing`` / Perfetto."""
-        return series_counter_events(self.series, pid=pid, tid=tid)
+        return len(self._probes[0][1]) if self._probes else 0
 
 
 def series_counter_events(series: dict[str, list[tuple[float, float]]],
                           *, pid: int = 0, tid: int = 0) -> list[dict]:
-    """Chrome counter events from a plain ``name -> [(t, v), ...]``
-    timeseries mapping — the shape a registry preserves under
-    ``keep_timeseries`` — so exports work after the recorder is gone."""
+    """Chrome trace-event counter records (``"ph": "C"``), one per
+    sample, from a ``name -> [(t, v), ...]`` mapping: a recorder's
+    ``series``, or the copy a registry keeps under ``keep_timeseries``."""
     events = []
     for name in sorted(series):
         for t, v in series[name]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """A begin/end interval with identity, lineage, and attributes.
 
@@ -38,10 +38,3 @@ class Span:
         if self.end_s is None:
             return 0.0
         return self.end_s - self.begin_s
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        end = f"{self.end_s:.6g}" if self.end_s is not None else "open"
-        return (
-            f"<Span #{self.span_id} {self.category}:{self.name} "
-            f"[{self.begin_s:.6g}, {end}] {self.status}>"
-        )

@@ -8,9 +8,15 @@ they only read a clock — which is what makes observability
 zero-interference: a traced run is bit-identical to an untraced one.
 
 Clocks are late-bound: the continuum scheduler binds the tracer to its
-per-run :class:`~repro.simcore.simulation.Simulator` clock, while the
-real-execution dataflow kernel binds ``time.perf_counter``. Explicit
-``time=`` arguments override the clock (useful in tests).
+per-run :class:`~repro.simcore.simulation.Simulator` while the run
+executes and to the run's final time after, so a kept tracer holds
+nothing of a finished run. The real-execution dataflow kernel leaves
+the default, the wall clock. Explicit ``time=`` arguments override it.
+
+Spans are stored as data: one flat list holds a row of atomic values
+per span in begin order, the span id being the row number plus one.
+``begin`` returns a live :class:`Span` that ``end`` updates; readers
+get ``Span`` objects built from the rows.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import threading
 import time as _time
 from collections.abc import Callable
 from contextlib import contextmanager
+from functools import partial
 
 from repro.errors import ObserveError
 from repro.observe.span import Span
@@ -26,20 +33,29 @@ from repro.observe.span import Span
 #: Shared sentinel returned by disabled tracers; ``end`` ignores it.
 NULL_SPAN = Span(name="", category="", begin_s=0.0, span_id=0)
 
+#: A row is the Span fields but the id: name, category, begin_s,
+#: parent_id, end_s (None while open), status, instant, attrs; then
+#: the live Span that ``begin`` returned, until it ends.
+_WIDTH = 9
+
 
 class Tracer:
     """Collects :class:`Span` trees against a pluggable clock.
 
-    Thread-safe: the dataflow kernel ends spans from worker threads.
-    ``spans`` holds every span in begin order; completed trees can be
-    exported with :func:`repro.observe.to_chrome_trace`.
+    Thread-safe: the dataflow kernel ends spans from worker threads, so
+    ids and rows change under one lock. ``spans`` holds every span in
+    begin order; completed trees can be exported with
+    :func:`repro.observe.to_chrome_trace`.
     """
 
     def __init__(self, clock: Callable[[], float] | None = None,
                  *, enabled: bool = True):
-        self._clock = clock
         self.enabled = enabled
-        self.spans: list[Span] = []
+        self.bound = False
+        self._clock = _time.perf_counter
+        if clock is not None:
+            self.bind(clock)
+        self._rows: list = []
         self._next_id = 1
         self._lock = threading.Lock()
 
@@ -49,19 +65,14 @@ class Tracer:
         if callable(clock):
             self._clock = clock
         elif hasattr(clock, "now"):
-            self._clock = lambda: clock.now
+            self._clock = partial(getattr, clock, "now")
         else:
             raise ObserveError(f"cannot use {clock!r} as a tracer clock")
-
-    @property
-    def bound(self) -> bool:
-        return self._clock is not None
+        self.bound = True
 
     def now(self) -> float:
         """Current time (wall clock until :meth:`bind` is called)."""
-        if self._clock is not None:
-            return self._clock()
-        return _time.perf_counter()
+        return self._clock()
 
     # -- recording -------------------------------------------------------------
     def begin(self, name: str, category: str = "span", *,
@@ -70,47 +81,55 @@ class Tracer:
         """Open a span; returns it (a shared null span when disabled)."""
         if not self.enabled:
             return NULL_SPAN
-        t = self.now() if time is None else float(time)
+        t = self._clock() if time is None else float(time)
+        parent_id = None if parent is None else parent.span_id or None
         with self._lock:
-            span = Span(
-                name=name, category=category, begin_s=t,
-                span_id=self._next_id,
-                parent_id=(parent.span_id
-                           if parent is not None and parent is not NULL_SPAN
-                           else None),
-                attrs=dict(attrs),
-            )
+            span = Span(name, category, t, self._next_id, parent_id,
+                        None, "ok", False, attrs)
             self._next_id += 1
-            self.spans.append(span)
-        return span
-
-    def end(self, span: Span, *, time: float | None = None,
-            status: str = "ok", **attrs) -> Span:
-        """Close ``span`` at the current time, merging extra attributes."""
-        if span is NULL_SPAN or span is None or not self.enabled:
-            return span
-        if span.end_s is not None:
-            raise ObserveError(f"span {span.name!r} already ended")
-        t = self.now() if time is None else float(time)
-        if t < span.begin_s:
-            raise ObserveError(
-                f"span {span.name!r} would end at {t} before its begin "
-                f"{span.begin_s}"
-            )
-        span.end_s = t
-        span.status = status
-        if attrs:
-            span.attrs.update(attrs)
+            self._rows.extend(
+                (name, category, t, parent_id, None, "ok", False, attrs, span))
         return span
 
     def instant(self, name: str, category: str = "event", *,
                 parent: Span | None = None, time: float | None = None,
                 **attrs) -> Span:
         """Record a zero-duration point event."""
-        span = self.begin(name, category, parent=parent, time=time, **attrs)
-        if span is not NULL_SPAN:
-            span.end_s = span.begin_s
-            span.instant = True
+        if not self.enabled:
+            return NULL_SPAN
+        t = self._clock() if time is None else float(time)
+        parent_id = None if parent is None else parent.span_id or None
+        with self._lock:
+            span_id = self._next_id
+            self._next_id += 1
+            self._rows.extend(
+                (name, category, t, parent_id, t, "ok", True, attrs, None))
+        return Span(name, category, t, span_id, parent_id, t, "ok", True,
+                    attrs)
+
+    def end(self, span: Span, *, time: float | None = None,
+            status: str = "ok", **attrs) -> Span:
+        """Close ``span`` at the current time, merging extra attributes."""
+        if span is NULL_SPAN or span is None or not self.enabled:
+            return span
+        t = self._clock() if time is None else float(time)
+        if t < span.begin_s:
+            raise ObserveError(
+                f"span {span.name!r} would end at {t} before its begin "
+                f"{span.begin_s}"
+            )
+        row = span.span_id * _WIDTH
+        with self._lock:
+            live = self._rows[row - 1:row]   # [] once clear() dropped it
+            if not live or live[0] is not span:
+                raise ObserveError(f"span {span.name!r} already ended or "
+                                   f"not open in this tracer")
+            # end_s, status, instant, attrs (the same dict), live handle
+            self._rows[row - 5:row] = (t, status, False, span.attrs, None)
+        span.end_s = t
+        span.status = status
+        if attrs:
+            span.attrs.update(attrs)   # the row holds this same dict
         return span
 
     @contextmanager
@@ -127,6 +146,15 @@ class Tracer:
         self.end(s)
 
     # -- retrieval ---------------------------------------------------------------
+    @property
+    def spans(self) -> list[Span]:
+        """Every span in begin order: open ones as ``begin`` returned
+        them, closed ones built from their rows."""
+        with self._lock:
+            rows = self._rows[:]
+        return [rows[k + 8] or Span(*rows[k:k + 3], n, *rows[k + 3:k + 8])
+                for n, k in enumerate(range(0, len(rows), _WIDTH), 1)]
+
     def finished(self) -> list[Span]:
         """All closed spans, in begin order."""
         return [s for s in self.spans if s.closed]
@@ -142,7 +170,7 @@ class Tracer:
 
     def clear(self) -> None:
         with self._lock:
-            self.spans.clear()
+            self._rows.clear()
             self._next_id = 1
 
 

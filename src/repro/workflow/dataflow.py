@@ -28,7 +28,6 @@ dependency callbacks fire on worker threads.
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
 
@@ -108,8 +107,6 @@ class DataFlowKernel:
                 f"task_timeout_s must be positive, got {task_timeout_s}"
             )
         self.executor = executor if executor is not None else ThreadExecutor()
-        if tracer is not None and not tracer.bound:
-            tracer.bind(time.perf_counter)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.default_retries = retries
         self.retry_policy = retry_policy

@@ -4,7 +4,7 @@ export."""
 import pytest
 
 from repro.errors import ObserveError
-from repro.observe.chrome import validate_chrome_trace
+from repro.observe.chrome import to_chrome_trace, validate_chrome_trace
 from repro.observe.recorder import MetricsRecorder, series_counter_events
 
 
@@ -46,13 +46,26 @@ class TestRecorder:
         times = [t for t, _ in rec.series["n"]]
         assert times == sorted(times)
 
+    def test_decimation_keeps_exact_samples(self):
+        """Each decimation keeps the odd positions of every series and
+        doubles the interval; later ticks land in the thinned series."""
+        rec = MetricsRecorder(interval_s=1.0, max_samples=4)
+        rec.add_probe("t", lambda: t)
+        rec.add_probe("twice", lambda: 2 * t)
+        for t in range(21):
+            if t >= rec.next_t:
+                rec.tick(float(t))
+        assert rec.series["t"] == [(7.0, 7.0), (15.0, 15.0)]
+        assert rec.series["twice"] == [(7.0, 14.0), (15.0, 30.0)]
+        assert (rec.interval_s, rec.next_t) == (8.0, 23.0)
+
     def test_counter_events_sorted_and_valid(self):
         rec = MetricsRecorder(interval_s=1.0)
         rec.add_probe("beta", lambda: 2.0)
         rec.add_probe("alpha", lambda: 1.0)
         rec.tick(0.5)
         rec.tick(1.5)
-        events = rec.counter_events()
+        events = series_counter_events(rec.series)
         assert [(e["ts"], e["name"]) for e in events] == [
             (0.5e6, "alpha"), (0.5e6, "beta"),
             (1.5e6, "alpha"), (1.5e6, "beta"),
@@ -61,7 +74,10 @@ class TestRecorder:
         validate_chrome_trace({"traceEvents": events})
 
     def test_series_counter_events_matches_recorder(self):
+        """A recorder and the timeseries a registry keeps of it export
+        the same counter events."""
         rec = MetricsRecorder()
         rec.add_probe("q", lambda: 3.0)
         rec.tick(2.0)
-        assert series_counter_events(rec.series) == rec.counter_events()
+        assert to_chrome_trace([], recorder=rec) == \
+            to_chrome_trace([], recorder=dict(rec.series))

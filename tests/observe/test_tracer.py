@@ -150,3 +150,80 @@ class TestRetrievalAndRoundTrip:
         tracer.clear()
         assert tracer.spans == []
         assert tracer.begin("fresh", time=0.0).span_id == 1
+
+
+def add(a, b):
+    return a + b
+
+
+class TestSpanStore:
+    def test_end_after_clear_rejected(self):
+        tracer = Tracer()
+        stale = tracer.begin("stale", time=0.0)
+        tracer.clear()
+        fresh = tracer.begin("fresh", time=1.0, site="edge")
+        assert fresh.span_id == stale.span_id
+        with pytest.raises(ObserveError, match="not open"):
+            tracer.end(stale, time=2.0, status="failed", cause="late")
+        (kept,) = tracer.spans
+        assert kept is fresh
+        assert (kept.end_s, kept.status, kept.attrs) == (
+            None, "ok", {"site": "edge"})
+        tracer.end(fresh, time=3.0)
+        assert tracer.finished() == [fresh]
+        assert tracer.finished()[0].end_s == 3.0
+
+    def test_threaded_dataflow_ids_are_contiguous(self):
+        """Workers end spans concurrently with the main thread's
+        begins; ids stay unique and in begin order, every span closes,
+        and the export validates."""
+        from repro.workflow import DataFlowKernel, ThreadExecutor
+
+        tracer = Tracer()
+        with DataFlowKernel(ThreadExecutor(max_workers=4),
+                            tracer=tracer) as dfk:
+            heads = [dfk.submit(add, i, i) for i in range(24)]
+            tails = [dfk.submit(add, f, 1) for f in heads]
+            assert [f.result() for f in tails] == [2 * i + 1
+                                                   for i in range(24)]
+        spans = tracer.spans
+        assert [s.span_id for s in spans] == list(range(1, len(spans) + 1))
+        assert len(tracer.by_category("dftask")) == 48
+        assert tracer.open_spans() == [] and all(s.closed for s in spans)
+        validate_chrome_trace(to_chrome_trace(tracer))
+
+    def test_concurrent_begin_end_stress(self):
+        """More threads than cores, switching every microsecond: a lost
+        update would show as a missing, duplicated or open span."""
+        import sys
+        import threading
+
+        tracer = Tracer(clock=lambda: 1.0)
+        n_threads, n_spans = 8, 1000
+
+        def work(k):
+            for i in range(n_spans):
+                span = tracer.begin("w", "test", worker=k, i=i)
+                tracer.instant("tick", "test", parent=span)
+                tracer.end(span, done=True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        spans = tracer.spans
+        assert len(spans) == 2 * n_threads * n_spans
+        assert [s.span_id for s in spans] == list(range(1, len(spans) + 1))
+        assert tracer.open_spans() == []
+        work_spans = [s for s in spans if s.name == "w"]
+        assert sorted((s.attrs["worker"], s.attrs["i"]) for s in work_spans) \
+            == [(k, i) for k in range(n_threads) for i in range(n_spans)]
+        assert all(s.attrs["done"] for s in work_spans)

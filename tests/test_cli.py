@@ -94,6 +94,26 @@ class TestTraceCommand:
             doc = json.load(handle)
         assert validate_chrome_trace(doc) > 0
 
+    @pytest.mark.parametrize("metrics, digest", [
+        (False, "5ad908aa818bbf492c67ab13c25758a6"
+                "a073a58ac9c4f85fa4f1c28c2ef8fe73"),
+        (True, "211b0d94d96fef49cc1c9669a2c176e6"
+               "562f87f66525d4400c7e561eb5fb17f7"),
+    ])
+    def test_beamline_trace_is_pinned(self, tmp_path, capsys, metrics,
+                                      digest):
+        """The exported JSON, spans and (with ``--metrics``) recorder
+        counter events alike, is byte-for-byte the recorded one: span
+        storage and sampling are refactored against this digest."""
+        import hashlib
+
+        out = tmp_path / "trace.json"
+        argv = ["trace", "--workload", "beamline", "--out", str(out)]
+        if metrics:
+            argv += ["--metrics", str(tmp_path / "metrics.json")]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_trace_without_export(self, capsys):
         assert main(["trace", "--workload", "stencil", "--out", ""]) == 0
         printed = capsys.readouterr().out
