@@ -31,14 +31,12 @@ between about 5x and 14x from run to run.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import math
 import os
 import platform
 import random
 import sys
-import time
 from datetime import datetime, timezone
 
 for _threads in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -51,6 +49,7 @@ from repro.netsim.fairness import (  # noqa: E402
     equal_share_rates,
     max_min_fair_rates,
 )
+from timing import best_of  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -147,33 +146,6 @@ SCALES = [
 ]
 
 
-#: Every timing is the best of at least ``repeat`` calls and of at least
-#: ``MIN_TIMED_S`` seconds of calls (at most ``MAX_CALLS``), so that a
-#: sub-millisecond solve gets as many tries as a slow one gets time. The
-#: ~1.5 ms ``max_min_fair_rates_1k`` solve timed as a best of 2 read
-#: 5.29x-9.55x over ten quick runs on one host.
-MIN_TIMED_S = 0.05
-MAX_CALLS = 200
-
-
-def _best_of(fn, repeat):
-    best, result = float("inf"), None
-    calls, spent = 0, 0.0
-    gc.collect()
-    gc.disable()
-    try:
-        while calls < repeat or (spent < MIN_TIMED_S and calls < MAX_CALLS):
-            t0 = time.perf_counter()
-            result = fn()
-            elapsed = time.perf_counter() - t0
-            best = min(best, elapsed)
-            spent += elapsed
-            calls += 1
-    finally:
-        gc.enable()
-    return best, result
-
-
 def run_benchmarks(repeat: int = 3, quick: bool = False) -> dict:
     # quick still does at least best-of-2: the first call pays numpy
     # warm-up (page faults on the 16MB incidence matrix, ufunc setup)
@@ -189,10 +161,10 @@ def run_benchmarks(repeat: int = 3, quick: bool = False) -> dict:
         # fraction of their runtime.)
         A = _incidence(n_links, flow_links)
         for name, scalar_fn, vector_fn in SOLVERS:
-            scalar_s, scalar_rates = _best_of(
-                lambda: scalar_fn(caps, flow_links), reps)
-            vector_s, vector_rates = _best_of(
-                lambda: vector_fn(caps, A), reps)
+            [(scalar_s, scalar_spent, scalar_rates)] = best_of(
+                [lambda: scalar_fn(caps, flow_links)], reps)
+            [(vector_s, vector_spent, vector_rates)] = best_of(
+                [lambda: vector_fn(caps, A)], reps)
             if not np.allclose(np.asarray(scalar_rates), vector_rates,
                                rtol=1e-9, atol=1e-9):
                 raise AssertionError(
@@ -205,6 +177,9 @@ def run_benchmarks(repeat: int = 3, quick: bool = False) -> dict:
                 "flows": n_flows,
                 "scalar_s": round(scalar_s, 6),
                 "vectorized_s": round(vector_s, 6),
+                # seconds of calls each best-of spent
+                "scalar_spent_s": round(scalar_spent, 6),
+                "vectorized_spent_s": round(vector_spent, 6),
                 "speedup": round(scalar_s / vector_s, 3),
                 "rate_solves_per_s": round(1.0 / vector_s, 3),
             })

@@ -16,26 +16,28 @@ Run as a script to refresh the machine-readable perf trajectory::
     PYTHONPATH=src python benchmarks/bench_kernel.py --out BENCH_kernel.json
 
 Every workload cross-checks determinism: both kernels must fire the
-same number of events and finish at the same simulated clock. GC is
-disabled inside the timed regions (event churn otherwise spends a
-run-to-run-variable fraction of its time in gen-2 collections — noise,
-not kernel signal).
+same number of events and finish at the same simulated clock. Each
+side is timed by ``timing.best_of`` (the rule ``bench_fairness`` uses:
+best of at least ``repeat`` calls and of at least 0.05 s of calls),
+with seed and production calls alternating so host drift hits both.
+GC is disabled inside the timed regions (event churn otherwise spends
+a run-to-run-variable fraction of its time in gen-2 collections —
+noise, not kernel signal).
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import heapq
 import json
 import platform
 import sys
-import time
 from datetime import datetime, timezone
 
 from repro.observe.recorder import MetricsRecorder
 from repro.simcore import Simulator, Timeout
 from repro.simcore.process import Process
+from timing import best_of
 
 
 # ---------------------------------------------------------------------------
@@ -229,23 +231,10 @@ WORKLOADS = [
 ]
 
 
-def _best_of(fn, arg, repeat):
-    best, result = float("inf"), None
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            result = fn(arg)
-            best = min(best, time.perf_counter() - t0)
-    finally:
-        gc.enable()
-    return best, result
-
-
 def _compare(name, workload, baseline_arg, optimized_arg, baseline, reps):
-    base_s, base_obs = _best_of(workload, baseline_arg, reps)
-    opt_s, opt_obs = _best_of(workload, optimized_arg, reps)
+    (base_s, _, base_obs), (opt_s, _, opt_obs) = best_of(
+        [lambda: workload(baseline_arg), lambda: workload(optimized_arg)],
+        reps)
     if base_obs != opt_obs:
         raise AssertionError(
             f"{name}: kernels diverged — baseline observed {base_obs}, "
@@ -294,20 +283,8 @@ def metrics_overhead_guard(repeat: int = 5,
 
     # Interleave bare/metered repetitions so CPU frequency drift and
     # cache warm-up hit both sides equally; compare the best of each.
-    bare_s = metered_s = float("inf")
-    bare_obs = metered_obs = None
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            bare_obs = drive(False)
-            bare_s = min(bare_s, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            metered_obs = drive(True)
-            metered_s = min(metered_s, time.perf_counter() - t0)
-    finally:
-        gc.enable()
+    (bare_s, _, bare_obs), (metered_s, _, metered_obs) = best_of(
+        [lambda: drive(False), lambda: drive(True)], repeat)
     if bare_obs != metered_obs:
         raise AssertionError(
             f"metrics guard: recorder changed the simulation — bare "
@@ -326,7 +303,10 @@ def metrics_overhead_guard(repeat: int = 5,
 
 def run_benchmarks(repeat: int = 5, quick: bool = False) -> dict:
     rows = []
-    reps = max(1, repeat // 2) if quick else repeat
+    # quick still does at least best-of-2, as bench_fairness does: one
+    # call per side read zero_delay_cascade's ratio 0.68 against its
+    # 0.70 floor in one of ten quick runs
+    reps = min(2, repeat) if quick else repeat
     for name, workload in WORKLOADS:
         def sim_workload(sim_cls, workload=workload):
             return workload(sim_cls)

@@ -86,8 +86,10 @@ class ControlRuntime:
         ):
             hist = registry.histogram(name, help_, start=1e-4, factor=2.0,
                                       count=30)
-            for lat in latencies:
-                hist.observe(lat)
+            if latencies:   # an empty list adds no (empty) series
+                observe = hist.labels().observe
+                for lat in latencies:
+                    observe(lat)
 
     def arm_partitions(self, sim, schedule: PartitionSchedule) -> None:
         """Schedule every window's split and heal on the simulator; the

@@ -19,6 +19,15 @@ All allocators accept the flow set in two forms:
   which maintains a persistent incidence matrix across flow arrivals and
   departures so a reallocation does zero per-event matrix construction.
   Matrix entries are trusted to be 0/1 (only the shape is checked).
+
+Both allocators also take ``weights``: column ``j`` then stands for
+``weights[j]`` flows over the same links, and its rate is the rate of
+each of them. The default is one flow per column. ``FlowNetwork``
+always calls ``allocator(capacities, routes, weights)`` with one column
+per live route and its flow count as weight. With whole-number weights
+the result is bitwise the per-flow solve expanded to flows: link
+counts are small integers, exact in float64 whatever the summation
+order.
 """
 
 from __future__ import annotations
@@ -87,8 +96,23 @@ def _check_rates(rates, n_flows: int) -> np.ndarray:
     return r
 
 
+def _as_weights(weights, n_cols: int) -> np.ndarray:
+    """Flows per column. ``None`` means one each. An array is trusted
+    like a prebuilt incidence matrix (only its shape is checked); a
+    sequence is validated: every weight positive and finite."""
+    if weights is None:
+        return np.ones(n_cols)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n_cols,):
+        raise NetworkError(f"weights of shape {w.shape} for {n_cols} columns")
+    if not isinstance(weights, np.ndarray) and not np.all(
+            (w > 0) & (w < math.inf)):
+        raise NetworkError("all weights must be positive and finite")
+    return w
+
+
 def max_min_fair_rates(
-    capacities: Sequence[float], flow_links
+    capacities: Sequence[float], flow_links, weights=None
 ) -> np.ndarray:
     """Max-min fair rates for flows over capacitated links.
 
@@ -100,6 +124,8 @@ def max_min_fair_rates(
         For each flow, the indices of the links it traverses — or a
         prebuilt ``(n_links, n_flows)`` incidence matrix. A flow with no
         links (a local copy) gets infinite rate.
+    weights:
+        Flows per column (default: one each); see the module docstring.
 
     Returns
     -------
@@ -110,16 +136,18 @@ def max_min_fair_rates(
     cap = _check_capacities(capacities)
     A = _as_incidence(len(cap), flow_links)
     n_links, n_flows = A.shape
+    w = _as_weights(weights, n_flows)
     rates = np.zeros(n_flows)
     if n_flows == 0:
         return rates
 
-    # ``active`` is kept as float 0/1 so per-level products need no
-    # dtype conversion; all link counts stay exact small integers in
-    # float64 and are maintained incrementally (counts -= level_counts
-    # equals a fresh A @ active exactly), which keeps the allocation
-    # bit-identical no matter how many flows have already been frozen.
-    active = np.ones(n_flows)
+    # ``active`` holds each unfrozen column's weight (0 once frozen) so
+    # per-level products need no dtype conversion; all link counts stay
+    # exact small integers in float64 and are maintained incrementally
+    # (counts -= level_counts equals a fresh A @ active exactly), which
+    # keeps the allocation bit-identical no matter how many flows have
+    # already been frozen.
+    active = w.copy()
     local = A.sum(axis=0) == 0.0
     n_remaining = n_flows
     if local.any():
@@ -140,12 +168,12 @@ def max_min_fair_rates(
     with np.errstate(divide="ignore"):
         while n_remaining > 0:
             np.divide(remaining, counts, out=share)
-            l_star = int(share.argmin())
+            l_star = share.argmin()
             level = share[l_star]
             # flows newly frozen at this level: active AND on the bottleneck
-            cols = np.nonzero(active * A[l_star])[0]
+            cols = (active * A[l_star]).nonzero()[0]
             rates[cols] = level
-            level_counts = A[:, cols].sum(axis=1)
+            level_counts = A[:, cols] @ w[cols]
             np.multiply(level_counts, level, out=scratch)
             np.subtract(remaining, scratch, out=remaining)
             np.maximum(remaining, 0.0, out=remaining)
@@ -157,21 +185,24 @@ def max_min_fair_rates(
 
 
 def equal_share_rates(
-    capacities: Sequence[float], flow_links
+    capacities: Sequence[float], flow_links, weights=None
 ) -> np.ndarray:
     """Single-pass equal-split baseline (ablation).
 
     Each flow's rate is ``min over its links of capacity/flows-on-link``.
     Feasible but generally not Pareto-optimal: once a flow is limited by
     a remote bottleneck, its unused share elsewhere is wasted.
+    ``weights`` counts the flows per column, as for
+    :func:`max_min_fair_rates`.
     """
     cap = _check_capacities(capacities)
     A = _as_incidence(len(cap), flow_links)
     n_links, n_flows = A.shape
+    w = _as_weights(weights, n_flows)
     rates = np.full(n_flows, math.inf)
     if n_flows == 0 or n_links == 0:
         return rates
-    counts = A.sum(axis=1)
+    counts = A @ w
     with np.errstate(divide="ignore", invalid="ignore"):
         per_link = np.where(counts > 0, cap / counts, math.inf)
     # Vectorized masked min over the links each flow traverses: links a

@@ -271,3 +271,38 @@ class TestCompactionWork:
         assert compactions >= 1000
         assert calls > adopted  # chains collapsed onto the applied state
         assert 0.0 < worst <= 1.0
+
+
+class TestEmitMetrics:
+    def test_histograms_resolve_their_child_once(self, monkeypatch):
+        """Each latency histogram resolves its child once per harvest,
+        not once per latency; an empty latency list adds no series."""
+        from repro.continuum import Link, Site, Tier, Topology
+        from repro.controlplane.runtime import ControlRuntime
+        from repro.observe.metrics import MetricFamily, MetricsRegistry
+
+        topo = Topology()
+        for s in SITES:
+            topo.add_site(Site(s, Tier.EDGE))
+        topo.add_link("a", "b", Link(0.0, 10.0))
+        topo.add_link("b", "c", Link(0.0, 10.0))
+        runtime = ControlRuntime(cfg(), topo)
+        runtime.stats.read_latencies.extend([0.001, 0.002, 0.05])
+        assert runtime.plane.commit_latencies == []
+
+        resolved = []
+        labels = MetricFamily.labels
+
+        def counted(family, **kw):
+            if family.kind == "histogram":
+                resolved.append(family.name)
+            return labels(family, **kw)
+
+        monkeypatch.setattr(MetricFamily, "labels", counted)
+        registry = MetricsRegistry()
+        runtime.emit_metrics(registry)
+        assert resolved == ["controlplane_read_latency_seconds"]
+        metrics = registry.snapshot()["metrics"]
+        (read,) = metrics["controlplane_read_latency_seconds"]["series"]
+        assert read["count"] == 3
+        assert metrics["controlplane_commit_latency_seconds"]["series"] == []

@@ -12,8 +12,10 @@ and ``link_loads`` (satellite of the calendar-queue PR) and
 conservation properties tying ``link_loads`` to independently-computed
 per-link sums.
 
-And the one-flow closed form :class:`FlowNetwork` solves lone flows
-with, which must equal the solver bit for bit.
+And the route form :class:`FlowNetwork` solves with: one weighted
+column per route must give, flow for flow, the bits of the per-flow
+solve, and the closed form for one live route must equal the solver
+bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.netsim.fairness import (
     link_loads,
     max_min_fair_rates,
 )
-from repro.netsim.network import FlowNetwork, _lone_flow_rate
+from repro.netsim.network import FlowNetwork, _lone_route_rate
 from repro.simcore import Simulator
 
 
@@ -132,7 +134,59 @@ class TestMaxMinDifferential:
 
 
 # ---------------------------------------------------------------------------
-# One-flow closed form (FlowNetwork's lone-flow solve)
+# Weighted route columns (FlowNetwork's solve over routes)
+# ---------------------------------------------------------------------------
+
+@st.composite
+def routed_flows(draw):
+    """Random capacities, route columns (repeats and link-less ones
+    included), a flow count per route, and a shuffled flow order."""
+    n_links = draw(st.integers(1, 8))
+    caps = draw(st.lists(st.floats(1e-3, 1e12), min_size=n_links,
+                         max_size=n_links))
+    n_routes = draw(st.integers(1, 10))
+    routes = np.zeros((n_links, n_routes))
+    for r in range(n_routes):
+        if r and draw(st.booleans()):
+            routes[:, r] = routes[:, draw(st.integers(0, r - 1))]
+        else:
+            routes[draw(st.lists(st.integers(0, n_links - 1),
+                                 unique=True)), r] = 1.0
+    weights = draw(st.lists(st.integers(1, 40), min_size=n_routes,
+                            max_size=n_routes))
+    route_of = draw(st.permutations(np.repeat(np.arange(n_routes),
+                                              weights).tolist()))
+    return np.asarray(caps), routes, np.asarray(weights), np.asarray(route_of)
+
+
+class TestWeightedRoutes:
+    @pytest.mark.parametrize("allocator",
+                             [max_min_fair_rates, equal_share_rates])
+    @settings(max_examples=300, deadline=None)
+    @given(routed_flows())
+    def test_route_solve_is_the_per_flow_solve(self, allocator, case):
+        caps, routes, weights, route_of = case
+        per_flow = allocator(caps, routes[:, route_of])
+        per_route = allocator(caps, routes, weights)
+        assert per_route[route_of].tobytes() == per_flow.tobytes()
+
+    def test_unit_weights_are_the_default(self):
+        caps, flows = [10.0, 30.0], [[0], [0, 1], [1], []]
+        for allocator in (max_min_fair_rates, equal_share_rates):
+            assert (allocator(caps, flows, [1, 1, 1, 1]).tobytes()
+                    == allocator(caps, flows).tobytes())
+
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 0.0], [1.0, -2.0],
+                                         [1.0, math.inf], [1.0, math.nan],
+                                         [[1.0, 1.0]], np.ones(3)])
+    def test_bad_weights_rejected(self, weights):
+        for allocator in (max_min_fair_rates, equal_share_rates):
+            with pytest.raises(NetworkError, match="weights"):
+                allocator([10.0], [[0], [0]], weights)
+
+
+# ---------------------------------------------------------------------------
+# One-route closed form (FlowNetwork's lone-route solve)
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -154,9 +208,20 @@ class TestLoneFlowClosedForm:
     def test_bit_identical_to_solver(self, scenario):
         caps, column = scenario
         solved = max_min_fair_rates(caps, column[:, None])
-        closed = _lone_flow_rate(caps, column)
+        closed = _lone_route_rate(caps, column, 1.0)
         assert closed.shape == solved.shape == (1,)
         assert closed.tobytes() == solved.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(lone_flow())
+    def test_k_flows_bit_identical_to_solver(self, scenario):
+        caps, column = scenario
+        for k in range(1, 65):
+            closed = _lone_route_rate(caps, column, float(k))
+            weighted = max_min_fair_rates(caps, column[:, None], [k])
+            per_flow = max_min_fair_rates(caps, np.tile(column[:, None], k))
+            assert closed.tobytes() == weighted.tobytes()
+            assert per_flow.tobytes() == np.repeat(closed, k).tobytes()
 
     def test_every_capacity_write_path_validates(self):
         """The closed form skips ``_check_capacities``: that is safe only

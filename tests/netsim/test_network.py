@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from repro.continuum import Link, Site, Tier, Topology
@@ -342,6 +343,29 @@ class TestAllocatorPluggability:
         run(equal_share_rates, done_eq)
         # bc flow finishes sooner under max-min (950 vs 500 B/s initially)
         assert done_mm["bc"] < done_eq["bc"]
+
+    def test_allocator_sees_one_weighted_column_per_route(self):
+        """64 flows over 3 routes are solved as 3 columns whose weights
+        count the flows."""
+        seen = []
+
+        def allocator(capacities, routes, weights=None):
+            flows = routes.shape[1] if weights is None else np.sum(weights)
+            seen.append((routes.shape[1], float(flows)))
+            return max_min_fair_rates(capacities, routes, weights)
+
+        sim = Simulator()
+        net = FlowNetwork(sim, chain3(bw_ab=100.0, bw_bc=50.0),
+                          allocator=allocator)
+        routes = [("a", "b"), ("b", "c"), ("a", "c")]
+        for i in range(64):
+            net.transfer(*routes[i % 3], 100.0 + i)
+        sim.run()
+        assert seen[0] == (3, 64.0)
+        assert all(columns <= 3 for columns, _ in seen)
+        assert net.flows_completed == 64
+        # every slot freed: the route matrix holds no live column
+        assert not net._slot_of and not net._R.any()
 
 
 class TestLatencyHelpers:
