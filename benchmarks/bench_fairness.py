@@ -1,11 +1,11 @@
-"""Fair-share allocator benchmarks: vectorized solvers vs scalar loops.
+"""Fair-share solver benchmark: vectorized solver vs scalar loops.
 
-Times the production allocators in ``repro.netsim.fairness`` (per-level
-numpy array ops over a link x flow incidence matrix) against frozen
-pure-Python scalar references that implement the same progressive
-filling with per-flow loops — the implementation shape the vectorized
-solvers replaced. Every timed pair is also cross-checked: the two
-implementations must agree to 1e-9 on every flow rate.
+Times the production solver ``repro.netsim.fairness.max_min_fair_rates``
+(per-level numpy array ops over a link x flow incidence matrix) against
+a frozen pure-Python scalar reference that implements the same
+progressive filling with per-flow loops — the implementation shape the
+vectorized solver replaced. Every timed pair is also cross-checked: the
+two implementations must agree to 1e-9 on every flow rate.
 
 The headline scale is 10k flows over a few hundred links, the regime
 continuum experiments need for realistic (KheOps-style edge-to-cloud)
@@ -44,18 +44,14 @@ for _threads in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402  (after the thread settings)
 
-from repro.netsim.fairness import (  # noqa: E402
-    _incidence,
-    equal_share_rates,
-    max_min_fair_rates,
-)
+from repro.netsim.fairness import _incidence, max_min_fair_rates  # noqa: E402
 from timing import best_of  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
-# Frozen scalar references (pure Python progressive filling).
+# Frozen scalar reference (pure Python progressive filling).
 #
-# These mirror the vectorized solvers' arithmetic step for step — one
+# It mirrors the vectorized solver's arithmetic step for step — one
 # ``count * level`` product and one subtraction per link per level —
 # so agreement is tight (1e-9); only summation order inside numpy's
 # matvecs differs.
@@ -103,22 +99,6 @@ def scalar_max_min(caps, flow_links):
     return rates
 
 
-def scalar_equal_share(caps, flow_links):
-    n_links = len(caps)
-    counts = [0] * n_links
-    for links in flow_links:
-        for l in links:
-            counts[l] += 1
-    per_link = [
-        caps[l] / counts[l] if counts[l] else math.inf
-        for l in range(n_links)
-    ]
-    return [
-        min((per_link[l] for l in links), default=math.inf)
-        for links in flow_links
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Workload generation (seeded: identical topology every run)
 # ---------------------------------------------------------------------------
@@ -136,7 +116,6 @@ def make_scenario(n_links: int, n_flows: int, seed: int = 42):
 SOLVERS = [
     # (row name, scalar fn, vectorized fn)
     ("max_min_fair_rates", scalar_max_min, max_min_fair_rates),
-    ("equal_share_rates", scalar_equal_share, equal_share_rates),
 ]
 
 SCALES = [
@@ -154,11 +133,10 @@ def run_benchmarks(repeat: int = 3, quick: bool = False) -> dict:
     rows = []
     for n_links, n_flows in SCALES:
         caps, flow_links = make_scenario(n_links, n_flows)
-        # The vectorized solvers are timed on the production fast path:
-        # a prebuilt incidence matrix, as maintained persistently by
-        # FlowNetwork across flow arrivals/departures. (The scalar
-        # references build their link adjacency inline — a negligible
-        # fraction of their runtime.)
+        # The vectorized solver is timed on the production fast path:
+        # a prebuilt incidence matrix, as FlowNetwork passes its route
+        # matrix. (The scalar reference builds its link adjacency
+        # inline — a negligible fraction of its runtime.)
         A = _incidence(n_links, flow_links)
         for name, scalar_fn, vector_fn in SOLVERS:
             [(scalar_s, scalar_spent, scalar_rates)] = best_of(

@@ -31,13 +31,14 @@ import argparse
 import heapq
 import json
 import platform
+import statistics
 import sys
 from datetime import datetime, timezone
 
 from repro.observe.recorder import MetricsRecorder
 from repro.simcore import Simulator, Timeout
 from repro.simcore.process import Process
-from timing import best_of
+from timing import best_of, timed_rounds
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +259,13 @@ def metrics_overhead_guard(repeat: int = 5,
     :class:`MetricsRecorder` (the exact probe set the continuum
     scheduler installs). The recorder costs one attribute compare per
     dispatched event; this guard pins that at < ``threshold`` relative
-    overhead so instrumentation can never quietly tax the kernel."""
+    overhead so instrumentation can never quietly tax the kernel.
+
+    Bare and metered calls alternate for ``repeat`` rounds, and the
+    gate is the median of the per-round metered/bare ratios. A best-of
+    per side failed 1 of 20 runs at an unchanged kernel on a shared
+    2-vCPU host: a burst of noise longer than the metered side's calls
+    is enough to move a best-of, but it moves one round's ratio only."""
 
     def drive(metered: bool):
         sim = Simulator()
@@ -281,20 +288,20 @@ def metrics_overhead_guard(repeat: int = 5,
         sim.run()
         return sim.event_count, sim.now
 
-    # Interleave bare/metered repetitions so CPU frequency drift and
-    # cache warm-up hit both sides equally; compare the best of each.
-    (bare_s, _, bare_obs), (metered_s, _, metered_obs) = best_of(
+    (bare_s, bare_obs), (metered_s, metered_obs) = timed_rounds(
         [lambda: drive(False), lambda: drive(True)], repeat)
     if bare_obs != metered_obs:
         raise AssertionError(
             f"metrics guard: recorder changed the simulation — bare "
             f"observed {bare_obs}, metered {metered_obs}")
-    overhead = metered_s / bare_s - 1.0
+    overhead = statistics.median(
+        m / b for b, m in zip(bare_s, metered_s)) - 1.0
     return {
         "name": "metrics_overhead_watchdog_churn",
         "events": bare_obs[0],
-        "bare_s": round(bare_s, 6),
-        "metered_s": round(metered_s, 6),
+        "rounds": repeat,
+        "bare_s": round(statistics.median(bare_s), 6),
+        "metered_s": round(statistics.median(metered_s), 6),
         "overhead": round(overhead, 4),
         "threshold": threshold,
         "ok": overhead < threshold,
@@ -344,7 +351,8 @@ def main(argv=None) -> int:
         print(f"{row['name']:<34} bare {row['bare_s']:.4f}s  "
               f"metered {row['metered_s']:.4f}s  "
               f"overhead {row['overhead']:+.1%} "
-              f"(threshold {row['threshold']:.0%}) "
+              f"(median of {row['rounds']} rounds, "
+              f"threshold {row['threshold']:.0%}) "
               f"{'OK' if row['ok'] else 'FAIL'}")
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:

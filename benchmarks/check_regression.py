@@ -20,8 +20,7 @@ Two eligibility rules keep the gate meaningful, and every skipped row
 is printed (never silently dropped):
 
 - only rows whose **committed speedup is >= 2x** are gated — a
-  near-1x row (e.g. the memory-bound ``equal_share_rates`` ablation
-  baseline) has no edge to protect and its ratio is timing noise;
+  near-1x row has no edge to protect and its ratio is timing noise;
 - only rows whose **fresh optimized timing rests on >= 1ms** of calls
   are gated — sub-millisecond quick-mode measurements are dominated by
   one-time costs and clock granularity. A fairness row records the

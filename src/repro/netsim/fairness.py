@@ -1,4 +1,4 @@
-"""Bandwidth-sharing allocators.
+"""Max-min fair bandwidth sharing.
 
 :func:`max_min_fair_rates` implements progressive filling: repeatedly find
 the most-contended link, give every flow through it an equal share of the
@@ -6,28 +6,22 @@ remaining capacity, freeze those flows, and continue. The result is the
 unique max-min fair allocation — every flow is limited by at least one
 saturated link on which it receives a maximal share.
 
-:func:`equal_share_rates` is the naive alternative (each flow gets the
-minimum of its links' equal splits, computed once). It can strand
-capacity; it exists as the ablation baseline called out in DESIGN.md.
+The solver accepts the flow set in two forms:
 
-All allocators accept the flow set in two forms:
-
-- a sequence of per-flow link-index lists (the original API, validated
-  and converted to an incidence matrix internally), or
+- a sequence of per-flow link-index lists (validated and converted to an
+  incidence matrix internally), or
 - a prebuilt ``(n_links, n_flows)`` 0/1 incidence matrix (numpy array).
-  This is the fast path used by :class:`~repro.netsim.network.FlowNetwork`,
-  which maintains a persistent incidence matrix across flow arrivals and
-  departures so a reallocation does zero per-event matrix construction.
-  Matrix entries are trusted to be 0/1 (only the shape is checked).
+  This is the fast path :class:`~repro.netsim.network.FlowNetwork`
+  uses. Matrix entries are trusted to be 0/1 (only the shape is
+  checked).
 
-Both allocators also take ``weights``: column ``j`` then stands for
-``weights[j]`` flows over the same links, and its rate is the rate of
-each of them. The default is one flow per column. ``FlowNetwork``
-always calls ``allocator(capacities, routes, weights)`` with one column
-per live route and its flow count as weight. With whole-number weights
-the result is bitwise the per-flow solve expanded to flows: link
-counts are small integers, exact in float64 whatever the summation
-order.
+It also takes ``weights``: column ``j`` then stands for ``weights[j]``
+flows over the same links, and its rate is the rate of each of them.
+The default is one flow per column. ``FlowNetwork`` always solves with
+one column per live route and its flow count as weight. With
+whole-number weights the result is bitwise the per-flow solve expanded
+to flows: link counts are small integers, exact in float64 whatever the
+summation order.
 """
 
 from __future__ import annotations
@@ -182,35 +176,6 @@ def max_min_fair_rates(
             remaining[counts == 0.0] = math.inf
             n_remaining -= len(cols)
     return rates
-
-
-def equal_share_rates(
-    capacities: Sequence[float], flow_links, weights=None
-) -> np.ndarray:
-    """Single-pass equal-split baseline (ablation).
-
-    Each flow's rate is ``min over its links of capacity/flows-on-link``.
-    Feasible but generally not Pareto-optimal: once a flow is limited by
-    a remote bottleneck, its unused share elsewhere is wasted.
-    ``weights`` counts the flows per column, as for
-    :func:`max_min_fair_rates`.
-    """
-    cap = _check_capacities(capacities)
-    A = _as_incidence(len(cap), flow_links)
-    n_links, n_flows = A.shape
-    w = _as_weights(weights, n_flows)
-    rates = np.full(n_flows, math.inf)
-    if n_flows == 0 or n_links == 0:
-        return rates
-    counts = A @ w
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per_link = np.where(counts > 0, cap / counts, math.inf)
-    # Vectorized masked min over the links each flow traverses: links a
-    # flow does not use contribute +inf, so flows with no links stay
-    # inf. min() over the same value set is exact, so this is
-    # bit-identical to the per-flow scalar loop it replaces.
-    contrib = np.where(A > 0, per_link[:, None], math.inf)
-    return contrib.min(axis=0)
 
 
 def link_loads(

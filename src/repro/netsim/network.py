@@ -1,27 +1,24 @@
 """Event-driven flow network bound to a topology.
 
 :class:`FlowNetwork` turns ``transfer(src, dst, size)`` calls into fluid
-flows. Whenever the flow set changes, per-flow rates are re-solved with
-the configured allocator and each flow whose rate changed gets a new
-drain time. A flow completes its *transmission* when its byte count
-drains; the receiver's completion signal fires one path-latency later
-(store-and-forward pipeline tail).
+flows. Whenever the flow set changes, per-flow rates are re-solved
+max-min fairly (:func:`~repro.netsim.fairness.max_min_fair_rates`) and
+each flow whose rate changed gets a new drain time. A flow completes its
+*transmission* when its byte count drains; the receiver's completion
+signal fires one path-latency later (store-and-forward pipeline tail).
 
 Five structural optimizations keep busy networks cheap:
 
-- **Persistent incidence matrix.** The link x flow 0/1 matrix behind
-  the per-link byte counters and link utilizations is maintained
-  incrementally: preallocated and grown geometrically on the flow axis,
-  a column is written on ``transfer()`` and marked dead on drain. Dead
-  columns are compacted away in one order-preserving pass before the
-  matrix is next read (in practice once per rate solve, however many
-  flows drained at that instant); the matrix shares one block with the
-  per-column rate, remaining bytes and route slot, so a run of columns
-  moves in one slice. Keeping insertion order — rather than swapping in
-  the last column — keeps those counters and utilizations (matvecs
-  whose summation order is order-sensitive in floating point)
-  bit-identical to a freshly rebuilt matrix, with zero per-event matrix
-  construction.
+- **Per-column block.** Each live flow owns a column of one 3-row
+  block: its current rate, remaining bytes and route slot. The block is
+  preallocated and grown geometrically; a column is written on
+  ``transfer()`` and marked dead on drain. Dead columns are compacted
+  away in one order-preserving pass before the block is next read (in
+  practice once per rate solve, however many flows drained at that
+  instant), a run of live columns moving in one slice. Insertion order
+  is kept — rather than swapping in the last column — because the drain
+  timer drains a ``(due, batch)`` pair's flows in column order, and
+  that order must be the order the flows were started in.
 - **Same-instant coalescing.** Flow arrivals/departures/brownouts mark
   the network dirty and schedule one deferred solve at the current
   instant instead of solving inline, so a burst of k flow events at one
@@ -40,30 +37,28 @@ Five structural optimizations keep busy networks cheap:
   kernel's ``(time, seq)`` order its own event had. A solve costs at
   most one cancellation instead of one per changed flow.
 - **One rate per route.** Under max-min fairness, flows over the same
-  links always share one rate, so the allocator solves over routes,
-  not flows. A route table maps each path's hops to its route, the
-  sorted ids of its links (so a path and its reverse share one); a
-  route with live flows also holds a slot, a column of a links x slots
-  0/1 matrix, and a count of those flows. A solve hands the allocator
-  the live routes' columns with their counts as ``weights``, and each
-  flow takes its route's rate. This is exact:
+  links always share one rate, so rates are solved over routes, not
+  flows. A route table maps each path's hops to its route, the sorted
+  ids of its links (so a path and its reverse share one); a route with
+  live flows also holds a slot, a column of a links x slots 0/1 matrix,
+  and a count of those flows. A solve hands the solver the live routes'
+  columns with their counts as ``weights``, and each flow takes its
+  route's rate. This is exact:
   every link's flow count and every level's frozen count is a small
   integer, exact in float64 in any summation order; the bottleneck
   choice reads only per-link shares; and all flows of a route freeze
   at the same level. So every rate, drain time and timer seq is
   bitwise what a per-flow solve gives. On the ``shuffle`` benchmark
   (seed 0) the solves' 415,460 flow columns collapse to 11,350 route
-  columns. The per-flow matrix stays: the ``bytes_per_link`` and
-  :meth:`utilization_of` matvecs are order-sensitive.
-- **One-route solves in closed form.** Under max-min fairness the k
-  flows of a lone live route each get ``min(cap / k)`` over its links;
-  that is computed directly, with the bits the solver would produce.
+  columns. No state grows with links x flows.
+- **One-route solves in closed form.** The k flows of a lone live route
+  each get ``min(cap / k)`` over its links; that is computed directly,
+  with the bits the solver would produce.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 
 import numpy as np
 
@@ -78,7 +73,7 @@ from repro.simcore.simulation import Simulator
 # Bytes below this are considered fully drained (float-accumulation guard).
 _EPSILON_BYTES = 1e-6
 
-# Initial column capacity of the persistent incidence matrix.
+# Initial column capacity of the per-column block and the route matrix.
 _INITIAL_COLS = 16
 
 # Relative rate change below which a flow's drain time is kept as-is.
@@ -92,24 +87,21 @@ class FlowNetwork:
         self,
         sim: Simulator,
         topology: Topology,
-        allocator: Callable = max_min_fair_rates,
         tracer: Tracer | None = None,
     ):
         self.sim = sim
         self.topology = topology
-        self.allocator = allocator
         # transfer spans go to ``tracer``; an unbound one is bound to
         # this network's sim clock
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if tracer is not None and not tracer.bound:
             tracer.bind(lambda: sim.now)
-        self._link_index: dict[frozenset, int] = {}
-        self._capacities: list[float] = []
-        for a, b, link in topology.links():
-            self._link_index[frozenset((a, b))] = len(self._capacities)
-            self._capacities.append(link.bandwidth_Bps)
-        self._capacity_arr = np.asarray(self._capacities, dtype=float)
-        n_links = len(self._capacities)
+        links = topology.links()
+        self._link_index = {frozenset((a, b)): idx
+                            for idx, (a, b, _) in enumerate(links)}
+        self._capacity_arr = np.array(
+            [link.bandwidth_Bps for _, _, link in links], dtype=float)
+        n_links = len(links)
         self._active: dict[int, Flow] = {}
         self._signals: dict[int, Signal] = {}
         self._spans: dict[int, object] = {}    # flow_id -> open tracer span
@@ -127,13 +119,13 @@ class FlowNetwork:
         self._slot_flows: list[int] = []
         self._free_slots: list[int] = []
         self._R = np.zeros((n_links, _INITIAL_COLS))
-        # persistent incidence state: column c of _A[:, :_n_active]
-        # belongs to flow _col_flow[c]; per-column rows hold its current
-        # rate, remaining bytes and route slot, and parallel lists the
+        # per-column state: column c < _n_active belongs to flow
+        # _col_flow[c]; the block's rows hold its current rate,
+        # remaining bytes and route slot, and parallel lists the
         # absolute drain time (inf while unsolved, starved or drained)
         # and the seq stamped by the solve that set it. Drained columns
         # wait in _dead (and are absent from _col_of) until _compact().
-        self._bind_columns(np.zeros((n_links + 3, _INITIAL_COLS)))
+        self._bind_columns(np.zeros((3, _INITIAL_COLS)))
         self._col_flow: list[int] = []         # column -> flow_id
         self._col_due: list[float] = []
         self._col_batch: list[int] = []
@@ -147,7 +139,6 @@ class FlowNetwork:
         self.flows_completed = 0
         self.total_bytes_moved = 0.0
         self.total_transfer_cost_usd = 0.0
-        self.bytes_per_link = np.zeros(n_links)
         self.rate_solves = 0                   # fair-share recompute count
 
     # -- public API -------------------------------------------------------------
@@ -219,38 +210,25 @@ class FlowNetwork:
             raise NetworkError(
                 f"bandwidth_Bps must be positive and finite, got {bandwidth_Bps}"
             )
-        try:
-            idx = self._link_index[frozenset((a, b))]
-        except KeyError:
-            raise NetworkError(f"no link {a!r}--{b!r}") from None
+        idx = self._link_id(a, b)
         self._drain_to_now()
-        self._capacities[idx] = float(bandwidth_Bps)
         self._capacity_arr[idx] = float(bandwidth_Bps)
         self._mark_dirty()
 
     def link_bandwidth(self, a: str, b: str) -> float:
         """Current live capacity of link ``a--b``."""
+        return float(self._capacity_arr[self._link_id(a, b)])
+
+    def _link_id(self, a: str, b: str) -> int:
         try:
-            idx = self._link_index[frozenset((a, b))]
+            return self._link_index[frozenset((a, b))]
         except KeyError:
             raise NetworkError(f"no link {a!r}--{b!r}") from None
-        return self._capacities[idx]
 
-    def utilization_of(self, a: str, b: str) -> float:
-        """Current load fraction on link ``a--b`` (0 when idle)."""
-        try:
-            idx = self._link_index[frozenset((a, b))]
-        except KeyError:
-            raise NetworkError(f"no link {a!r}--{b!r}") from None
-        self._compact()
-        n = self._n_active
-        load = float(self._A[idx, :n] @ self._col_rates[:n])
-        return load / self._capacities[idx]
-
-    # -- incidence matrix maintenance ---------------------------------------------
+    # -- per-column state maintenance -------------------------------------------
     def _add_column(self, flow: Flow) -> None:
         n = self._n_active
-        if n == self._A.shape[1]:
+        if n == self._cols.shape[1]:
             self._bind_columns(_widened(self._cols, 2 * n))
         hops = flow.path.hops
         route = self._route_of.get(hops)
@@ -263,7 +241,6 @@ class FlowNetwork:
         if slot is None:
             slot = self._open_slot(route)
         self._slot_flows[slot] += 1
-        self._A[route, n] = 1.0
         self._col_slot[n] = slot
         self._col_rates[n] = 0.0
         self._col_remaining[n] = flow.size_bytes
@@ -287,24 +264,21 @@ class FlowNetwork:
         return slot
 
     def _bind_columns(self, block: np.ndarray) -> None:
-        """Make ``block`` the per-column state: its link rows are
-        ``_A``, then one row each of rate, remaining bytes and route
-        slot. One block lets :meth:`_compact` move a run of columns in
-        one slice."""
+        """Make ``block`` the per-column state: one row each of rate,
+        remaining bytes and route slot. One block lets :meth:`_compact`
+        move a run of columns in one slice."""
         self._cols = block
-        self._A = block[:-3]
-        self._col_rates, self._col_remaining, self._col_slot = block[-3:]
+        self._col_rates, self._col_remaining, self._col_slot = block
 
     def _compact(self) -> None:
         """Drop every dead column in one order-preserving pass.
 
         Each run of live columns between dead ones shifts left over the
-        gap, so k drains at one instant cost one pass, not k. Keeping
-        insertion order — instead of swapping in the last column — keeps
-        the matrix bit-identical to one rebuilt from scratch, so the
-        order-sensitive matvecs over it (``bytes_per_link`` in
-        :meth:`_drain_to_now`, :meth:`utilization_of`) sum in the same
-        order.
+        gap, so k drains at one instant cost one pass, not k. Insertion
+        order is kept — instead of swapping in the last column — because
+        :meth:`_due_cols` drains in column order: the flows of one
+        ``(due, batch)`` pair must drain in the order they were started
+        in.
         """
         dead = self._dead
         if not dead:
@@ -319,7 +293,6 @@ class FlowNetwork:
             if width:
                 cols[:, dst:dst + width] = cols[:, col + 1:next_dead]
                 dst += width
-        self._A[:, dst:n] = 0.0
         col_flow, col_of = self._col_flow, self._col_of
         col_due, col_batch = self._col_due, self._col_batch
         for col in reversed(dead):
@@ -337,10 +310,8 @@ class FlowNetwork:
             self._compact()
             n = self._n_active
             if n:
-                moved = self._col_rates[:n] * elapsed
                 rem = self._col_remaining[:n]
-                np.maximum(rem - moved, 0.0, out=rem)
-                self.bytes_per_link += self._A[:, :n] @ moved
+                np.maximum(rem - self._col_rates[:n] * elapsed, 0.0, out=rem)
         self._last_update = self.sim.now
 
     def _mark_dirty(self) -> None:
@@ -363,11 +334,11 @@ class FlowNetwork:
         slot_flows = np.array(self._slot_flows, dtype=float)
         weights = slot_flows[live]
         slot_rates = np.empty_like(slot_flows)
-        if len(live) == 1 and self.allocator is max_min_fair_rates:
+        if len(live) == 1:
             slot_rates[live] = _lone_route_rate(
                 self._capacity_arr, self._R[:, live[0]], weights[0])
         else:
-            slot_rates[live] = self.allocator(
+            slot_rates[live] = max_min_fair_rates(
                 self._capacity_arr, self._R[:, live], weights)
         rates = slot_rates[self._col_slot[:n].astype(np.intp)]
         old = self._col_rates[:n]

@@ -44,8 +44,8 @@ transfers = st.lists(
 foreign = st.lists(
     st.tuples(
         st.integers(0, 28),
-        st.sampled_from(("start", "util", "count", "chain")),
-        pair, size, st.integers(0, len(EDGES) - 1),
+        st.sampled_from(("start", "count", "chain")),
+        pair, size,
     ),
     max_size=12,
 )
@@ -94,11 +94,8 @@ def _run(network_cls, link_params, xfers, others, browns) -> list:
         sim.schedule(float(t), lambda i=i, s=src, d=dst, b=nbytes, n=then:
                      sim.process(xfer(f"x{i}", s, d, b, n)))
 
-    def other(i, kind, src, dst, nbytes, edge):
-        a, b = EDGES[edge]
-        if kind == "util":
-            log.append(("util", i, sim.now, net.utilization_of(a, b)))
-        elif kind == "count":
+    def other(i, kind, src, dst, nbytes):
+        if kind == "count":
             log.append(("count", i, sim.now, net.active_flow_count))
         else:
             sim.process(xfer(f"o{i}", src, dst, nbytes))
@@ -106,15 +103,14 @@ def _run(network_cls, link_params, xfers, others, browns) -> list:
                 sim.schedule(0.0, lambda: sim.process(
                     xfer(f"o{i}.", dst, src, nbytes)))
 
-    for i, (k, kind, (src, dst), nbytes, edge) in enumerate(others):
-        sim.schedule(k / 4, other, i, kind, src, dst, nbytes, edge)
+    for i, (k, kind, (src, dst), nbytes) in enumerate(others):
+        sim.schedule(k / 4, other, i, kind, src, dst, nbytes)
     for t, edge, bandwidth in browns:
         sim.schedule(float(t), net.set_link_bandwidth, *EDGES[edge], bandwidth)
 
     sim.run()
     log.append(("end", sim.now, net.rate_solves, net.flows_started,
-                net.flows_completed, net.total_bytes_moved,
-                net.bytes_per_link.tobytes()))
+                net.flows_completed, net.total_bytes_moved))
     return log
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NetworkError
-from repro.netsim.fairness import equal_share_rates, link_loads, max_min_fair_rates
+from repro.netsim.fairness import link_loads, max_min_fair_rates
 
 
 class TestMaxMinBasics:
@@ -46,25 +46,6 @@ class TestMaxMinBasics:
     def test_unknown_link_rejected(self):
         with pytest.raises(NetworkError):
             max_min_fair_rates([100.0], [[3]])
-
-
-class TestEqualShareBaseline:
-    def test_matches_maxmin_on_single_link(self):
-        caps = [100.0]
-        flows = [[0], [0], [0], [0]]
-        np.testing.assert_allclose(
-            equal_share_rates(caps, flows), max_min_fair_rates(caps, flows)
-        )
-
-    def test_strands_capacity_where_maxmin_does_not(self):
-        caps = [100.0, 1000.0]
-        flows = [[0], [0, 1], [1]]
-        eq = equal_share_rates(caps, flows)
-        mm = max_min_fair_rates(caps, flows)
-        # equal-share gives f2 only 500 (half of b) though b could give 950
-        assert eq[2] == pytest.approx(500.0)
-        assert mm[2] == pytest.approx(950.0)
-        assert eq.sum() < mm.sum()
 
 
 @st.composite
@@ -118,19 +99,3 @@ class TestMaxMinProperties:
                     ok = True
                     break
             assert ok, f"flow {f} has no bottleneck link"
-
-    @settings(max_examples=100, deadline=None)
-    @given(random_scenario())
-    def test_dominates_equal_share_in_aggregate(self, scenario):
-        caps, flows = scenario
-        mm = max_min_fair_rates(caps, flows)
-        eq = equal_share_rates(caps, flows)
-        assert mm.sum() >= eq.sum() - 1e-6
-
-    @settings(max_examples=100, deadline=None)
-    @given(random_scenario())
-    def test_equal_share_also_feasible(self, scenario):
-        caps, flows = scenario
-        eq = equal_share_rates(caps, flows)
-        loads = link_loads(len(caps), flows, eq)
-        assert np.all(loads <= np.asarray(caps) * (1 + 1e-9) + 1e-9)

@@ -7,9 +7,8 @@ topologies drive both implementations, which must agree to 1e-9 on
 every flow rate, including the degenerate shapes: single flow, all
 flows on one link, local (link-less) flows.
 
-Also here: the shape/dtype validation contract of ``equal_share_rates``
-and ``link_loads`` (satellite of the calendar-queue PR) and
-conservation properties tying ``link_loads`` to independently-computed
+Also here: the shape/dtype validation contract of ``max_min_fair_rates``
+and ``link_loads`` and conservation properties tying ``link_loads`` to independently-computed
 per-link sums.
 
 And the route form :class:`FlowNetwork` solves with: one weighted
@@ -29,11 +28,7 @@ from hypothesis import strategies as st
 
 from repro.continuum import Link, Site, Tier, Topology
 from repro.errors import ConfigurationError, NetworkError
-from repro.netsim.fairness import (
-    equal_share_rates,
-    link_loads,
-    max_min_fair_rates,
-)
+from repro.netsim.fairness import link_loads, max_min_fair_rates
 from repro.netsim.network import FlowNetwork, _lone_route_rate
 from repro.simcore import Simulator
 
@@ -160,29 +155,25 @@ def routed_flows(draw):
 
 
 class TestWeightedRoutes:
-    @pytest.mark.parametrize("allocator",
-                             [max_min_fair_rates, equal_share_rates])
     @settings(max_examples=300, deadline=None)
     @given(routed_flows())
-    def test_route_solve_is_the_per_flow_solve(self, allocator, case):
+    def test_route_solve_is_the_per_flow_solve(self, case):
         caps, routes, weights, route_of = case
-        per_flow = allocator(caps, routes[:, route_of])
-        per_route = allocator(caps, routes, weights)
+        per_flow = max_min_fair_rates(caps, routes[:, route_of])
+        per_route = max_min_fair_rates(caps, routes, weights)
         assert per_route[route_of].tobytes() == per_flow.tobytes()
 
     def test_unit_weights_are_the_default(self):
         caps, flows = [10.0, 30.0], [[0], [0, 1], [1], []]
-        for allocator in (max_min_fair_rates, equal_share_rates):
-            assert (allocator(caps, flows, [1, 1, 1, 1]).tobytes()
-                    == allocator(caps, flows).tobytes())
+        assert (max_min_fair_rates(caps, flows, [1, 1, 1, 1]).tobytes()
+                == max_min_fair_rates(caps, flows).tobytes())
 
     @pytest.mark.parametrize("weights", [[1.0], [1.0, 0.0], [1.0, -2.0],
                                          [1.0, math.inf], [1.0, math.nan],
                                          [[1.0, 1.0]], np.ones(3)])
     def test_bad_weights_rejected(self, weights):
-        for allocator in (max_min_fair_rates, equal_share_rates):
-            with pytest.raises(NetworkError, match="weights"):
-                allocator([10.0], [[0], [0]], weights)
+        with pytest.raises(NetworkError, match="weights"):
+            max_min_fair_rates([10.0], [[0], [0]], weights)
 
 
 # ---------------------------------------------------------------------------
@@ -241,27 +232,27 @@ class TestLoneFlowClosedForm:
 
 
 # ---------------------------------------------------------------------------
-# Validation contract (equal_share_rates / link_loads)
+# Validation contract (max_min_fair_rates / link_loads)
 # ---------------------------------------------------------------------------
 
 class TestValidation:
-    def test_equal_share_rejects_bad_capacities(self):
+    def test_max_min_rejects_bad_capacities(self):
         with pytest.raises(NetworkError):
-            equal_share_rates([[100.0]], [[0]])         # 2-D capacities
+            max_min_fair_rates([[100.0]], [[0]])         # 2-D capacities
         with pytest.raises(NetworkError):
-            equal_share_rates([-1.0], [[0]])
+            max_min_fair_rates([-1.0], [[0]])
         with pytest.raises(NetworkError):
-            equal_share_rates([math.nan], [[0]])
+            max_min_fair_rates([math.nan], [[0]])
 
-    def test_equal_share_rejects_bad_incidence(self):
+    def test_max_min_rejects_bad_incidence(self):
         with pytest.raises(NetworkError):
-            equal_share_rates([100.0], np.ones((2, 3)))  # wrong link count
+            max_min_fair_rates([100.0], np.ones((2, 3)))  # wrong link count
         with pytest.raises(NetworkError):
-            equal_share_rates([100.0], np.ones(3))       # 1-D matrix
+            max_min_fair_rates([100.0], np.ones(3))       # 1-D matrix
         with pytest.raises(NetworkError):
-            equal_share_rates([100.0], np.ones((1, 3), dtype=np.int64))
+            max_min_fair_rates([100.0], np.ones((1, 3), dtype=np.int64))
         with pytest.raises(NetworkError):
-            equal_share_rates([100.0], [[5]])            # unknown link
+            max_min_fair_rates([100.0], [[5]])            # unknown link
 
     def test_link_loads_rejects_bad_rates(self):
         with pytest.raises(NetworkError):
@@ -301,14 +292,6 @@ def rate_scenario(draw):
 class TestConservation:
     @settings(max_examples=150, deadline=None)
     @given(rate_scenario())
-    def test_equal_share_never_exceeds_capacity(self, scenario):
-        caps, flows = scenario
-        rates = equal_share_rates(caps, flows)
-        loads = link_loads(len(caps), flows, rates)
-        assert np.all(loads <= np.asarray(caps) * (1 + 1e-9) + 1e-9)
-
-    @settings(max_examples=150, deadline=None)
-    @given(rate_scenario())
     def test_link_loads_conserve_per_link_sums(self, scenario):
         """link_loads is exactly the per-link sum of crossing flows'
         rates — computed here independently, flow by flow."""
@@ -319,22 +302,3 @@ class TestConservation:
             expected = sum(rates[f] for f, links in enumerate(flows)
                            if l in links)
             assert loads[l] == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-    @settings(max_examples=100, deadline=None)
-    @given(rate_scenario())
-    def test_equal_share_matches_per_flow_minimum(self, scenario):
-        """The vectorized masked min equals the scalar per-flow loop it
-        replaced, bit for bit."""
-        caps, flows = scenario
-        vec = equal_share_rates(caps, flows)
-        counts = [0] * len(caps)
-        for links in flows:
-            for l in links:
-                counts[l] += 1
-        cap_arr = np.asarray(caps, dtype=float)
-        for f, links in enumerate(flows):
-            expected = min(
-                (float(np.float64(cap_arr[l]) / counts[l]) for l in links),
-                default=math.inf,
-            )
-            assert vec[f] == expected

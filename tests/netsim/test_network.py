@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from repro.continuum import Link, Site, Tier, Topology
+from repro.continuum import Link, Site, Tier, Topology, geo_random_continuum
 from repro.errors import NetworkError
-from repro.netsim import FlowNetwork, rtt
-from repro.netsim.fairness import equal_share_rates, max_min_fair_rates
+from repro.netsim import FlowNetwork, network, rtt
+from repro.netsim.fairness import max_min_fair_rates
 from repro.observe import Tracer
 from repro.simcore import Simulator
 
@@ -212,33 +212,21 @@ class TestAccounting:
         sim.run_process(body())
         assert net.total_transfer_cost_usd == pytest.approx(0.50)
 
-    def test_active_flow_count_and_utilization(self):
+    def test_active_flow_count(self):
         sim = Simulator()
         net = FlowNetwork(sim, pair(bandwidth=100.0))
         net.transfer("a", "b", 1000.0)
         sim.run(until=1.0)
         assert net.active_flow_count == 1
-        assert net.utilization_of("a", "b") == pytest.approx(1.0)
         sim.run()
         assert net.active_flow_count == 0
 
-    def test_utilization_unknown_link(self):
-        sim = Simulator()
-        net = FlowNetwork(sim, pair())
-        with pytest.raises(NetworkError):
-            net.utilization_of("a", "zzz")
-
-    def test_bytes_per_link_conservation(self):
-        sim = Simulator()
-        net = FlowNetwork(sim, chain3(bw_ab=100.0, bw_bc=50.0))
-
-        def body():
-            yield net.transfer("a", "c", 200.0)
-
-        sim.run_process(body())
-        # flow crossed both links entirely
-        assert net.bytes_per_link[0] == pytest.approx(200.0, rel=1e-6)
-        assert net.bytes_per_link[1] == pytest.approx(200.0, rel=1e-6)
+    def test_unknown_link(self):
+        net = FlowNetwork(Simulator(), pair())
+        with pytest.raises(NetworkError, match="no link 'a'--'zzz'"):
+            net.link_bandwidth("a", "zzz")
+        with pytest.raises(NetworkError, match="no link 'a'--'zzz'"):
+            net.set_link_bandwidth("a", "zzz", 10.0)
 
 
 class TestTracing:
@@ -288,6 +276,24 @@ class TestBoundedMemory:
         assert net._col_due == [] and net._col_batch == []
         assert net.flows_started == net.flows_completed == n
 
+    def test_per_column_state_does_not_grow_with_links(self):
+        """A live flow costs its rate, remaining bytes and route slot,
+        whatever the number of links: the same 64 transfers leave a
+        3-row per-column block on 2 links and on 200."""
+        rows = []
+        for topo in (chain3(), geo_random_continuum(33, seed=0)):
+            sim = Simulator()
+            net = FlowNetwork(sim, topo)
+            names = topo.site_names
+            for i in range(64):
+                net.transfer(names[i % 2], names[-1], 1e6 + i)
+            sim.run(until=1e-9)
+            assert net.active_flow_count == 64
+            rows.append((len(topo.links()), net._cols.shape[0]))
+            sim.run()
+            assert net.flows_completed == 64
+        assert rows == [(2, 3), (200, 3)]
+
 
 class TestDrainTimer:
     def test_cancellations_bounded_by_rate_solves(self):
@@ -317,34 +323,7 @@ class TestDrainTimer:
 
 
 class TestAllocatorPluggability:
-    def test_equal_share_allocator_changes_outcome(self):
-        # scenario from the fairness tests where equal-share strands capacity
-        topo = Topology("y")
-        for name in ("a", "b", "c"):
-            topo.add_site(Site(name, Tier.FOG))
-        topo.add_link("a", "b", Link(0.0, 100.0))
-        topo.add_link("b", "c", Link(0.0, 1000.0))
-        done_mm, done_eq = {}, {}
-
-        def run(allocator, done):
-            sim = Simulator()
-            net = FlowNetwork(sim, topo, allocator=allocator)
-
-            def xfer(tag, src, dst, size):
-                yield net.transfer(src, dst, size)
-                done[tag] = sim.now
-
-            sim.process(xfer("ab", "a", "b", 1000.0))
-            sim.process(xfer("ac", "a", "c", 1000.0))
-            sim.process(xfer("bc", "b", "c", 19000.0))
-            sim.run()
-
-        run(max_min_fair_rates, done_mm)
-        run(equal_share_rates, done_eq)
-        # bc flow finishes sooner under max-min (950 vs 500 B/s initially)
-        assert done_mm["bc"] < done_eq["bc"]
-
-    def test_allocator_sees_one_weighted_column_per_route(self):
+    def test_allocator_sees_one_weighted_column_per_route(self, monkeypatch):
         """64 flows over 3 routes are solved as 3 columns whose weights
         count the flows."""
         seen = []
@@ -354,9 +333,9 @@ class TestAllocatorPluggability:
             seen.append((routes.shape[1], float(flows)))
             return max_min_fair_rates(capacities, routes, weights)
 
+        monkeypatch.setattr(network, "max_min_fair_rates", allocator)
         sim = Simulator()
-        net = FlowNetwork(sim, chain3(bw_ab=100.0, bw_bc=50.0),
-                          allocator=allocator)
+        net = FlowNetwork(sim, chain3(bw_ab=100.0, bw_bc=50.0))
         routes = [("a", "b"), ("b", "c"), ("a", "c")]
         for i in range(64):
             net.transfer(*routes[i % 3], 100.0 + i)
