@@ -2,11 +2,12 @@
 
 Each experiment module exposes ``run_experiment(quick=False, seed=0)``
 returning an :class:`ExperimentResult` whose rows are the table/series
-the "paper" would print. ``benchmarks/`` wraps each in a pytest-benchmark
-target; ``python -m repro.bench E1`` runs one standalone.
+the "paper" would print; ``python -m repro.bench E1`` runs one
+standalone. The shape claims each experiment must reproduce are checked
+by ``PYTHONPATH=src python -m pytest tests/bench/test_experiments.py``.
 """
 
-from repro.bench.harness import ExperimentResult, render, save_result
+from repro.bench.harness import ExperimentResult, render
 from repro.bench import (
     e01_gilder,
     e02_strategies,
@@ -43,4 +44,4 @@ EXPERIMENTS = {
     "E16": e16_control_plane.run_experiment,
 }
 
-__all__ = ["ExperimentResult", "render", "save_result", "EXPERIMENTS"]
+__all__ = ["ExperimentResult", "render", "EXPERIMENTS"]

@@ -35,12 +35,6 @@ def render(result: ExperimentResult) -> str:
     return "\n".join(parts)
 
 
-def save_result(result: ExperimentResult, directory: str = "results") -> str:
-    """Persist the rendered table under ``results/<id>.txt``; returns path."""
-    return save_rendered(render(result) + "\n",
-                         result.experiment_id.lower() + ".txt", directory)
-
-
 def save_rendered(text: str, filename: str, directory: str = "results") -> str:
     """Atomically and durably write a rendered table; returns its path.
 

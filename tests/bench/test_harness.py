@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from repro.bench.harness import ExperimentResult, render, save_result
+from repro.bench.harness import ExperimentResult, render, save_rendered
 
 
 class TestExperimentResult:
@@ -31,18 +31,13 @@ class TestRender:
 
 class TestSave:
     def test_writes_lowercase_id_file(self, tmp_path):
-        result = ExperimentResult("E99", "save test")
-        result.row(x=1)
-        path = save_result(result, str(tmp_path))
-        assert os.path.basename(path) == "e99.txt"
-        content = open(path).read()
-        assert "E99: save test" in content
+        path = save_rendered("E99: save test\n", "e99.txt", str(tmp_path))
+        assert path == os.path.join(str(tmp_path), "e99.txt")
+        assert open(path).read() == "E99: save test\n"
 
     def test_creates_directory(self, tmp_path):
         target = str(tmp_path / "deep" / "dir")
-        result = ExperimentResult("E1", "t")
-        result.row(x=1)
-        save_result(result, target)
+        save_rendered("x\n", "e1.txt", target)
         assert os.path.isdir(target)
 
 
@@ -51,10 +46,8 @@ class TestAtomicSave:
     truncated ``results/eN.txt`` — same temp-file + fsync + os.replace
     discipline as workflow checkpoints."""
 
-    def _result(self, marker: str) -> ExperimentResult:
-        result = ExperimentResult("E7", "atomic save")
-        result.row(marker=marker)
-        return result
+    def _save(self, marker: str, directory) -> str:
+        return save_rendered(f"marker {marker}\n", "e7.txt", str(directory))
 
     def test_save_fsyncs_before_replace(self, tmp_path, monkeypatch):
         synced = []
@@ -71,12 +64,12 @@ class TestAtomicSave:
 
         monkeypatch.setattr(os, "fsync", spy_fsync)
         monkeypatch.setattr(os, "replace", spy_replace)
-        path = save_result(self._result("x"), str(tmp_path))
+        path = self._save("x", tmp_path)
         assert "marker" in open(path).read()
 
     def test_failed_replace_keeps_old_table_and_no_litter(
             self, tmp_path, monkeypatch):
-        path = save_result(self._result("old"), str(tmp_path))
+        path = self._save("old", tmp_path)
         old_text = open(path).read()
 
         def boom(src, dst):
@@ -84,7 +77,7 @@ class TestAtomicSave:
 
         monkeypatch.setattr(os, "replace", boom)
         with pytest.raises(OSError):
-            save_result(self._result("new"), str(tmp_path))
+            self._save("new", tmp_path)
         monkeypatch.undo()
         assert open(path).read() == old_text
         litter = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
