@@ -50,7 +50,7 @@ class PlacementDecision:
                 f"est_finish={self.est_finish!r})")
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskRecord:
     """Measured lifecycle of one task in a run."""
 

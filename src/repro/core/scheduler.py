@@ -139,7 +139,8 @@ def record_placement(run, task, site_name, stage_s, exec_s,
         task=task.name, site=site_name, decided_at=run.sim.now,
         est_stage_s=stage_s, est_exec_s=exec_s, est_finish=est_finish,
     )
-    run.decisions.append(decision)
+    if run.decisions is not None:
+        run.decisions.append(decision)
     counters = run._m_decisions
     if counters is not None:
         counter = counters.get(site_name)
@@ -270,7 +271,7 @@ class ContinuumScheduler:
         """
         dag.validate()
         job = StreamJob(0.0, dag, tuple(external_inputs))
-        run = _Run(self, [job], strategy,
+        run = _Run(self, [job], strategy, keep_decisions=True,
                    failures=failures, chaos=chaos, resilience=resilience,
                    task_retries=task_retries, tracer=tracer,
                    metrics=metrics, control=control, partitions=partitions)
@@ -325,7 +326,8 @@ class _Run:
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None,
                  control: ControlPlaneConfig | None = None,
-                 partitions: PartitionSchedule | None = None):
+                 partitions: PartitionSchedule | None = None,
+                 keep_decisions: bool = False):
         self.jobs = jobs
         self.strategy = strategy
         self.failures = failures
@@ -408,7 +410,10 @@ class _Run:
         self.ready: list[TaskSpec] = []
         self._dispatch_scheduled = False
         self.records: dict[str, TaskRecord] = {}
-        self.decisions: list[PlacementDecision] = []
+        # the decision log is returned by ScheduleResult only: a stream
+        # run keeps none, so its memory does not grow with its tasks
+        self.decisions: list[PlacementDecision] | None = (
+            [] if keep_decisions else None)
         self.failed_tasks: dict[str, BaseException] = {}
         self.compute_usd = 0.0
         self.energy_j = 0.0

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import DataFabricError
 from repro.utils.validation import check_non_negative
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dataset:
     """An immutable named blob of known size.
 
@@ -24,7 +25,7 @@ class Dataset:
     def __post_init__(self):
         check_non_negative("size_bytes", self.size_bytes)
         if not self.name:
-            raise ValueError("dataset name must be non-empty")
+            raise DataFabricError("dataset name must be non-empty")
 
 
 @dataclass(frozen=True)

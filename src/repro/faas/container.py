@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigurationError
 from repro.utils.validation import check_non_negative
 
 
@@ -29,7 +30,7 @@ class ContainerModel:
         check_non_negative("warm_start_s", self.warm_start_s)
         check_non_negative("keep_alive_s", self.keep_alive_s)
         if self.max_warm_per_function < 0:
-            raise ValueError(
+            raise ConfigurationError(
                 f"max_warm_per_function must be >= 0, got "
                 f"{self.max_warm_per_function}"
             )

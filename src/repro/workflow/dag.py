@@ -16,16 +16,34 @@ from repro.errors import WorkflowError
 from repro.workflow.task import TaskSpec
 
 
+def _drop(adjacency: dict[str, dict[str, None]], key: str, name: str) -> None:
+    """Remove the edge ``key``–``name`` and an entry it leaves empty."""
+    edges = adjacency[key]
+    del edges[name]
+    if not edges:
+        del adjacency[key]
+
+
 class WorkflowDAG:
-    """A named, validated collection of :class:`TaskSpec`."""
+    """A named, validated collection of :class:`TaskSpec`.
+
+    The indexes hold only what wiring and the analyses need, so a DAG
+    costs little beyond its tasks. ``_consumers`` lists, in insertion
+    order, the readers of datasets that have no producer yet: a producer
+    pops the readers waiting on its outputs and wires them, and later
+    readers find it through ``_producer``. What is left are the external
+    inputs. ``_succ`` and ``_pred`` hold entries only for tasks that
+    have successors or predecessors.
+    """
 
     def __init__(self, name: str = "workflow"):
         self.name = name
         self._tasks: dict[str, TaskSpec] = {}
         self._producer: dict[str, str] = {}   # dataset name -> task name
-        self._consumers: dict[str, set[str]] = {}  # dataset -> task names
+        # dataset with no producer yet -> its readers, in insertion order
+        self._consumers: dict[str, list[str]] = {}
         # task -> {successor: None} and task -> {predecessor: None}, each
-        # in edge insertion order
+        # in edge insertion order; tasks without edges have no entry
         self._succ: dict[str, dict[str, None]] = {}
         self._pred: dict[str, dict[str, None]] = {}
 
@@ -34,12 +52,13 @@ class WorkflowDAG:
         """Insert a task; dataflow edges to already-known producers and
         consumers are wired automatically. Cycles are rejected on the
         spot so the DAG is always valid."""
-        if task.name in self._tasks:
-            raise WorkflowError(f"duplicate task name {task.name!r}")
+        name = task.name
+        if name in self._tasks:
+            raise WorkflowError(f"duplicate task name {name!r}")
         for dep in task.after:
             if dep not in self._tasks:
                 raise WorkflowError(
-                    f"task {task.name!r} declares after={dep!r} which does "
+                    f"task {name!r} declares after={dep!r} which does "
                     f"not exist (add dependencies first)"
                 )
         for out in task.output_names:
@@ -47,52 +66,54 @@ class WorkflowDAG:
             if owner is not None:
                 raise WorkflowError(
                     f"dataset {out!r} produced by both {owner!r} and "
-                    f"{task.name!r}"
+                    f"{name!r}"
                 )
-        self._tasks[task.name] = task
-        self._succ[task.name] = {}
-        self._pred[task.name] = {}
+        self._tasks[name] = task
         for out in task.output_names:
-            self._producer[out] = task.name
-        for inp in task.inputs:
-            self._consumers.setdefault(inp, set()).add(task.name)
-        self._rewire(task)
-        # wire consumers added before this producer existed (index lookup,
-        # not a scan — DAG construction stays near-linear)
-        for out in task.output_names:
-            for consumer in self._consumers.get(out, ()):
-                if consumer != task.name:
-                    self._add_edge(task.name, consumer)
-        # The DAG was acyclic before, so a cycle must pass through the new
-        # task: it needs incoming edges and a successor that reaches back.
-        if self._pred[task.name] and self._reaches(self._succ[task.name], task.name):
-            # roll back before raising
-            for p in self._pred.pop(task.name):
-                del self._succ[p][task.name]
-            for q in self._succ.pop(task.name):
-                del self._pred[q][task.name]
-            del self._tasks[task.name]
-            for out in task.output_names:
-                del self._producer[out]
-            for inp in task.inputs:
-                consumers = self._consumers[inp]
-                consumers.discard(task.name)
-                if not consumers:
-                    del self._consumers[inp]
-            raise WorkflowError(f"adding task {task.name!r} creates a cycle")
-        return task
-
-    def _rewire(self, task: TaskSpec) -> None:
+            self._producer[out] = name
         for inp in task.inputs:
             producer = self._producer.get(inp)
-            if producer is not None and producer != task.name:
-                self._add_edge(producer, task.name)
+            if producer is None:
+                self._consumers.setdefault(inp, []).append(name)
+            elif producer != name:
+                self._add_edge(producer, name)
         for dep in task.after:
-            self._add_edge(dep, task.name)
+            self._add_edge(dep, name)
+        # wire consumers added before this producer existed (index lookup,
+        # not a scan — DAG construction stays near-linear); the entries
+        # are dropped only once the task is accepted
+        waiting = [self._consumers[out] for out in task.output_names
+                   if out in self._consumers]
+        for consumers in waiting:
+            for consumer in consumers:
+                self._add_edge(name, consumer)
+        # The DAG was acyclic before, so a cycle must pass through the new
+        # task: it needs incoming edges and a successor that reaches back.
+        if name in self._pred and name in self._succ \
+                and self._reaches(self._succ[name], name):
+            # roll back before raising, every index exactly as it was
+            for p in self._pred.pop(name):
+                _drop(self._succ, p, name)
+            for q in self._succ.pop(name):
+                _drop(self._pred, q, name)
+            for inp in task.inputs:
+                if inp not in self._producer:   # the task waited on it
+                    consumers = self._consumers[inp]
+                    consumers.pop()
+                    if not consumers:
+                        del self._consumers[inp]
+            for out in task.output_names:
+                del self._producer[out]
+            del self._tasks[name]
+            raise WorkflowError(f"adding task {name!r} creates a cycle")
+        if waiting:
+            for out in task.output_names:
+                self._consumers.pop(out, None)
+        return task
 
     def _add_edge(self, a: str, b: str) -> None:
-        self._succ[a][b] = None
-        self._pred[b][a] = None
+        self._succ.setdefault(a, {})[b] = None
+        self._pred.setdefault(b, {})[a] = None
 
     def _reaches(self, starts: Iterable[str], target: str) -> bool:
         """True if ``target`` is reachable from any of ``starts``."""
@@ -102,7 +123,7 @@ class WorkflowDAG:
             v = stack.pop()
             if v == target:
                 return True
-            for w in self._succ[v]:
+            for w in self._succ.get(v, ()):
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -135,17 +156,16 @@ class WorkflowDAG:
 
     def dependencies(self, name: str) -> list[str]:
         self.task(name)
-        return sorted(self._pred[name])
+        return sorted(self._pred.get(name, ()))
 
     def dependents(self, name: str) -> list[str]:
         self.task(name)
-        return sorted(self._succ[name])
+        return sorted(self._succ.get(name, ()))
 
     def external_inputs(self) -> set[str]:
         """Dataset names read by tasks but produced by none — these must
         exist in the replica catalog before the workflow starts."""
-        consumed = {i for t in self._tasks.values() for i in t.inputs}
-        return consumed - set(self._producer)
+        return set(self._consumers)
 
     @property
     def edge_count(self) -> int:
@@ -170,13 +190,14 @@ class WorkflowDAG:
         Kahn's algorithm, always taking the earliest-inserted ready task."""
         names = list(self._tasks)
         index = {name: i for i, name in enumerate(names)}
-        indegree = {name: len(self._pred[name]) for name in names}
+        pred = self._pred
+        indegree = {name: len(pred.get(name, ())) for name in names}
         ready = [i for i, name in enumerate(names) if not indegree[name]]
         order = []
         while ready:
             name = names[heapq.heappop(ready)]
             order.append(name)
-            for child in self._succ[name]:
+            for child in self._succ.get(name, ()):
                 indegree[child] -= 1
                 if not indegree[child]:
                     heapq.heappush(ready, index[child])
@@ -186,7 +207,7 @@ class WorkflowDAG:
         """Tasks grouped by dependency depth (level 0 = sources)."""
         depth: dict[str, int] = {}
         for name in self.topological_order():
-            preds = self._pred[name]
+            preds = self._pred.get(name, ())
             depth[name] = 1 + max((depth[p] for p in preds), default=-1)
         n_levels = max(depth.values(), default=-1) + 1
         grouped: list[list[str]] = [[] for _ in range(n_levels)]
@@ -208,7 +229,7 @@ class WorkflowDAG:
         best_pred: dict[str, str | None] = {}
         for name in self.topological_order():
             task = self._tasks[name]
-            preds = self._pred[name]
+            preds = self._pred.get(name, ())
             if preds:
                 p = max(preds, key=lambda q: finish[q])
                 start = finish[p]
@@ -233,15 +254,15 @@ class WorkflowDAG:
             time_of = lambda t: t.work  # noqa: E731 - tiny default
         rank: dict[str, float] = {}
         for name in reversed(self.topological_order()):
-            succs = self._succ[name]
+            succs = self._succ.get(name, ())
             tail = max((rank[s] for s in succs), default=0.0)
             rank[name] = time_of(self._tasks[name]) + tail
         return rank
 
     def subgraph_counts(self) -> dict[str, int]:
         """Quick shape summary: sources, sinks, max width."""
-        sources = sum(1 for preds in self._pred.values() if not preds)
-        sinks = sum(1 for succs in self._succ.values() if not succs)
+        sources = len(self._tasks) - len(self._pred)
+        sinks = len(self._tasks) - len(self._succ)
         width = max((len(level) for level in self.levels()), default=0)
         return {"sources": sources, "sinks": sinks, "max_width": width}
 

@@ -21,7 +21,7 @@ class TaskState(Enum):
     FAILED = "failed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskSpec:
     """One unit of schedulable work.
 
@@ -56,6 +56,9 @@ class TaskSpec:
     after: tuple[str, ...] = ()
     deadline_s: float | None = None
     pinned_site: str | None = None
+    # cached: output_names sits on DAG-construction hot paths
+    _output_names: tuple[str, ...] = field(init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         if not self.name:
@@ -80,7 +83,6 @@ class TaskSpec:
                     f"task {self.name!r} declares output {out.name!r} twice"
                 )
             seen.add(out.name)
-        # cached: output_names sits on DAG-construction hot paths
         object.__setattr__(
             self, "_output_names", tuple(d.name for d in self.outputs)
         )

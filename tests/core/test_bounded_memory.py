@@ -1,4 +1,5 @@
-"""Placement state is O(in-flight), not O(tasks ever run).
+"""Placement state is O(in-flight), not O(tasks ever run); what is kept
+per task is kept lean.
 
 Counting tests in the style of ``tests/netsim/test_network.py::
 TestBoundedMemory``: they count entries, never RSS. A dataset's staging
@@ -21,6 +22,8 @@ from repro.continuum import (
 )
 from repro.continuum.builders import make_site
 from repro.core import ContinuumScheduler, GreedyEFTStrategy, HEFTStrategy
+from repro.core import scheduler
+from repro.core.placement import TaskRecord
 from repro.core.scheduler import StreamJob, _Run
 from repro.datafabric import Dataset
 from repro.faults import ChaosCampaign, OutageSchedule, SiteOutage, TaskChaos
@@ -269,3 +272,43 @@ class TestLateHedgeLoser:
             breaker_probes=1, hedges_launched=1, hedges_won=0,
             hedges_lost=0, timeouts=1, transient_faults=0, lost_tasks=0)
         assert_no_attempt_state(watched)
+
+
+@pytest.fixture
+def placed(monkeypatch):
+    """Every decision ``record_placement`` makes, in order."""
+    made = []
+    record = scheduler.record_placement
+
+    def spy(run, *args):
+        made.append(record(run, *args))
+        return made[-1]
+
+    monkeypatch.setattr(scheduler, "record_placement", spy)
+    return made
+
+
+class TestPerTaskState:
+    """What a run keeps for each task: slotted records with no instance
+    dict, and no decision log on stream runs."""
+
+    def test_task_dataset_and_record_have_no_instance_dict(self):
+        for obj in (TaskSpec("t", 1.0, outputs=(Dataset("d", 1),)),
+                    Dataset("d", 1), TaskRecord("t", "site")):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+    def test_stream_keeps_no_decision_log(self, placed, watched):
+        topo, jobs = fork_join_stream(6)
+        result = ContinuumScheduler(topo).run_stream(jobs,
+                                                     GreedyEFTStrategy())
+        assert len(placed) == len(result.records) == 6 * 5
+        assert watched.runs[-1].decisions is None
+
+    def test_run_returns_every_decision_in_order(self, placed):
+        """A hedged chaos run: one decision per attempt placed, primaries
+        and hedges alike, in the order they were made."""
+        result = chaos_run(seed=3)
+        assert result.resilience.hedges_launched > 0
+        assert result.decisions == placed
+        assert len(placed) == result.resilience.attempts_total
+        assert {d.task for d in result.decisions} == set(result.records)

@@ -2,7 +2,7 @@ import pytest
 
 from repro.continuum import Link, Site, Tier, Topology
 from repro.datafabric import Dataset, ReplicaCatalog
-from repro.errors import DataFabricError
+from repro.errors import ConfigurationError, DataFabricError
 
 
 def topo3():
@@ -16,11 +16,11 @@ def topo3():
 
 class TestDataset:
     def test_negative_size_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigurationError):
             Dataset("d", -1)
 
     def test_empty_name_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataFabricError):
             Dataset("", 10)
 
     def test_metadata_not_in_equality(self):

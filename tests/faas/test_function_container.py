@@ -1,6 +1,6 @@
 import pytest
 
-from repro.errors import FaaSError
+from repro.errors import ConfigurationError, FaaSError
 from repro.faas import ContainerModel, FunctionDef, FunctionRegistry, SerializationModel
 from repro.faas.container import WarmPool
 
@@ -48,7 +48,7 @@ class TestContainerModel:
     def test_negative_values_rejected(self):
         with pytest.raises(Exception):
             ContainerModel(cold_start_s=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             ContainerModel(max_warm_per_function=-1)
 
 

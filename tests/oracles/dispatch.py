@@ -62,7 +62,8 @@ def scalar_dispatch(run, batch, vetoed) -> None:
             est_stage_s=est.stage_time_s, est_exec_s=est.exec_time_s,
             est_finish=est_finish,
         )
-        run.decisions.append(decision)
+        if run.decisions is not None:   # stream runs keep no log
+            run.decisions.append(decision)
         if run._m_decisions is not None:
             run._m_decisions.labels(
                 site=site_name, strategy=run.strategy.name).inc()

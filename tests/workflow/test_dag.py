@@ -86,6 +86,37 @@ class TestConstruction:
             WorkflowDAG().validate()
 
 
+class TestIndexSize:
+    """Counting tests: the DAG's indexes hold only what wiring and the
+    analyses need, never an entry per dataset or per task."""
+
+    @staticmethod
+    def fork_join(width=4, join_first=False):
+        branches = [TaskSpec(f"b{i}", 1.0, inputs=("raw", "ref"),
+                             outputs=(Dataset(f"p{i}", 1),))
+                    for i in range(width)]
+        join = TaskSpec("join", 1.0,
+                        inputs=tuple(f"p{i}" for i in range(width)))
+        tasks = [join, *branches] if join_first else [*branches, join]
+        return WorkflowDAG("fork-join").extend(tasks)
+
+    @pytest.mark.parametrize("join_first", [False, True])
+    def test_consumers_index_external_inputs_only(self, join_first):
+        dag = self.fork_join(join_first=join_first)
+        assert dag._consumers == {"raw": ["b0", "b1", "b2", "b3"],
+                                  "ref": ["b0", "b1", "b2", "b3"]}
+        assert dag.dependencies("join") == ["b0", "b1", "b2", "b3"]
+
+    def test_adjacency_only_for_tasks_with_edges(self):
+        dag = self.fork_join()
+        dag.add_task(TaskSpec("lone", 1.0))
+        assert list(dag._succ) == ["b0", "b1", "b2", "b3"]
+        assert list(dag._pred) == ["join"]
+        assert dag.dependents("lone") == dag.dependencies("lone") == []
+        assert dag.subgraph_counts() == {"sources": 5, "sinks": 2,
+                                         "max_width": 5}
+
+
 class TestAnalyses:
     def test_topological_order_respects_edges(self):
         dag = diamond()

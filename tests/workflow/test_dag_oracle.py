@@ -73,7 +73,7 @@ def state(dag: WorkflowDAG):
     return (
         list(dag._tasks.items()),
         list(dag._producer.items()),
-        [(k, sorted(v)) for k, v in dag._consumers.items()],
+        [(k, list(v)) for k, v in dag._consumers.items()],
         [(k, list(v)) for k, v in dag._succ.items()],
         [(k, list(v)) for k, v in dag._pred.items()],
     )
@@ -133,12 +133,16 @@ def test_analyses_match_networkx(tasks):
 def test_rejected_cycle_leaves_dag_unchanged(tasks, data):
     """A task reading ``d<src>`` and producing ``x<dst>`` adds the edges
     ``t<src> -> closer -> t<dst>``: a cycle exactly when ``t<dst>``
-    already reaches ``t<src>``."""
+    already reaches ``t<src>``. It also waits on ``fresh`` (a new
+    consumer entry) and on ``x<also>`` (an entry it extends), so the
+    rejection has entries to drop, shorten and keep."""
     dag = WorkflowDAG().extend(tasks)
     graph = networkx_twin(tasks)
     src = data.draw(st.sampled_from(dag.task_names))
     dst = data.draw(st.sampled_from(dag.task_names))
-    closer = TaskSpec("closer", 1.0, inputs=(f"d{src[1:]}", "fresh"),
+    also = data.draw(st.sampled_from(dag.task_names))
+    closer = TaskSpec("closer", 1.0,
+                      inputs=(f"d{src[1:]}", "fresh", f"x{also[1:]}"),
                       outputs=(Dataset(f"x{dst[1:]}", 1),))
     before = state(dag)
     if nx.has_path(graph, dst, src):
