@@ -102,8 +102,7 @@ def _world(key, build):
 
 
 def _warm_topology(topo):
-    for name in topo.site_names:
-        topo.path_rows(name)
+    topo.path_block(topo.site_names, [0])   # fills every source's row
     return topo
 
 

@@ -62,7 +62,7 @@ class Topology:
         self._adj: dict[str, dict[str, Link]] = {}
         self._sites: dict[str, Site] = {}
         self._path_cache: dict[tuple[str, str], PathInfo] = {}
-        # all-pairs path properties (see path_rows), one plane each for
+        # all-pairs path properties (see path_block), one plane each for
         # latency, bandwidth and $/GB; rebuilt lazily after any
         # mutation, rows filled on demand
         self._site_index: dict[str, int] | None = None
@@ -238,41 +238,31 @@ class Topology:
         """Stable site-name -> matrix-column mapping (declaration order).
 
         Valid until the next topology mutation; shared by
-        :meth:`path_rows` and batch cost estimation.
+        :meth:`path_block` and batch cost estimation.
         """
         if self._site_index is None:
             self._site_index = {n: i for i, n in enumerate(self._sites)}
         return self._site_index
 
-    def path_rows(self, src: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-destination ``(latency_s, bandwidth_Bps, usd_per_gb)``
-        arrays for routed paths out of ``src``, indexed by
-        :attr:`site_index`.
+    def path_block(self, sources: list[str], cols: np.ndarray) -> np.ndarray:
+        """``(latency_s, bandwidth_Bps, usd_per_gb)`` blocks, stacked
+        in one fresh ``(3, len(sources), len(cols))`` array the caller
+        may write to: row ``i`` of each plane holds the routed paths
+        out of ``sources[i]`` to the :attr:`site_index` columns
+        ``cols``. Two gathers in all, so a caller needing many source
+        rows pays no numpy call per source.
 
         Rows are filled lazily (one single-source Dijkstra pass per
         source) and the composed :class:`PathInfo` records are written
         into the path cache that :meth:`path_info` reads, so the scalar
-        and batch APIs agree: only one search exists. Rows are invalidated
-        together with the path cache on any mutation. The returned
-        arrays are read-only views into the all-pairs matrices.
+        and batch APIs agree: only one search exists. Rows are
+        invalidated together with the path cache on any mutation.
         Unreachable destinations appear as ``inf`` latency, **``0.0``
         bandwidth**, and ``inf`` dollars rather than raising, so every
         vectorized ranking naturally rejects them: time- and cost-
         minimizers see infinity, and bandwidth-greedy maximizers see
         zero (an ``inf`` there would make an unreachable site the most
-        attractive destination on the continuum).
-        """
-        row = self._filled_row(src)
-        lat, bw, usd = self._path_matrix[:, row]
-        return lat, bw, usd
-
-    def path_block(self, sources: list[str], cols: np.ndarray) -> np.ndarray:
-        """``(latency_s, bandwidth_Bps, usd_per_gb)`` blocks, stacked
-        in one fresh ``(3, len(sources), len(cols))`` array the caller
-        may write to: row ``i`` of each plane is that :meth:`path_rows`
-        array of ``sources[i]`` at the matrix columns ``cols``, with the
-        same unreachable encoding. Two gathers in all, so a caller
-        needing many source rows pays no numpy call per source."""
+        attractive destination on the continuum)."""
         rows = [self._filled_row(src) for src in sources]
         return self._path_matrix.take(rows, axis=1).take(cols, axis=2)
 

@@ -23,9 +23,9 @@ from repro.workflow.task import TaskSpec
 _SITE_NAME = operator.attrgetter("name")
 
 # Bound on the wave row memo: cleared wholesale once exceeded (a cap,
-# not an LRU — stale-epoch entries are overwritten in place, so the
-# steady-state population is one row per live (signature, candidate-set)
-# pair and the cap only matters under pathological signature churn).
+# not an LRU). The memo already holds rows of the current stamp only,
+# so the cap matters only when one stamp sees more distinct
+# (signature, candidate-set) pairs than this.
 _ROW_CACHE_MAX = 4096
 
 
@@ -121,8 +121,8 @@ class CostModel:
         # per-dataset staging arrays: dataset -> candidate tuple ->
         # entry, each validated by (routes epoch, per-dataset replica
         # version). The scheduler drops a dataset's entries with
-        # forget_dataset once its last reader completes, so the cache
-        # holds only datasets that in-flight work may still read.
+        # forget_dataset once its last reader is placed, so the cache
+        # holds only datasets that a placement may still estimate.
         self._stage_cache: dict[str, dict] = {}
         # per-candidate-tuple site arrays, validated by routes epoch:
         # (matrix columns, busy watts, compute price, speeds per kind)
@@ -133,9 +133,15 @@ class CostModel:
         # (routes epoch, catalog version) — topology rewires, outages
         # that change routing, and every replica add/drop (staging
         # completions, cache admits/evictions, output registration) bump
-        # one of the two. The memoized arrays are frozen read-only
-        # because every hit shares them.
+        # one of the two. Both only grow, so a row of an older stamp
+        # can never be read again: the memo is cleared when the stamp
+        # moves and holds rows of _row_stamp only. (A control-plane
+        # read that falls back to a staler replica steps the version
+        # back; rows cleared by that step are rebuilt, same floats.)
+        # The memoized arrays are frozen read-only because every hit
+        # shares them.
         self._row_cache: dict = {}
+        self._row_stamp: tuple[int, int] | None = None
         # last row served, for estimate-at-chosen-site lookups right
         # after a strategy ranked this same task over its candidates
         self._last_row: tuple | None = None
@@ -302,8 +308,8 @@ class CostModel:
 
     def forget_dataset(self, name: str) -> None:
         """Drop every staging entry of dataset ``name``. Safe at any
-        time: a later lookup re-derives the entry with the same fold, so
-        the floats match."""
+        time: a later lookup (a retry or hedge of a placed reader)
+        re-derives the entry with the same fold, so the floats match."""
         self._stage_cache.pop(name, None)
 
     def estimate_batch(self, task: TaskSpec, sites: list[Site]) -> BatchEstimate:
@@ -325,6 +331,9 @@ class CostModel:
         epoch = self.topology.routes_epoch
         row_key = (task.inputs, task.kind, task.work, names)
         version = self.catalog.version
+        if self._row_stamp != (epoch, version):
+            self._row_cache.clear()
+            self._row_stamp = (epoch, version)
         row = self._row_cache.get(row_key)
         if row is not None and row[0] == epoch and row[1] == version:
             batch = BatchEstimate(task.name, names, *row[2])

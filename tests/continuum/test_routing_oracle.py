@@ -2,7 +2,7 @@
 
 The routing loop in ``repro.continuum.topology`` follows networkx's
 ``single_source_dijkstra`` step for step, and it is the only search:
-pair queries (``path_info``) and row fills (``path_rows``) read the
+pair queries (``path_info``) and row fills (``path_block``) read the
 same routes. Tie-heavy latencies make every tie-break visible: any
 divergence in heap keys, relaxation order or float sums picks a
 different route here.
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.continuum import Link, Tier, Topology
 from repro.continuum.builders import make_site
 from repro.errors import TopologyError
+from tests.oracles.path_rows import path_rows
 
 nx = pytest.importorskip("networkx")
 
@@ -70,7 +71,7 @@ def test_row_fills_match_single_source_dijkstra(case):
     index = topo.site_index
     for src in topo.site_names:
         _, paths = nx.single_source_dijkstra(graph, src)
-        lat, bw, usd = topo.path_rows(src)
+        lat, bw, usd = path_rows(topo, src)
         for dst, col in index.items():
             expected = paths.get(dst)
             if expected is None:
@@ -116,11 +117,11 @@ def test_pair_route_does_not_depend_on_query_order():
     col = square().site_index["c"]
     pair_first = square()
     row_first = square()
-    row_first.path_rows("a")
+    path_rows(row_first, "a")
     for topo in (pair_first, row_first):
         pair = topo.path_info("a", "c")
         assert pair.hops == ("a", "d", "c")
         assert pair.bandwidth_Bps == 2e6
-        _, bw, _ = topo.path_rows("a")
+        _, bw, _ = path_rows(topo, "a")
         assert bw[col] == 2e6
         assert topo.path_info("a", "c") is pair

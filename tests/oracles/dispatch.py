@@ -67,6 +67,7 @@ def scalar_dispatch(run, batch, vetoed) -> None:
         if run._m_decisions is not None:
             run._m_decisions.labels(
                 site=site_name, strategy=run.strategy.name).inc()
+        run._placed(task)   # reader counts fall at placement
         run._start_attempt(task, site_name, decision)
 
 

@@ -30,6 +30,7 @@ from repro.core.cost import (
     CostModel,
 )
 from repro.errors import DataFabricError, SchedulingError
+from tests.oracles.path_rows import path_rows
 
 
 def _stage_times(lat: np.ndarray, bw: np.ndarray, cols: np.ndarray,
@@ -37,7 +38,7 @@ def _stage_times(lat: np.ndarray, bw: np.ndarray, cols: np.ndarray,
     """Unloaded staging times ``lat + size / bw`` over candidate columns.
 
     Unreachable destinations carry ``bw == 0`` in the path matrices
-    (see :meth:`Topology.path_rows`); they must estimate as ``inf`` —
+    (see :meth:`Topology.path_block`); they must estimate as ``inf`` —
     including for zero-byte datasets, where a bare ``0/0`` would poison
     the row with NaN and win every ``argmin``.
     """
@@ -76,11 +77,11 @@ def _stage_arrays(self, name, names, cols, epoch):
     if old is not None and sources[:len(old)] == old:
         start, t_best, u_best = len(old), hit[3], hit[4]
     else:
-        lat, bw, usd = self.topology.path_rows(sources[0])
+        lat, bw, usd = path_rows(self.topology, sources[0])
         start = 1
         t_best, u_best = _stage_times(lat, bw, cols, size), usd[cols]
     for src in sources[start:]:
-        lat, bw, usd = self.topology.path_rows(src)
+        lat, bw, usd = path_rows(self.topology, src)
         t_new = _stage_times(lat, bw, cols, size)
         better = t_new < t_best
         t_best = np.where(better, t_new, t_best)

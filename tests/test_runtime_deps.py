@@ -38,7 +38,7 @@ def test_runs_with_networkx_and_scipy_unimportable():
 
         topo = geo_random_continuum(12, seed=0)
         topo.validate()
-        topo.path_rows(topo.site_names[0])
+        topo.path_block(topo.site_names[:1], [0])
         dag = WorkflowDAG("guard")
         dag.add_task(TaskSpec("a", 1.0, outputs=(Dataset("x", 1),)))
         dag.add_task(TaskSpec("b", 1.0, inputs=("x",)))

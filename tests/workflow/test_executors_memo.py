@@ -1,9 +1,12 @@
+import copyreg
+import dataclasses
 import pickle
 
 import pytest
 
+from repro.datafabric import Dataset
 from repro.errors import WorkflowError
-from repro.workflow import Memoizer, SerialExecutor, ThreadExecutor
+from repro.workflow import Memoizer, SerialExecutor, ThreadExecutor, TaskSpec
 from repro.workflow.checkpoint import load_checkpoint, save_checkpoint
 from repro.workflow.memoization import make_key
 
@@ -127,8 +130,50 @@ class TestCheckpoint:
         with pytest.raises(WorkflowError, match="version"):
             load_checkpoint(str(path))
 
+    def test_version_1_file_rejected(self, tmp_path):
+        """A version 1 file holds TaskSpecs pickled from their instance
+        ``__dict__``; loaded into the slotted class, every field would
+        hold its own name. The version check refuses the file."""
+        path = tmp_path / "v1.ckpt"
+        task = TaskSpec("t", 2.0, inputs=("x",), outputs=(Dataset("y", 8),))
+        path.write_bytes(pickle.dumps(
+            {"version": 1, "results": {"k": _DictPickled(task)}}))
+        assert pickle.loads(path.read_bytes())["results"]["k"].name == "name"
+        with pytest.raises(WorkflowError,
+                           match="has version 1, expected 2"):
+            load_checkpoint(str(path))
+
+    def test_roundtrip_of_tasks_and_datasets(self, tmp_path):
+        path = tmp_path / "memo.ckpt"
+        table = {
+            "task": TaskSpec("t", 2.0, kind="gpu", inputs=("x",),
+                             outputs=(Dataset("y", 8, metadata={"m": 1}),),
+                             deadline_s=5.0),
+            "dataset": Dataset("z", 3.5, kind="model"),
+        }
+        save_checkpoint(str(path), table)
+        assert pickle.loads(path.read_bytes())["version"] == 2
+        loaded = load_checkpoint(str(path))
+        assert loaded == table
+        assert repr(loaded) == repr(table)
+        assert loaded["task"].output_names == ("y",)
+        assert loaded["task"].outputs[0].metadata == {"m": 1}
+
     def test_atomic_overwrite(self, tmp_path):
         path = str(tmp_path / "memo.ckpt")
         save_checkpoint(path, {"a": 1})
         save_checkpoint(path, {"a": 2})
         assert load_checkpoint(path) == {"a": 2}
+
+
+class _DictPickled:
+    """Pickles a dataclass instance the way version 1 files hold them:
+    rebuilt from its class and an instance ``__dict__`` of its fields."""
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __reduce__(self):
+        state = {f.name: getattr(self.obj, f.name)
+                 for f in dataclasses.fields(self.obj)}
+        return copyreg._reconstructor, (type(self.obj), object, None), state
