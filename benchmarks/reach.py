@@ -9,12 +9,12 @@ examples and the end-to-end benchmark run:
   committed in (``benchmarks/e2e/workloads.prepare_tables``);
 - ``suite``: ``python -m repro.bench``, every experiment quick;
 - ``metrics``: E13 and E16 quick with ``--metrics``;
-- ``jobs``: E14 quick with ``--jobs 2`` and the result cache, cold then
-  warm;
+- ``jobs``: E14 quick with ``--jobs 2``;
 - ``stream``, ``shuffle``, ``chaos``, ``metadata``: the end-to-end
   workloads at seed 0, full size;
-- ``cli`` and ``examples``: ``tests/test_cli.py`` and
-  ``tests/test_examples.py``, run by pytest in this process.
+- ``cli``, ``examples`` and ``docs``: ``tests/test_cli.py``,
+  ``tests/test_examples.py`` and ``tests/test_docs.py`` (the README and
+  tutorial code blocks), run by pytest in this process.
 
 Usage::
 
@@ -179,24 +179,19 @@ def _tables(_tmp: str) -> None:
     _e2e_ops(prepare_tables())
 
 
-def _jobs(tmp: str) -> None:
-    for _ in ("cold", "warm"):
-        _bench("E14", "--quick", "--jobs", "2", "--cache-dir", tmp)
-
-
 TRAFFIC = {
     "tables": _tables,
-    "suite": lambda tmp: _bench("--no-cache", "--save", tmp),
-    "metrics": lambda tmp: _bench("E13", "E16", "--quick", "--no-cache",
-                                  "--metrics",
+    "suite": lambda tmp: _bench("--save", tmp),
+    "metrics": lambda tmp: _bench("E13", "E16", "--quick", "--metrics",
                                   os.path.join(tmp, "metrics.json")),
-    "jobs": _jobs,
+    "jobs": lambda _tmp: _bench("E14", "--quick", "--jobs", "2"),
     "stream": _workload("stream"),
     "shuffle": _workload("shuffle"),
     "chaos": _workload("chaos"),
     "metadata": _workload("metadata"),
     "cli": lambda _tmp: _pytest("tests/test_cli.py"),
     "examples": lambda _tmp: _pytest("tests/test_examples.py"),
+    "docs": lambda _tmp: _pytest("tests/test_docs.py"),
 }
 
 

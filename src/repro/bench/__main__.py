@@ -4,15 +4,11 @@
     python -m repro.bench E1 E5           # selected, full mode
     python -m repro.bench --full          # everything, full mode
     python -m repro.bench --jobs 4        # shard across 4 worker processes
-    python -m repro.bench --no-cache      # force recompute
     python -m repro.bench E13 --metrics m.json   # + metrics snapshot
     python -m repro.bench E2 --profile p.pstats  # + cProfile dump
 
-Also reachable as ``python -m repro bench ...``. Results are memoized
-in a content-addressed cache under ``results/.cache`` (keyed on the
-experiment id, its config, and a digest of the ``src/repro`` sources),
-so re-running an unchanged experiment replays instantly; ``--no-cache``
-bypasses both read and write.
+Also reachable as ``python -m repro bench ...``. Every run recomputes
+the experiments it names.
 """
 
 from __future__ import annotations
@@ -22,9 +18,7 @@ import sys
 import time
 
 from repro.bench import EXPERIMENTS
-from repro.bench.runner import (
-    DEFAULT_CACHE_DIR, run_suite, suite_metrics_doc,
-)
+from repro.bench.runner import run_suite, suite_metrics_doc
 from repro.errors import ContinuumError
 
 
@@ -43,19 +37,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes to shard experiments "
                              "across (default 1: in-process)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the content-addressed result cache")
-    parser.add_argument("--cache-dir", metavar="DIR",
-                        default=DEFAULT_CACHE_DIR,
-                        help=f"cache location (default {DEFAULT_CACHE_DIR})")
     parser.add_argument("--metrics", metavar="FILE", default=None,
                         help="collect run metrics and write the canonical "
-                             "JSON snapshot to FILE (bypasses the result "
-                             "cache; experiment tables are unaffected)")
+                             "JSON snapshot to FILE (experiment tables are "
+                             "unaffected)")
     parser.add_argument("--profile", metavar="FILE", default=None,
                         help="run under cProfile and dump pstats to FILE "
-                             "(sequential runs only; implies --no-cache so "
-                             "the profiled work is real)")
+                             "(sequential runs only)")
     args = parser.parse_args(argv)
 
     if args.profile is not None and args.jobs != 1:
@@ -82,8 +70,6 @@ def main(argv: list[str] | None = None) -> int:
         try:
             entries = run_suite(
                 selected, quick=quick, seed=args.seed, jobs=args.jobs,
-                use_cache=not args.no_cache and profiler is None,
-                cache_dir=args.cache_dir,
                 save_dir=args.save,
                 collect_metrics=args.metrics is not None,
             )
@@ -112,10 +98,8 @@ def main(argv: list[str] | None = None) -> int:
         print(entry.rendered)
         print()
     wall = time.perf_counter() - t0
-    cached = sum(1 for e in entries if e.cached)
-    shards = sum(e.shards for e in entries if not e.cached)
-    print(f"# suite: {len(entries)} experiments "
-          f"({cached} cached, {shards} shards computed) "
+    shards = sum(e.shards for e in entries)
+    print(f"# suite: {len(entries)} experiments ({shards} shards) "
           f"in {wall:.2f}s with jobs={args.jobs}", file=sys.stderr)
     return 0
 

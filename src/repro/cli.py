@@ -19,8 +19,7 @@ Commands
   JSON snapshot with ``--out``); ``--load FILE`` validates and
   re-renders an existing snapshot without running anything,
 - ``bench`` — the experiment suite runner (:mod:`repro.bench`):
-  sequential, parallel-sharded (``--jobs N``), and content-addressed
-  result caching (``--no-cache`` to bypass).
+  sequential or parallel-sharded (``--jobs N``).
 
 ``trace`` and ``chaos`` accept ``--metrics FILE`` to additionally
 collect run metrics (zero-interference: the simulation output is
@@ -335,8 +334,7 @@ def _cmd_metrics(args) -> int:
         selected.append(exp_id.upper())
     quick = not args.full
     entries = run_suite(selected, quick=quick, seed=args.seed,
-                        jobs=args.jobs, use_cache=False,
-                        collect_metrics=True)
+                        jobs=args.jobs, collect_metrics=True)
     for entry in entries:
         print(to_prometheus(entry.metrics,
                             extra_labels={"experiment": entry.experiment_id}),
@@ -455,9 +453,9 @@ def main(argv: list[str] | None = None) -> int:
 
     sub.add_parser(
         "bench",
-        help="run the E1-E14 experiment suite (supports --jobs N for "
-             "parallel sharding and a content-addressed result cache); "
-             "all following arguments are forwarded to repro.bench",
+        help="run the experiment suite (supports --jobs N for parallel "
+             "sharding); all following arguments are forwarded to "
+             "repro.bench",
     )
 
     # `bench` forwards its entire tail (including option flags, which

@@ -44,14 +44,3 @@ class Link:
         check_non_negative("latency_s", self.latency_s)
         check_positive("bandwidth_Bps", self.bandwidth_Bps)
         check_non_negative("usd_per_gb", self.usd_per_gb)
-
-    def transfer_time(self, size_bytes: float) -> float:
-        """Unloaded store-and-forward time for ``size_bytes``: latency
-        plus serialization at full bandwidth. The flow simulator refines
-        this under contention."""
-        check_non_negative("size_bytes", size_bytes)
-        return self.latency_s + size_bytes / self.bandwidth_Bps
-
-    def transfer_cost(self, size_bytes: float) -> float:
-        """Dollars to move ``size_bytes`` across this link."""
-        return self.usd_per_gb * (float(size_bytes) / 1e9)

@@ -578,7 +578,7 @@ class TestCLI:
     def test_single_experiment(self, capsys):
         from repro.bench.__main__ import main
 
-        assert main(["E1", "--no-cache"]) == 0
+        assert main(["E1"]) == 0
         out = capsys.readouterr().out
         assert "E1: Gilder crossover" in out
 
@@ -590,25 +590,25 @@ class TestCLI:
     def test_save_flag(self, tmp_path, capsys):
         from repro.bench.__main__ import main
 
-        assert main(["E1", "--save", str(tmp_path / "out"),
-                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert main(["E1", "--save", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "e1.txt").exists()
 
-    def test_warm_cache_replays_identically(self, tmp_path, capsys):
+    def test_reruns_recompute_and_leave_no_files(self, tmp_path,
+                                                 monkeypatch, capsys):
         from repro.bench.__main__ import main
 
-        args = ["E1", "--cache-dir", str(tmp_path / "cache")]
-        assert main(args) == 0
-        cold = capsys.readouterr().out
-        assert main(args) == 0
-        warm = capsys.readouterr().out
-        assert warm == cold
-        assert list((tmp_path / "cache").glob("e1-*.json"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["E1"]) == 0
+        first = capsys.readouterr().out
+        assert main(["E1"]) == 0
+        second = capsys.readouterr().out
+        assert second == first
+        assert list(tmp_path.iterdir()) == []
 
     def test_jobs_flag_parallel_run(self, tmp_path, capsys):
         from repro.bench.__main__ import main
 
-        assert main(["E1", "--jobs", "2", "--no-cache",
+        assert main(["E1", "--jobs", "2",
                      "--save", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out
         assert "E1: Gilder crossover" in out

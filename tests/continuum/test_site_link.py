@@ -3,7 +3,6 @@ import pytest
 from repro.continuum import Link, PowerModel, PricingModel, Site, Tier
 from repro.continuum.link import FIBER_KM_PER_SECOND, propagation_latency
 from repro.errors import ConfigurationError
-from repro.utils.units import GB, Gbps
 
 
 class TestSite:
@@ -94,18 +93,6 @@ class TestPricingModel:
 
 
 class TestLink:
-    def test_transfer_time(self):
-        link = Link(latency_s=0.01, bandwidth_Bps=1e9)
-        assert link.transfer_time(1e9) == pytest.approx(1.01)
-
-    def test_transfer_time_zero_bytes(self):
-        link = Link(latency_s=0.01, bandwidth_Bps=1e9)
-        assert link.transfer_time(0) == pytest.approx(0.01)
-
-    def test_transfer_cost(self):
-        link = Link(0.01, 1 * Gbps, usd_per_gb=0.09)
-        assert link.transfer_cost(2e9) == pytest.approx(0.18)
-
     def test_zero_bandwidth_rejected(self):
         with pytest.raises(ConfigurationError):
             Link(0.01, 0)

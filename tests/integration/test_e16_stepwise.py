@@ -15,7 +15,7 @@ from tests.oracles import stepwise
 
 def _render(engine):
     with engine():
-        entries = run_suite(["E16"], quick=True, seed=0, use_cache=False,
+        entries = run_suite(["E16"], quick=True, seed=0,
                             collect_metrics=True)
     doc = suite_metrics_doc(entries, quick=True, seed=0)
     return entries[0].rendered, snapshot_to_json(doc)

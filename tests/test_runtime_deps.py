@@ -45,7 +45,7 @@ def test_runs_with_networkx_and_scipy_unimportable():
         assert dag.topological_order() == ["a", "b"]
 
         from repro.bench.__main__ import main
-        assert main(["E2", "--quick", "--no-cache"]) == 0
+        assert main(["E2", "--quick"]) == 0
     """)
     assert proc.returncode == 0, proc.stderr
 
