@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.controlplane.log import Command
-from repro.controlplane.node import RaftNode, Role
+from repro.controlplane.node import RaftNode, Role, append_all
 from repro.errors import ControlPlaneError
 from repro.faults.partitions import PartitionWindow
 from repro.resilience.retry import RetryBudget
@@ -459,8 +459,7 @@ class ControlPlane:
                 entry.index, entry.term, dst)
             self._pending.append(ticket)
             self._min_pending = min(self._min_pending, entry.index)
-            self._send_all(dst, [(p, node._append_for(p, t))
-                                 for p in node.peers], t)
+            self._send_all(dst, append_all(node, t), t)
             self._settle(t, node)
             return
         hint = node.leader_hint

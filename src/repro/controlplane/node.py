@@ -79,6 +79,21 @@ class SnapshotReply(NamedTuple):
     sent_at: float
 
 
+def append_all(leader, now: float) -> list[tuple[int, object]]:
+    """``leader``'s AppendEntries (or InstallSnapshot) for every peer.
+    Peers at the same next index get the same immutable message, built
+    once, so a broadcast copies each log suffix once."""
+    built = {}
+    out = []
+    for peer in leader.peers:
+        nxt = leader.next_index.get(peer)
+        msg = built.get(nxt)
+        if msg is None:
+            msg = built[nxt] = leader._append_for(peer, now)
+        out.append((peer, msg))
+    return out
+
+
 class RaftNode:
     """Consensus state for one control site (id ``0..n-1``)."""
 
@@ -153,7 +168,7 @@ class RaftNode:
         self.heartbeat_due = now + self.heartbeat_interval_s
         # barrier entry: lets this leader commit predecessors' entries
         self.log.append(self.term, NOOP)
-        return [(p, self._append_for(p, now)) for p in self.peers]
+        return append_all(self, now)
 
     # -- timer events -------------------------------------------------------------
     def on_timer(self, now: float) -> list[tuple[int, object]]:
@@ -162,7 +177,7 @@ class RaftNode:
                 return []
             self.heartbeat_due = now + self.heartbeat_interval_s
             self.maybe_compact()
-            return [(p, self._append_for(p, now)) for p in self.peers]
+            return append_all(self, now)
         if now < self.election_deadline:
             return []
         # start (or restart) an election

@@ -50,6 +50,7 @@ network contention — the planned-vs-measured gap is real and intended.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -692,10 +693,11 @@ class _Run:
                                                brownout.b).bandwidth_Bps
         for factor in factors:
             bandwidth *= factor
+        # interned: the trace keeps one label per link, not one per event
         self.tracer.instant(
             "brownout_begin" if begin else "brownout_end", "fault",
-            link=f"{brownout.a}--{brownout.b}", factor=brownout.factor,
-            bandwidth_Bps=bandwidth,
+            link=sys.intern(f"{brownout.a}--{brownout.b}"),
+            factor=brownout.factor, bandwidth_Bps=bandwidth,
         )
         self.network.set_link_bandwidth(brownout.a, brownout.b, bandwidth)
 
@@ -703,7 +705,7 @@ class _Run:
     def _schedule_dispatch(self) -> None:
         if not self._dispatch_scheduled:
             self._dispatch_scheduled = True
-            self.sim.schedule(0.0, self._dispatch)
+            self.sim._wakeup(0.0, self._dispatch, ())
 
     def _breaker_vetoes(self) -> set[str]:
         """Candidate sites whose circuit is currently open."""

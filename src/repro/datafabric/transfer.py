@@ -111,7 +111,7 @@ class TransferService:
                 bytes_moved=0.0, attempts=0,
                 started=self.sim.now, finished=self.sim.now,
             )
-            self.sim.schedule(0.0, signal.trigger, result)
+            self.sim._wakeup(0.0, signal.trigger, (result,))
             return signal
 
         self._inflight[key] = signal

@@ -318,7 +318,7 @@ class FlowNetwork:
         """Defer one rate solve to the end of the current instant."""
         if not self._solve_pending:
             self._solve_pending = True
-            self.sim.schedule(0.0, self._solve_rates)
+            self.sim._wakeup(0.0, self._solve_rates, ())
 
     def _solve_rates(self) -> None:
         """Re-solve rates; re-time the drains of flows whose rate changed."""

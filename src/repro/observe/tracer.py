@@ -15,8 +15,11 @@ the default, the wall clock. Explicit ``time=`` arguments override it.
 
 Spans are stored as data: one flat list holds a row of atomic values
 per span in begin order, the span id being the row number plus one.
-``begin`` returns a live :class:`Span` that ``end`` updates; readers
-get ``Span`` objects built from the rows.
+``begin`` returns a live :class:`Span` that ``end`` updates; the row
+holds it in its attributes slot while it is open. ``end`` and
+``instant`` pack the attributes into that slot as one tuple, keys then
+values, so a closed row holds atomic values only. Readers get ``Span``
+objects built from the rows.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from repro.observe.span import Span
 NULL_SPAN = Span(name="", category="", begin_s=0.0, span_id=0)
 
 #: A row is the Span fields but the id: name, category, begin_s,
-#: parent_id, end_s (None while open), status, instant, attrs; then
-#: the live Span that ``begin`` returned, until it ends.
-_WIDTH = 9
+#: parent_id, end_s (None while open), status, instant, and the attrs
+#: packed as ``(*keys, *values)``, or the live Span while open.
+_WIDTH = 8
 
 
 class Tracer:
@@ -83,12 +86,12 @@ class Tracer:
             return NULL_SPAN
         t = self._clock() if time is None else float(time)
         parent_id = None if parent is None else parent.span_id or None
+        rows = self._rows
         with self._lock:
             span = Span(name, category, t, self._next_id, parent_id,
                         None, "ok", False, attrs)
             self._next_id += 1
-            self._rows.extend(
-                (name, category, t, parent_id, None, "ok", False, attrs, span))
+            rows += (name, category, t, parent_id, None, "ok", False, span)
         return span
 
     def instant(self, name: str, category: str = "event", *,
@@ -99,11 +102,12 @@ class Tracer:
             return NULL_SPAN
         t = self._clock() if time is None else float(time)
         parent_id = None if parent is None else parent.span_id or None
+        rows = self._rows
         with self._lock:
             span_id = self._next_id
             self._next_id += 1
-            self._rows.extend(
-                (name, category, t, parent_id, t, "ok", True, attrs, None))
+            rows += (name, category, t, parent_id, t, "ok", True,
+                     (*attrs, *attrs.values()) if attrs else ())
         return Span(name, category, t, span_id, parent_id, t, "ok", True,
                     attrs)
 
@@ -118,18 +122,24 @@ class Tracer:
                 f"span {span.name!r} would end at {t} before its begin "
                 f"{span.begin_s}"
             )
-        row = span.span_id * _WIDTH
+        row = span.span_id * _WIDTH - 1     # the attrs slot
+        rows = self._rows
         with self._lock:
-            live = self._rows[row - 1:row]   # [] once clear() dropped it
-            if not live or live[0] is not span:
+            try:
+                live = rows[row]
+            except IndexError:                 # clear() dropped it
+                live = None
+            if live is not span:
                 raise ObserveError(f"span {span.name!r} already ended or "
                                    f"not open in this tracer")
-            # end_s, status, instant, attrs (the same dict), live handle
-            self._rows[row - 5:row] = (t, status, False, span.attrs, None)
+            merged = span.attrs
+            if attrs:
+                merged.update(attrs)
+            rows[row - 3] = t
+            rows[row - 2] = status
+            rows[row] = (*merged, *merged.values()) if merged else ()
         span.end_s = t
         span.status = status
-        if attrs:
-            span.attrs.update(attrs)   # the row holds this same dict
         return span
 
     @contextmanager
@@ -152,7 +162,9 @@ class Tracer:
         them, closed ones built from their rows."""
         with self._lock:
             rows = self._rows[:]
-        return [rows[k + 8] or Span(*rows[k:k + 3], n, *rows[k + 3:k + 8])
+        return [rows[k + 7] if rows[k + 4] is None
+                else Span(*rows[k:k + 3], n, *rows[k + 3:k + 7],
+                          _unpack(rows[k + 7]))
                 for n, k in enumerate(range(0, len(rows), _WIDTH), 1)]
 
     def finished(self) -> list[Span]:
@@ -172,6 +184,11 @@ class Tracer:
         with self._lock:
             self._rows.clear()
             self._next_id = 1
+
+
+def _unpack(packed: tuple) -> dict:
+    half = len(packed) // 2
+    return dict(zip(packed[:half], packed[half:]))
 
 
 #: Module-level disabled tracer instrumented code defaults to.

@@ -75,7 +75,8 @@ class Simulator:
         self._queue.push_ready(self._now, callback, (arg,))
 
     def _wakeup(self, delay: float, callback: Callable, args: tuple) -> None:
-        """Kernel-internal deferred callback (e.g. a Timeout firing).
+        """Deferred callback that is never cancelled: a Timeout firing,
+        or a zero-delay hop such as a deferred rate solve or dispatch.
 
         Zero-delay wakeups take the same-instant ready lane and skip the
         heap entirely.

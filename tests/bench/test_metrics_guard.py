@@ -1,6 +1,6 @@
-"""The metrics-overhead guard's gating rule
-(``benchmarks/bench_kernel.py --metrics-guard``): the median of the
-per-round metered/bare ratios, not one best-of per side."""
+"""The overhead guards' gating rule (``benchmarks/bench_kernel.py
+--metrics-guard`` and ``--tracer-guard``): the median of the per-round
+instrumented/bare ratios, not one best-of per side."""
 
 import importlib.util
 import os
@@ -21,15 +21,15 @@ def bench_kernel(monkeypatch):
     return module
 
 
-def guard(monkeypatch, bench_kernel, bare, metered):
-    """Run the guard's CLI on recorded round timings."""
+def guard(monkeypatch, bench_kernel, bare, metered, flag="--metrics-guard"):
+    """Run a guard's CLI on recorded round timings."""
     def timed_rounds(fns, rounds):
         assert len(fns) == 2 and rounds == len(bare) == len(metered)
         observed = (40_840, 999.5)
         return [(list(bare), observed), (list(metered), observed)]
 
     monkeypatch.setattr(bench_kernel, "timed_rounds", timed_rounds)
-    return bench_kernel.main(["--metrics-guard", "--repeat", str(len(bare))])
+    return bench_kernel.main([flag, "--repeat", str(len(bare))])
 
 
 BARE = [0.150, 0.162, 0.148, 0.171, 0.155, 0.149, 0.158]
@@ -66,3 +66,24 @@ def test_recorder_must_not_change_the_simulation(bench_kernel, monkeypatch):
     monkeypatch.setattr(bench_kernel, "timed_rounds", timed_rounds)
     with pytest.raises(AssertionError, match="recorder changed"):
         bench_kernel.metrics_overhead_guard(repeat=3)
+
+
+def test_tracer_guard_gates_on_its_own_threshold(monkeypatch, bench_kernel):
+    # a steady +12% is inside the tracer's 16% but past the recorder's 10%
+    traced = [b * 1.12 for b in BARE]
+    assert guard(monkeypatch, bench_kernel, BARE, traced) == 1
+    assert guard(monkeypatch, bench_kernel, BARE, traced,
+                 flag="--tracer-guard") == 0
+    traced = [b * 1.20 for b in BARE]
+    assert guard(monkeypatch, bench_kernel, BARE, traced,
+                 flag="--tracer-guard") == 1
+
+
+def test_tracer_must_not_change_the_simulation(bench_kernel, monkeypatch):
+    def timed_rounds(fns, rounds):
+        return [([0.1] * rounds, (250.9, 150)),
+                ([0.1] * rounds, (251.0, 150))]
+
+    monkeypatch.setattr(bench_kernel, "timed_rounds", timed_rounds)
+    with pytest.raises(AssertionError, match="tracer changed"):
+        bench_kernel.tracer_overhead_guard(repeat=3)

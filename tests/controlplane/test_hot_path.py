@@ -273,6 +273,29 @@ class TestCompactionWork:
         assert 0.0 < worst <= 1.0
 
 
+class TestSharedAppends:
+    def test_one_proposal_copies_the_log_suffix_once(self, monkeypatch):
+        """Followers at the same next index share one immutable
+        AppendEntries: a proposal on a healthy 5-site plane reads its
+        entries from the log once, not once per peer."""
+        plane = ControlPlane(cfg(n_sites=5))
+        plane.advance(1.1)
+        reads = []
+        entries_from = ReplicatedLog.entries_from
+
+        def counted(log, index):
+            reads.append(index)
+            return entries_from(log, index)
+
+        monkeypatch.setattr(ReplicatedLog, "entries_from", counted)
+        ticket = plane.submit(Command("register", ("d", 1.0, "x")), 1.1)
+        plane.advance(1.1 + plane.config.replication_lag_s)
+        leader = plane.nodes[plane.leader_id()]
+        assert reads == [leader.log.last_index]
+        plane.advance(2.0)
+        assert ticket.acked and plane.converged()
+
+
 class TestEmitMetrics:
     def test_histograms_resolve_their_child_once(self, monkeypatch):
         """Each latency histogram resolves its child once per harvest,

@@ -57,6 +57,18 @@ class TestStaging:
         assert sim.now == 0.0
         assert net.total_bytes_moved == 0.0
 
+    def test_resident_stage_bypasses_the_heap(self):
+        """The zero-delay completion of a resident dataset takes the
+        kernel's same-instant lane, not a heap push."""
+        sim, net, cat, svc = make_world()
+        cat.register(Dataset("d", 200.0))
+        cat.add_replica("d", "dst")
+        before = sim._queue.heap_size
+        signal = svc.stage("d", "dst")
+        assert sim._queue.heap_size == before
+        sim.run()
+        assert signal.fired and signal.value.was_local
+
     def test_uses_nearest_replica(self):
         # Dedicated topology where 'mid' is strictly closer to 'dst'
         # (one hop, less latency) than 'src' (two hops).

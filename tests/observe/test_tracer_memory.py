@@ -3,10 +3,11 @@
 Observability is meant to stay on: a caller that holds a ``Tracer`` and
 a ``MetricsRegistry`` across many runs must hold spans and counters,
 not every finished run's simulator, network and records. These tests
-count objects, never RSS.
+count objects and traced bytes, never RSS.
 """
 
 import gc
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -132,3 +133,24 @@ def test_no_tracked_object_per_span():
     grown = {name: after[name] - before[name] for name in after
              if after[name] - before[name] >= per_run // 10}
     assert grown == {}
+
+
+def test_closed_span_bytes():
+    """A closed span keeps its row and one packed attribute tuple, not
+    the caller's kwargs dict. tracemalloc counts what clearing the
+    tracer frees: about 195 B per span here, and about 330 B when rows
+    held the dict."""
+    tracer, registry = Tracer(), MetricsRegistry()
+    tracemalloc.start()
+    try:
+        chaos_into(tracer, registry)
+        spans = len(tracer.finished())
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+        tracer.clear()
+        gc.collect()
+        freed = kept - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert spans > 500
+    assert freed / spans < 260

@@ -100,15 +100,18 @@ class TestTraceCommand:
         (True, "211b0d94d96fef49cc1c9669a2c176e6"
                "562f87f66525d4400c7e561eb5fb17f7"),
     ])
-    def test_beamline_trace_is_pinned(self, tmp_path, capsys, metrics,
-                                      digest):
+    def test_beamline_trace_is_pinned(self, tmp_path, monkeypatch, capsys,
+                                      metrics, digest):
         """The exported JSON, spans and (with ``--metrics``) recorder
         counter events alike, is byte-for-byte the recorded one: span
-        storage and sampling are refactored against this digest."""
+        storage and sampling are refactored against this digest. The
+        plain case is ``repro trace --workload beamline`` as typed, its
+        output in the default ``trace.json``."""
         import hashlib
 
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "trace.json"
-        argv = ["trace", "--workload", "beamline", "--out", str(out)]
+        argv = ["trace", "--workload", "beamline"]
         if metrics:
             argv += ["--metrics", str(tmp_path / "metrics.json")]
         assert main(argv) == 0
