@@ -393,10 +393,12 @@ class _Run:
         # of a placed reader can estimate the dataset again, so the
         # cost model drops its staging arrays (see _placed).
         self._dag_of: dict[str, WorkflowDAG] = {}
-        self._job_of: dict[str, int] = {}
+        # a task's job is found through its DAG: one entry per job
+        self._job_of_dag: dict[WorkflowDAG, int] = {}
         self.remaining: dict[str, int] = {}
         self._readers: dict[str, int] = {}
         for idx, job in enumerate(jobs):
+            self._job_of_dag[job.dag] = idx
             for task in job.dag.tasks:
                 name = task.name
                 if name in self._dag_of:
@@ -404,7 +406,6 @@ class _Run:
                         f"duplicate task name {name!r} across stream jobs"
                     )
                 self._dag_of[name] = job.dag
-                self._job_of[name] = idx
                 self.remaining[name] = len(job.dag.dependencies(name))
                 for dataset in task.inputs:
                     self._readers[dataset] = self._readers.get(dataset, 0) + 1
@@ -1038,12 +1039,12 @@ class _Run:
             self.catalog.add_replica(out.name, site_name, time=self.sim.now)
         self.strategy.observe(record, self.ctx)
 
-        job_idx = self._job_of[name]
+        dag = self._dag_of[name]
+        job_idx = self._job_of_dag[dag]
         self._job_pending[job_idx] -= 1
         if self._job_pending[job_idx] == 0:
             self._job_finish[job_idx] = self.sim.now
 
-        dag = self._dag_of[name]
         for dependent in dag.dependents(name):
             self.remaining[dependent] -= 1
             if self.remaining[dependent] == 0:

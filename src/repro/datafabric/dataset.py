@@ -15,12 +15,17 @@ class Dataset:
     Immutability matches the scientific-data model (Globus, light-source
     frames): new results are new datasets, never in-place updates, which
     is what makes replica caching sound.
+
+    ``metadata`` is free-form annotation for callers; the simulator
+    never reads it. It defaults to ``None`` rather than an empty dict,
+    so the many datasets a large workflow defines carry no container
+    each. It takes no part in equality or hashing.
     """
 
     name: str
     size_bytes: float
     kind: str = "data"
-    metadata: dict = field(default_factory=dict, compare=False, hash=False)
+    metadata: dict | None = field(default=None, compare=False, hash=False)
 
     def __post_init__(self):
         check_non_negative("size_bytes", self.size_bytes)

@@ -17,8 +17,9 @@ The solver accepts the flow set in two forms:
 
 It also takes ``weights``: column ``j`` then stands for ``weights[j]``
 flows over the same links, and its rate is the rate of each of them.
-The default is one flow per column. ``FlowNetwork`` always solves with
-one column per live route and its flow count as weight. With
+The default is one flow per column. ``FlowNetwork`` calls the solver
+core, :func:`progressive_fill`, which checks nothing, with one column
+per live route and its flow count as weight. With
 whole-number weights the result is bitwise the per-flow solve expanded
 to flows: link counts are small integers, exact in float64 whatever the
 summation order.
@@ -129,8 +130,18 @@ def max_min_fair_rates(
     """
     cap = _check_capacities(capacities)
     A = _as_incidence(len(cap), flow_links)
+    return progressive_fill(cap, A, _as_weights(weights, A.shape[1]))
+
+
+def progressive_fill(cap: np.ndarray, A: np.ndarray,
+                     w: np.ndarray) -> np.ndarray:
+    """The solver core of :func:`max_min_fair_rates`, on trusted input:
+    a float capacity vector whose entries are positive and finite, a
+    float 0/1 incidence matrix with one row per link, and a float
+    weight per column. Nothing is checked; callers that validate where
+    their capacities are set (:class:`~repro.netsim.network.FlowNetwork`)
+    call it directly."""
     n_links, n_flows = A.shape
-    w = _as_weights(weights, n_flows)
     rates = np.zeros(n_flows)
     if n_flows == 0:
         return rates

@@ -52,8 +52,11 @@ Five structural optimizations keep busy networks cheap:
   (seed 0) the solves' 415,460 flow columns collapse to 11,350 route
   columns. No state grows with links x flows.
 - **One-route solves in closed form.** The k flows of a lone live route
-  each get ``min(cap / k)`` over its links; that is computed directly,
-  with the bits the solver would produce.
+  each get ``min(cap / k)`` over its links; that is computed directly
+  in float arithmetic, with the bits the solver would produce, and so
+  are the re-timed drains. Solves over several routes call the solver
+  core, which does not re-validate capacities: they are validated
+  where they are set (``Link`` and :meth:`FlowNetwork.set_link_bandwidth`).
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ import numpy as np
 
 from repro.continuum.topology import Topology
 from repro.errors import NetworkError
-from repro.netsim.fairness import max_min_fair_rates
+from repro.netsim.fairness import progressive_fill
 from repro.netsim.flow import Flow
 from repro.observe.tracer import NULL_TRACER, Tracer
 from repro.simcore.process import Signal
@@ -99,8 +102,8 @@ class FlowNetwork:
         links = topology.links()
         self._link_index = {frozenset((a, b)): idx
                             for idx, (a, b, _) in enumerate(links)}
-        self._capacity_arr = np.array(
-            [link.bandwidth_Bps for _, _, link in links], dtype=float)
+        self._capacities = [float(link.bandwidth_Bps)
+                            for _, _, link in links]
         n_links = len(links)
         self._active: dict[int, Flow] = {}
         self._signals: dict[int, Signal] = {}
@@ -212,12 +215,12 @@ class FlowNetwork:
             )
         idx = self._link_id(a, b)
         self._drain_to_now()
-        self._capacity_arr[idx] = float(bandwidth_Bps)
+        self._capacities[idx] = float(bandwidth_Bps)
         self._mark_dirty()
 
     def link_bandwidth(self, a: str, b: str) -> float:
         """Current live capacity of link ``a--b``."""
-        return float(self._capacity_arr[self._link_id(a, b)])
+        return self._capacities[self._link_id(a, b)]
 
     def _link_id(self, a: str, b: str) -> int:
         try:
@@ -328,30 +331,40 @@ class FlowNetwork:
         n = self._n_active
         if n == 0:
             return
-        # one column per live route, weighted by its flows (see "One
-        # rate per route" above); slots not listed are never read
-        live = list(self._slot_of.values())
-        slot_flows = np.array(self._slot_flows, dtype=float)
-        weights = slot_flows[live]
-        slot_rates = np.empty_like(slot_flows)
-        if len(live) == 1:
-            slot_rates[live] = _lone_route_rate(
-                self._capacity_arr, self._R[:, live[0]], weights[0])
-        else:
-            slot_rates[live] = max_min_fair_rates(
-                self._capacity_arr, self._R[:, live], weights)
-        rates = slot_rates[self._col_slot[:n].astype(np.intp)]
         old = self._col_rates[:n]
-        changed = (~((old > 0) & (np.abs(rates - old) <= _RATE_RTOL * old))
-                   ).nonzero()[0]
-        self._col_rates[:n] = rates
-        if not len(changed):
+        if len(self._slot_of) == 1:
+            # every column is on the lone route: one rate, and the same
+            # float operations the array path below applies per column
+            (route, slot), = self._slot_of.items()
+            rate = _lone_route_rate(self._capacities, route,
+                                    self._slot_flows[slot])
+            changed = [col for col, was in enumerate(old.tolist())
+                       if not (was > 0
+                               and abs(rate - was) <= _RATE_RTOL * was)]
+            old[:] = rate
+            rates = [rate] * len(changed)
+        else:
+            # one column per live route, weighted by its flows (see "One
+            # rate per route" above); slots not listed are never read
+            live = list(self._slot_of.values())
+            slot_flows = np.array(self._slot_flows, dtype=float)
+            slot_rates = np.empty_like(slot_flows)
+            slot_rates[live] = progressive_fill(
+                np.array(self._capacities), self._R[:, live],
+                slot_flows[live])
+            new = slot_rates[self._col_slot[:n].astype(np.intp)]
+            changed = (~((old > 0) & (np.abs(new - old) <= _RATE_RTOL * old))
+                       ).nonzero()[0]
+            old[:] = new
+            rates = new[changed].tolist()
+            changed = changed.tolist()
+        if not changed:
             return
         # one seq for the whole solve (see "One drain timer" above)
         batch = self.sim._stamp()
         now = self.sim.now
         col_due, col_batch = self._col_due, self._col_batch
-        for col, rate, left in zip(changed.tolist(), rates[changed].tolist(),
+        for col, rate, left in zip(changed, rates,
                                    self._col_remaining[changed].tolist()):
             # `now + left / rate` is what `sim.schedule(left / rate)`
             # computes, so drain times keep a per-flow event's bits
@@ -439,14 +452,15 @@ def _widened(arr: np.ndarray, cap: int) -> np.ndarray:
     return out
 
 
-def _lone_route_rate(capacities: np.ndarray, column: np.ndarray,
-                     flows: float) -> np.ndarray:
-    """``max_min_fair_rates(capacities, column[:, None], [flows])`` in
-    closed form.
+def _lone_route_rate(capacities: list[float], route: tuple[int, ...],
+                     flows: int) -> float:
+    """The rate ``max_min_fair_rates`` gives each of ``flows`` flows over
+    the links ``route``, in closed form.
 
-    The ``flows`` flows of a lone route are frozen at the first level,
-    ``min(cap / flows)`` over its links; a route with no links gets
+    They are frozen at the first level, ``min(cap / flows)`` over the
+    route's links: one IEEE division per link and a minimum, the bits
+    the solver's float64 arrays hold. A route with no links gets
     ``inf``. Capacities are validated where they are set.
     """
-    return (capacities / flows).min(where=column != 0.0, initial=math.inf,
-                                    keepdims=True)
+    return min([capacities[link] / flows for link in route],
+               default=math.inf)

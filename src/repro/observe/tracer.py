@@ -96,20 +96,18 @@ class Tracer:
 
     def instant(self, name: str, category: str = "event", *,
                 parent: Span | None = None, time: float | None = None,
-                **attrs) -> Span:
-        """Record a zero-duration point event."""
+                **attrs) -> None:
+        """Record a zero-duration point event. Nothing is returned: read
+        the event back through :attr:`spans`."""
         if not self.enabled:
-            return NULL_SPAN
+            return
         t = self._clock() if time is None else float(time)
         parent_id = None if parent is None else parent.span_id or None
         rows = self._rows
         with self._lock:
-            span_id = self._next_id
             self._next_id += 1
             rows += (name, category, t, parent_id, t, "ok", True,
                      (*attrs, *attrs.values()) if attrs else ())
-        return Span(name, category, t, span_id, parent_id, t, "ok", True,
-                    attrs)
 
     def end(self, span: Span, *, time: float | None = None,
             status: str = "ok", **attrs) -> Span:

@@ -16,10 +16,10 @@ from repro.errors import WorkflowError
 from repro.workflow.task import TaskSpec
 
 
-def _drop(adjacency: dict[str, dict[str, None]], key: str, name: str) -> None:
-    """Remove the edge ``key``–``name`` and an entry it leaves empty."""
+def _drop_last(adjacency: dict[str, list[str]], key: str) -> None:
+    """Remove ``key``'s newest edge and an entry it leaves empty."""
     edges = adjacency[key]
-    del edges[name]
+    edges.pop()
     if not edges:
         del adjacency[key]
 
@@ -33,7 +33,11 @@ class WorkflowDAG:
     pops the readers waiting on its outputs and wires them, and later
     readers find it through ``_producer``. What is left are the external
     inputs. ``_succ`` and ``_pred`` hold entries only for tasks that
-    have successors or predecessors.
+    have successors or predecessors, each a list in edge insertion
+    order. Every edge one :meth:`add_task` adds touches the new task,
+    so an edge it already added is the last entry of the other
+    endpoint's list: that one comparison keeps the lists free of
+    duplicates, and a rejected task's edges are those last entries.
     """
 
     def __init__(self, name: str = "workflow"):
@@ -42,10 +46,10 @@ class WorkflowDAG:
         self._producer: dict[str, str] = {}   # dataset name -> task name
         # dataset with no producer yet -> its readers, in insertion order
         self._consumers: dict[str, list[str]] = {}
-        # task -> {successor: None} and task -> {predecessor: None}, each
-        # in edge insertion order; tasks without edges have no entry
-        self._succ: dict[str, dict[str, None]] = {}
-        self._pred: dict[str, dict[str, None]] = {}
+        # task -> successors and task -> predecessors, each in edge
+        # insertion order; tasks without edges have no entry
+        self._succ: dict[str, list[str]] = {}
+        self._pred: dict[str, list[str]] = {}
 
     # -- construction ------------------------------------------------------------
     def add_task(self, task: TaskSpec) -> TaskSpec:
@@ -76,9 +80,9 @@ class WorkflowDAG:
             if producer is None:
                 self._consumers.setdefault(inp, []).append(name)
             elif producer != name:
-                self._add_edge(producer, name)
+                self._add_edge(producer, name, self._succ, self._pred)
         for dep in task.after:
-            self._add_edge(dep, name)
+            self._add_edge(dep, name, self._succ, self._pred)
         # wire consumers added before this producer existed (index lookup,
         # not a scan — DAG construction stays near-linear); the entries
         # are dropped only once the task is accepted
@@ -86,16 +90,16 @@ class WorkflowDAG:
                    if out in self._consumers]
         for consumers in waiting:
             for consumer in consumers:
-                self._add_edge(name, consumer)
+                self._add_edge(consumer, name, self._pred, self._succ)
         # The DAG was acyclic before, so a cycle must pass through the new
         # task: it needs incoming edges and a successor that reaches back.
         if name in self._pred and name in self._succ \
                 and self._reaches(self._succ[name], name):
             # roll back before raising, every index exactly as it was
             for p in self._pred.pop(name):
-                _drop(self._succ, p, name)
+                _drop_last(self._succ, p)
             for q in self._succ.pop(name):
-                _drop(self._pred, q, name)
+                _drop_last(self._pred, q)
             for inp in task.inputs:
                 if inp not in self._producer:   # the task waited on it
                     consumers = self._consumers[inp]
@@ -111,9 +115,20 @@ class WorkflowDAG:
                 self._consumers.pop(out, None)
         return task
 
-    def _add_edge(self, a: str, b: str) -> None:
-        self._succ.setdefault(a, {})[b] = None
-        self._pred.setdefault(b, {})[a] = None
+    @staticmethod
+    def _add_edge(old: str, new: str, of_old: dict[str, list[str]],
+                  of_new: dict[str, list[str]]) -> None:
+        """Link task ``old`` to the task being added, ``new``: append
+        ``new`` to ``of_old[old]`` and ``old`` to ``of_new[new]``,
+        unless this insertion already did."""
+        edges = of_old.get(old)
+        if edges is None:
+            of_old[old] = [new]
+        elif edges[-1] != new:
+            edges.append(new)
+        else:
+            return
+        of_new.setdefault(new, []).append(old)
 
     def _reaches(self, starts: Iterable[str], target: str) -> bool:
         """True if ``target`` is reachable from any of ``starts``."""

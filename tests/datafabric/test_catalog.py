@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from repro.continuum import Link, Site, Tier, Topology
@@ -28,6 +30,17 @@ class TestDataset:
 
     def test_hashable(self):
         assert len({Dataset("d", 10), Dataset("d", 10)}) == 1
+
+    def test_metadata_defaults_to_none(self):
+        """A dataset carries no metadata container unless given one."""
+        assert Dataset("d", 1).metadata is None
+        assert "metadata=None" in repr(Dataset("d", 1))
+
+    def test_default_metadata_survives_pickle(self):
+        clone = pickle.loads(pickle.dumps(Dataset("d", 1)))
+        assert clone == Dataset("d", 1) and clone.metadata is None
+        tagged = pickle.loads(pickle.dumps(Dataset("d", 1, metadata={"a": 1})))
+        assert tagged.metadata == {"a": 1}
 
 
 class TestRegistration:

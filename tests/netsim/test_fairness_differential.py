@@ -193,14 +193,21 @@ def lone_flow(draw):
     return np.asarray(caps), column
 
 
+def closed_form_args(caps, column):
+    """The network's form of a lone route: capacities as floats, the
+    route as its sorted link ids."""
+    return caps.tolist(), tuple(column.nonzero()[0].tolist())
+
+
 class TestLoneFlowClosedForm:
     @settings(max_examples=300, deadline=None)
     @given(lone_flow())
     def test_bit_identical_to_solver(self, scenario):
         caps, column = scenario
         solved = max_min_fair_rates(caps, column[:, None])
-        closed = _lone_route_rate(caps, column, 1.0)
-        assert closed.shape == solved.shape == (1,)
+        closed = np.array([_lone_route_rate(*closed_form_args(caps, column),
+                                            1)])
+        assert solved.shape == (1,)
         assert closed.tobytes() == solved.tobytes()
 
     @settings(max_examples=40, deadline=None)
@@ -208,16 +215,17 @@ class TestLoneFlowClosedForm:
     def test_k_flows_bit_identical_to_solver(self, scenario):
         caps, column = scenario
         for k in range(1, 65):
-            closed = _lone_route_rate(caps, column, float(k))
+            closed = np.array([_lone_route_rate(
+                *closed_form_args(caps, column), k)])
             weighted = max_min_fair_rates(caps, column[:, None], [k])
             per_flow = max_min_fair_rates(caps, np.tile(column[:, None], k))
             assert closed.tobytes() == weighted.tobytes()
             assert per_flow.tobytes() == np.repeat(closed, k).tobytes()
 
     def test_every_capacity_write_path_validates(self):
-        """The closed form skips ``_check_capacities``: that is safe only
-        because both ways a capacity reaches the network reject what the
-        check would."""
+        """The closed form and the solver core skip
+        ``_check_capacities``: that is safe only because both ways a
+        capacity reaches the network reject what the check would."""
         for bandwidth in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ConfigurationError, match="bandwidth_Bps"):
                 Link(0.0, bandwidth)

@@ -31,7 +31,7 @@ def _link_ids(net: FlowNetwork, flow) -> list[int]:
 def _rebuilt_incidence(net: FlowNetwork) -> np.ndarray:
     """The incidence matrix built from scratch, in column order."""
     flow_links = [_link_ids(net, net._active[fid]) for fid in net._col_flow]
-    return _incidence(len(net._capacity_arr), flow_links)
+    return _incidence(len(net._capacities), flow_links)
 
 
 def _check_settled_state(net: FlowNetwork, checked: list) -> None:
@@ -52,7 +52,7 @@ def _check_settled_state(net: FlowNetwork, checked: list) -> None:
     assert (sorted(net._free_slots)
             == unused[:len(net._slot_flows)].nonzero()[0].tolist())
 
-    fresh_rates = max_min_fair_rates(net._capacity_arr, fresh_A)
+    fresh_rates = max_min_fair_rates(net._capacities, fresh_A)
     # bit-identical, not approx: the route solve is the per-flow solve
     assert np.array_equal(fresh_rates, net._col_rates[:n])
     checked.append(n)

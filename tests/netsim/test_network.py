@@ -328,12 +328,11 @@ class TestAllocatorPluggability:
         count the flows."""
         seen = []
 
-        def allocator(capacities, routes, weights=None):
-            flows = routes.shape[1] if weights is None else np.sum(weights)
-            seen.append((routes.shape[1], float(flows)))
+        def allocator(capacities, routes, weights):
+            seen.append((routes.shape[1], float(np.sum(weights))))
             return max_min_fair_rates(capacities, routes, weights)
 
-        monkeypatch.setattr(network, "max_min_fair_rates", allocator)
+        monkeypatch.setattr(network, "progressive_fill", allocator)
         sim = Simulator()
         net = FlowNetwork(sim, chain3(bw_ab=100.0, bw_bc=50.0))
         routes = [("a", "b"), ("b", "c"), ("a", "c")]

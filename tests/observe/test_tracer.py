@@ -63,7 +63,8 @@ class TestSpanLifecycle:
 
     def test_instant_is_closed_zero_width(self):
         tracer = Tracer()
-        mark = tracer.instant("tick", "event", time=4.0)
+        assert tracer.instant("tick", "event", time=4.0) is None
+        (mark,) = tracer.spans
         assert mark.instant and mark.closed
         assert mark.duration_s == 0.0
 

@@ -116,6 +116,41 @@ class TestIndexSize:
         assert dag.subgraph_counts() == {"sources": 5, "sinks": 2,
                                          "max_width": 5}
 
+    @pytest.mark.parametrize("join_first", [False, True])
+    def test_adjacency_values_are_lists_in_edge_order(self, join_first):
+        dag = self.fork_join(join_first=join_first)
+        assert dag._succ == {f"b{i}": ["join"] for i in range(4)}
+        assert dag._pred == {"join": ["b0", "b1", "b2", "b3"]}
+
+    @staticmethod
+    def producers(*outputs):
+        """``q`` producing ``w`` then ``p`` producing ``outputs``."""
+        return [TaskSpec("q", 1.0, outputs=(Dataset("w", 1),)),
+                TaskSpec("p", 1.0,
+                         outputs=tuple(Dataset(o, 1) for o in outputs))]
+
+    @pytest.mark.parametrize("tasks, succ, pred", [
+        # two inputs from one producer
+        ([*producers("x", "y"),
+          TaskSpec("c", 1.0, inputs=("x", "w", "y"))],
+         {"q": ["c"], "p": ["c"]}, {"c": ["p", "q"]}),
+        # a producer also named in after=, and an after= named twice
+        ([*producers("x"),
+          TaskSpec("c", 1.0, inputs=("x",), after=("q", "p", "q"))],
+         {"p": ["c"], "q": ["c"]}, {"c": ["p", "q"]}),
+        # a waiting consumer that reads two of the new task's outputs;
+        # c2 is the producer's last successor when c comes up again
+        ([TaskSpec("q", 1.0, outputs=(Dataset("w", 1),)),
+          TaskSpec("c", 1.0, inputs=("x", "w", "y")),
+          TaskSpec("c2", 1.0, inputs=("y",)),
+          TaskSpec("p", 1.0, outputs=(Dataset("y", 1), Dataset("x", 1)))],
+         {"q": ["c"], "p": ["c", "c2"]}, {"c": ["q", "p"], "c2": ["p"]}),
+    ], ids=["two-inputs", "after", "waiting-consumer"])
+    def test_duplicate_edge_is_one_entry(self, tasks, succ, pred):
+        dag = WorkflowDAG().extend(tasks)
+        assert dag._succ == succ and dag._pred == pred
+        assert dag.edge_count == sum(map(len, succ.values()))
+
 
 class TestAnalyses:
     def test_topological_order_respects_edges(self):

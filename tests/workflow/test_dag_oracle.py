@@ -23,24 +23,28 @@ WORKS = (0.0, 1.0, 2.0, 3.0)
 @st.composite
 def task_lists(draw):
     """Tasks ``t0..tn-1`` inserted in a random order. Task ``ti``
-    produces ``di`` and reads ``xi`` (produced by nobody) plus outputs of
-    lower-numbered tasks, some inserted after it, so consumer-first
-    wiring is exercised too. ``after=`` names lower-numbered tasks
-    already inserted."""
+    produces ``di``, and ``ei`` too when ``i`` is even, and reads ``xi``
+    (produced by nobody) plus outputs of lower-numbered tasks, some
+    inserted after it, so consumer-first wiring is exercised too. A
+    task may read both outputs of one producer: two inputs, or two
+    waits, that make one edge. ``after=`` names lower-numbered tasks
+    already inserted, a producer of its inputs among them at times."""
     n = draw(st.integers(1, 12))
     order = draw(st.permutations(range(n)))
+    outputs = [[f"d{i}"] + ([f"e{i}"] if i % 2 == 0 else [])
+               for i in range(n)]
     tasks = []
     for pos, i in enumerate(order):
-        lower = list(range(i))
+        lower = [out for j in range(i) for out in outputs[j]]
         inputs = draw(st.lists(st.sampled_from(lower), unique=True,
                                max_size=3)) if lower else []
-        known = sorted(set(order[:pos]) & set(lower))
+        known = sorted(set(order[:pos]) & set(range(i)))
         after = draw(st.lists(st.sampled_from(known), unique=True,
                               max_size=2)) if known else []
         tasks.append(TaskSpec(
             f"t{i}", draw(st.sampled_from(WORKS)),
-            inputs=(f"x{i}",) + tuple(f"d{j}" for j in inputs),
-            outputs=(Dataset(f"d{i}", 1),),
+            inputs=(f"x{i}", *inputs),
+            outputs=tuple(Dataset(out, 1) for out in outputs[i]),
             after=tuple(f"t{j}" for j in after),
         ))
     return tasks
@@ -153,3 +157,22 @@ def test_rejected_cycle_leaves_dag_unchanged(tasks, data):
         dag.add_task(closer)
         assert dag.dependencies("closer") == [src]
         assert dag.dependents("closer") == [dst]
+
+    # A fixed rejection whose producer already has successors, and
+    # whose every edge is added twice (two inputs of one producer, the
+    # same producer in after=, a waiting consumer of two of its
+    # outputs): rollback removes exactly the new edges, once each.
+    dag = WorkflowDAG().extend([
+        TaskSpec("a", 1.0, inputs=("y", "z"),
+                 outputs=(Dataset("da", 1), Dataset("ea", 1))),
+        TaskSpec("b", 1.0, inputs=("da",)),
+        TaskSpec("c", 1.0, inputs=("ea", "z")),
+    ])
+    before = state(dag)
+    with pytest.raises(WorkflowError, match="cycle"):
+        dag.add_task(TaskSpec("closer", 1.0, inputs=("da", "ea"),
+                              outputs=(Dataset("y", 1), Dataset("z", 1)),
+                              after=("a",)))
+    assert state(dag) == before
+    assert dag._succ == {"a": ["b", "c"]}
+    assert dag._consumers == {"y": ["a"], "z": ["a", "c"]}
