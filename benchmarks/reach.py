@@ -16,9 +16,16 @@ examples and the end-to-end benchmark run:
   ``tests/test_examples.py`` and ``tests/test_docs.py`` (the README and
   tutorial code blocks), run by pytest in this process.
 
+Every function no traffic reaches must be listed, with the reason it
+stays, in ``benchmarks/reach_keep.txt``: one ``path::qualname reason``
+a line, the reason one of ``REASONS``. The census fails when an
+unreached function is missing from the list, and when a listed one is
+now reached or no longer defined, so the list always names exactly
+what no run reaches.
+
 Usage::
 
-    python benchmarks/reach.py                       # print the report
+    python benchmarks/reach.py                       # report and check
     python benchmarks/reach.py --out reach.json      # also save the sets
     python benchmarks/reach.py diff parent.json change.json
 
@@ -52,6 +59,10 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 PACKAGE = os.path.join(SRC, "repro")
+KEEP = os.path.join(HERE, "reach_keep.txt")
+
+# why a function no run reaches stays (see the keep file's header)
+REASONS = ("branch", "safety", "reference", "worker", "dunder")
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +219,56 @@ def census() -> set[tuple[str, int, str]]:
 
 
 # ---------------------------------------------------------------------------
+# the keep list
+# ---------------------------------------------------------------------------
+
+def read_keep(path: str = KEEP) -> dict[str, str]:
+    """``{path::qualname: reason}`` from the keep file.
+
+    Blank lines and lines starting with ``#`` are skipped. Raises
+    ``ValueError`` on a line that is not ``path::qualname reason``, on a
+    reason outside ``REASONS`` and on an entry listed twice.
+    """
+    keep: dict[str, str] = {}
+    with open(path, encoding="utf-8") as handle:
+        for number, raw in enumerate(handle, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split()
+            where = f"{os.path.basename(path)}:{number}"
+            if len(fields) != 2 or "::" not in fields[0]:
+                raise ValueError(f"{where}: expected 'path::qualname "
+                                 f"reason', got {line!r}")
+            key, reason = fields
+            if reason not in REASONS:
+                raise ValueError(f"{where}: reason {reason!r} is not one "
+                                 f"of {REASONS}")
+            if key in keep:
+                raise ValueError(f"{where}: {key} is listed twice")
+            keep[key] = reason
+    return keep
+
+
+def check_keep(defs: dict, reached: set, keep: dict[str, str]) -> list[str]:
+    """What the keep list gets wrong about this census (empty if
+    nothing): unreached functions it misses, and listed entries that are
+    reached or gone."""
+    functions = {key: d["key"] for key, d in defs.items() if d["function"]}
+    unreached = {name for key, name in functions.items()
+                 if key not in reached}
+    defined_names = set(functions.values())
+    problems = [f"unreached and not in the keep list: {name}"
+                for name in sorted(unreached - set(keep))]
+    for name in sorted(keep):
+        if name not in defined_names:
+            problems.append(f"in the keep list but gone: {name}")
+        elif name not in unreached:
+            problems.append(f"in the keep list but reached: {name}")
+    return problems
+
+
+# ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
 
@@ -261,6 +322,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the defined and reached sets as JSON")
     args = parser.parse_args(argv)
     os.chdir(ROOT)   # the CLI and example tests resolve paths from here
+    keep = read_keep()
     defs = defined()
     reached = census()
     report(defs, reached)
@@ -271,7 +333,12 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(doc, handle, indent=1)
             handle.write("\n")
-    return 0
+    problems = check_keep(defs, reached, keep)
+    for problem in problems:
+        print(f"reach: {problem}", file=sys.stderr)
+    print(f"# keep list: {len(keep)} entries, {len(problems)} problems",
+          file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

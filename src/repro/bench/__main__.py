@@ -82,13 +82,10 @@ def main(argv: list[str] | None = None) -> int:
                       file=sys.stderr)
         if args.metrics is not None:
             from repro.observe.metrics import snapshot_to_json
-            from repro.bench.harness import save_rendered
-            import os
+            from repro.utils.atomic import write_atomic
 
             doc = suite_metrics_doc(entries, quick=quick, seed=args.seed)
-            save_rendered(snapshot_to_json(doc),
-                          os.path.basename(args.metrics) or "metrics.json",
-                          os.path.dirname(args.metrics) or ".")
+            write_atomic(args.metrics, snapshot_to_json(doc))
             print(f"# metrics snapshot written to {args.metrics}",
                   file=sys.stderr)
     except ContinuumError as exc:

@@ -24,11 +24,13 @@ between runs.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from repro.bench.harness import ExperimentResult, render, save_rendered
+from repro.bench.harness import ExperimentResult, render
 from repro.errors import ContinuumError
+from repro.utils.atomic import write_atomic
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +133,9 @@ def run_suite(
     ordered = [entries[exp_id] for exp_id in ids]
     if save_dir:
         for entry in ordered:
-            save_rendered(entry.rendered + "\n",
-                          entry.experiment_id.lower() + ".txt", save_dir)
+            write_atomic(os.path.join(save_dir,
+                                      entry.experiment_id.lower() + ".txt"),
+                         entry.rendered + "\n")
     return ordered
 
 

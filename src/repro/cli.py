@@ -65,6 +65,7 @@ from repro.report import (
     span_summary,
     utilization_table,
 )
+from repro.utils.atomic import write_atomic
 from repro.workflow import load_workload, save_workload
 from repro.workloads import (
     beamline_pipeline,
@@ -196,15 +197,13 @@ def _write_observations(args, tracer: Tracer,
             tracer, recorder=metrics.timeseries if metrics else None
         )
         validate_chrome_trace(doc)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
+        write_atomic(args.out, json.dumps(doc))
         print()
         print(f"chrome trace written to {args.out} "
               f"({len(doc['traceEvents'])} events; open in chrome://tracing "
               f"or ui.perfetto.dev)")
     if metrics is not None:
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            handle.write(snapshot_to_json(metrics.snapshot()))
+        write_atomic(args.metrics, snapshot_to_json(metrics.snapshot()))
         print()
         print(f"metrics snapshot written to {args.metrics} "
               f"({len(metrics.families())} metric families)")
@@ -341,8 +340,7 @@ def _cmd_metrics(args) -> int:
               end="")
     if args.out:
         doc = suite_metrics_doc(entries, quick=quick, seed=args.seed)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(snapshot_to_json(doc))
+        write_atomic(args.out, snapshot_to_json(doc))
         print(f"# metrics snapshot written to {args.out}", file=sys.stderr)
     return 0
 

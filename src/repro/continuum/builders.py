@@ -24,27 +24,27 @@ from repro.utils.units import GB, Gbps, MILLISECOND, Mbps
 TIER_PROFILES: dict[Tier, dict] = {
     Tier.DEVICE: dict(
         speed=0.25, slots=1, memory_bytes=2 * GB,
-        power=PowerModel(idle_watts=2.0, busy_watts=3.0),
+        power=PowerModel(busy_watts=3.0),
         pricing=PricingModel(),
     ),
     Tier.EDGE: dict(
         speed=1.0, slots=4, memory_bytes=16 * GB,
-        power=PowerModel(idle_watts=10.0, busy_watts=20.0),
+        power=PowerModel(busy_watts=20.0),
         pricing=PricingModel(),
     ),
     Tier.FOG: dict(
         speed=2.0, slots=16, memory_bytes=64 * GB,
-        power=PowerModel(idle_watts=50.0, busy_watts=100.0),
+        power=PowerModel(busy_watts=100.0),
         pricing=PricingModel(),
     ),
     Tier.CLOUD: dict(
         speed=4.0, slots=64, memory_bytes=256 * GB,
-        power=PowerModel(idle_watts=80.0, busy_watts=150.0),
-        pricing=PricingModel(usd_per_core_hour=0.05, usd_per_gb_egress=0.09),
+        power=PowerModel(busy_watts=150.0),
+        pricing=PricingModel(usd_per_core_hour=0.05),
     ),
     Tier.HPC: dict(
         speed=8.0, slots=256, memory_bytes=1024 * GB,
-        power=PowerModel(idle_watts=200.0, busy_watts=300.0),
+        power=PowerModel(busy_watts=300.0),
         pricing=PricingModel(usd_per_core_hour=0.02),
     ),
 }
@@ -91,8 +91,7 @@ def edge_cloud_pair(
             Tier.CLOUD,
             speed=cloud_speed,
             specializations=cloud_specializations or {},
-            pricing=PricingModel(usd_per_core_hour=0.05,
-                                 usd_per_gb_egress=egress_usd_per_gb),
+            pricing=PricingModel(usd_per_core_hour=0.05),
         )
     )
     topo.add_link("edge", "cloud", Link(latency_s, bandwidth_Bps,

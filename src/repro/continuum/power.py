@@ -1,8 +1,8 @@
 """Per-site energy model.
 
-A simple linear (idle + proportional) power model: the standard
-first-order approximation used in datacenter energy studies. Energy is
-what the E7 multi-objective experiments trade off against makespan.
+Busy power only: a placement on an always-on fleet adds the energy of
+the work itself, whichever site it picks. Energy is what the E7
+multi-objective experiments trade off against makespan.
 """
 
 from __future__ import annotations
@@ -14,27 +14,18 @@ from repro.utils.validation import check_non_negative
 
 @dataclass(frozen=True)
 class PowerModel:
-    """Linear power model for one worker slot.
+    """Power model for one worker slot.
 
-    ``idle_watts`` is charged whenever the site is on; ``busy_watts``
-    (additional) whenever a slot is executing. Both are per-slot so that
-    site-level power scales with the number of slots.
+    ``busy_watts`` is drawn whenever a slot is executing. It is per-slot
+    so that site-level power scales with the number of slots.
     """
 
-    idle_watts: float = 0.0
     busy_watts: float = 0.0
 
     def __post_init__(self):
-        check_non_negative("idle_watts", self.idle_watts)
         check_non_negative("busy_watts", self.busy_watts)
 
-    def energy_joules(self, busy_seconds: float, wall_seconds: float = 0.0) -> float:
-        """Energy for ``busy_seconds`` of execution within ``wall_seconds``
-        of powered-on time (wall defaults to busy time)."""
-        wall = max(float(wall_seconds), float(busy_seconds))
-        return self.idle_watts * wall + self.busy_watts * float(busy_seconds)
-
     def marginal_energy(self, busy_seconds: float) -> float:
-        """Energy attributable to the work itself (ignores idle draw);
-        used by schedulers comparing placements on an always-on fleet."""
+        """Energy attributable to the work itself; used by schedulers
+        comparing placements on an always-on fleet."""
         return self.busy_watts * float(busy_seconds)

@@ -11,24 +11,17 @@ from repro.utils.validation import check_non_negative
 class PricingModel:
     """Usage-based pricing for one site.
 
-    - ``usd_per_core_hour`` — compute price per slot-hour (0 for owned
-      edge hardware, >0 for cloud),
-    - ``usd_per_gb_egress`` — network egress charge applied to bytes
-      *leaving* the site (the classic cloud lock-in term that makes
-      data gravity a monetary issue, not just a latency one).
+    ``usd_per_core_hour`` is the compute price per slot-hour (0 for
+    owned edge hardware, >0 for cloud). Moving bytes is priced on the
+    links (:attr:`~repro.continuum.link.Link.usd_per_gb`), the term that
+    makes data gravity a monetary issue, not just a latency one.
     """
 
     usd_per_core_hour: float = 0.0
-    usd_per_gb_egress: float = 0.0
 
     def __post_init__(self):
         check_non_negative("usd_per_core_hour", self.usd_per_core_hour)
-        check_non_negative("usd_per_gb_egress", self.usd_per_gb_egress)
 
     def compute_cost(self, busy_seconds: float, slots: int = 1) -> float:
         """Dollars for ``busy_seconds`` of execution on ``slots`` slots."""
         return self.usd_per_core_hour * (float(busy_seconds) / 3600.0) * slots
-
-    def egress_cost(self, bytes_out: float) -> float:
-        """Dollars for ``bytes_out`` leaving the site."""
-        return self.usd_per_gb_egress * (float(bytes_out) / 1e9)

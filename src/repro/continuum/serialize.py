@@ -8,7 +8,7 @@ the "infrastructure as data" counterpart to seeded workloads.
 from __future__ import annotations
 
 import json
-import os
+from dataclasses import fields
 
 from repro.continuum.link import Link
 from repro.continuum.power import PowerModel
@@ -17,8 +17,11 @@ from repro.continuum.site import Site
 from repro.continuum.tiers import Tier
 from repro.continuum.topology import Topology
 from repro.errors import TopologyError
+from repro.utils.atomic import write_atomic
 
-_FORMAT_VERSION = 1
+# 2: sites carry no idle power and no egress price (bytes are priced on
+# links). Version 1 files hold both, so they are refused.
+_FORMAT_VERSION = 2
 
 
 def site_to_dict(site: Site) -> dict:
@@ -28,16 +31,27 @@ def site_to_dict(site: Site) -> dict:
         "speed": site.speed,
         "slots": site.slots,
         "memory_bytes": site.memory_bytes,
-        "power": {"idle_watts": site.power.idle_watts,
-                  "busy_watts": site.power.busy_watts},
-        "pricing": {"usd_per_core_hour": site.pricing.usd_per_core_hour,
-                    "usd_per_gb_egress": site.pricing.usd_per_gb_egress},
+        "power": {"busy_watts": site.power.busy_watts},
+        "pricing": {"usd_per_core_hour": site.pricing.usd_per_core_hour},
         "location_km": list(site.location_km),
         "specializations": dict(site.specializations),
     }
 
 
+def _model(cls, data, where: str):
+    """A :class:`PowerModel` or :class:`PricingModel` from its dict."""
+    if not isinstance(data, dict):
+        raise TopologyError(f"{where} must be an object, got {data!r}")
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise TopologyError(f"{where} has unknown fields {sorted(unknown)}")
+    return cls(**data)
+
+
 def site_from_dict(data: dict) -> Site:
+    if not isinstance(data, dict):
+        raise TopologyError(f"site entry must be an object, got {data!r}")
+    name = data.get("name")
     try:
         return Site(
             name=data["name"],
@@ -45,13 +59,17 @@ def site_from_dict(data: dict) -> Site:
             speed=data.get("speed", 1.0),
             slots=data.get("slots", 1),
             memory_bytes=data.get("memory_bytes", 8e9),
-            power=PowerModel(**data.get("power", {})),
-            pricing=PricingModel(**data.get("pricing", {})),
+            power=_model(PowerModel, data.get("power", {}),
+                         f"site {name!r} power"),
+            pricing=_model(PricingModel, data.get("pricing", {}),
+                           f"site {name!r} pricing"),
             location_km=tuple(data.get("location_km", (0.0, 0.0))),
             specializations=dict(data.get("specializations", {})),
         )
     except KeyError as exc:
         raise TopologyError(f"site dict missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise TopologyError(f"site {name!r}: {exc}") from None
 
 
 def topology_to_dict(topology: Topology) -> dict:
@@ -73,6 +91,9 @@ def topology_from_dict(data: dict) -> Topology:
     """Rebuild a topology; validates structure and connectivity."""
     if not isinstance(data, dict) or "sites" not in data:
         raise TopologyError("topology dict missing 'sites'")
+    if not isinstance(data["sites"], list) or \
+            not isinstance(data.get("links", []), list):
+        raise TopologyError("topology 'sites' and 'links' must be lists")
     if data.get("version", _FORMAT_VERSION) != _FORMAT_VERSION:
         raise TopologyError(
             f"unsupported topology format version {data.get('version')}"
@@ -81,6 +102,9 @@ def topology_from_dict(data: dict) -> Topology:
     for site_data in data["sites"]:
         topo.add_site(site_from_dict(site_data))
     for link_data in data.get("links", []):
+        if not isinstance(link_data, dict):
+            raise TopologyError(
+                f"link entry must be an object, got {link_data!r}")
         try:
             topo.add_link(
                 link_data["a"], link_data["b"],
@@ -90,18 +114,17 @@ def topology_from_dict(data: dict) -> Topology:
             )
         except KeyError as exc:
             raise TopologyError(f"link dict missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            ends = f"{link_data.get('a')!r}-{link_data.get('b')!r}"
+            raise TopologyError(f"link {ends}: {exc}") from None
     topo.validate()
     return topo
 
 
 def save_topology(topology: Topology, path: str) -> None:
-    """Write a topology as JSON (atomically)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(topology_to_dict(topology), handle, indent=1, sort_keys=True)
-    os.replace(tmp, path)
+    """Write a topology as JSON (atomically and durably)."""
+    write_atomic(path, json.dumps(topology_to_dict(topology), indent=1,
+                                  sort_keys=True))
 
 
 def load_topology(path: str) -> Topology:

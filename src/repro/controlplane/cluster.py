@@ -166,12 +166,6 @@ class WriteTicket:
     def acked(self) -> bool:
         return self.acked_at is not None
 
-    @property
-    def commit_latency_s(self) -> float | None:
-        if self.acked_at is None:
-            return None
-        return self.acked_at - self.submitted_at
-
 
 @dataclass
 class PartitionEvent:

@@ -125,14 +125,6 @@ class ReplicatedCatalogView:
             return catalog.dataset(name)
         return self.authoritative.dataset(name)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.session.current_state() or \
-            name in self.authoritative
-
-    @property
-    def dataset_names(self) -> list[str]:
-        return self._catalog.dataset_names
-
     def locations(self, name: str) -> list[str]:
         """Replica sites per the view. When a follower view knows
         *none* (the mutation hasn't replicated yet) planning falls back
@@ -165,12 +157,6 @@ class ReplicatedCatalogView:
                        to_site: str) -> tuple[str, float]:
         sources = self.locations(name)
         return nearest_of(topology, self.dataset(name), sources, to_site)
-
-    def bytes_at(self, site: str) -> float:
-        return self._catalog.bytes_at(site)
-
-    def datasets_at(self, site: str) -> list[Dataset]:
-        return self._catalog.datasets_at(site)
 
     # -- transfer-source resolution with staleness accounting ---------------------
     def transfer_source(self, name: str, to_site: str) -> tuple[str, float]:

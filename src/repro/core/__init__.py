@@ -36,9 +36,7 @@ from repro.core.scheduler import (
 )
 from repro.core.strategies import (
     AdaptiveUCBStrategy,
-    CostAwareStrategy,
     DataGravityStrategy,
-    EnergyAwareStrategy,
     FixedSiteStrategy,
     GreedyEFTStrategy,
     HEFTStrategy,
@@ -85,8 +83,6 @@ __all__ = [
     "MaxMinStrategy",
     "DataGravityStrategy",
     "LatencyAwareStrategy",
-    "EnergyAwareStrategy",
-    "CostAwareStrategy",
     "MultiObjectiveStrategy",
     "AdaptiveUCBStrategy",
     "strategy_catalog",

@@ -1,9 +1,10 @@
 """Placement strategies: the answers to "where should I compute?".
 
 Baselines (fixed, random, round-robin), list schedulers (greedy EFT,
-HEFT), objective-specialized planners (data gravity, latency/SLO,
-energy, dollars), a weighted multi-objective combiner, and an online
-bandit that learns placements from observed turnarounds.
+HEFT, min-min, max-min), objective-specialized planners (data gravity,
+latency/SLO), a weighted multi-objective combiner (energy or dollars
+alone are its one-objective weightings), and an online bandit that
+learns placements from observed turnarounds.
 
 :func:`strategy_catalog` builds the standard comparison set used by E2.
 """
@@ -14,11 +15,7 @@ from repro.core.strategies.simple import RandomStrategy, RoundRobinStrategy
 from repro.core.strategies.greedy import GreedyEFTStrategy, HEFTStrategy
 from repro.core.strategies.batch import MaxMinStrategy, MinMinStrategy
 from repro.core.strategies.data_gravity import DataGravityStrategy
-from repro.core.strategies.aware import (
-    CostAwareStrategy,
-    EnergyAwareStrategy,
-    LatencyAwareStrategy,
-)
+from repro.core.strategies.aware import LatencyAwareStrategy
 from repro.core.strategies.multi_objective import (
     MultiObjectiveStrategy,
     pareto_front,
@@ -56,8 +53,6 @@ __all__ = [
     "MaxMinStrategy",
     "DataGravityStrategy",
     "LatencyAwareStrategy",
-    "EnergyAwareStrategy",
-    "CostAwareStrategy",
     "MultiObjectiveStrategy",
     "pareto_front",
     "AdaptiveUCBStrategy",

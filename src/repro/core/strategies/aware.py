@@ -1,4 +1,4 @@
-"""Objective-specialized planners: latency (SLO), energy, dollars."""
+"""Deadline-aware placement: the latency (SLO) planner."""
 
 from __future__ import annotations
 
@@ -37,27 +37,3 @@ class LatencyAwareStrategy(PlacementStrategy):
             (names, finish[idx], est.energy_j[idx], est.total_usd[idx])
         )
         return str(names[order[0]])
-
-
-class EnergyAwareStrategy(PlacementStrategy):
-    """Minimize marginal execution energy; ties by estimated finish."""
-
-    name = "energy-aware"
-
-    def select_site(self, task: TaskSpec, ctx: SchedulingContext) -> str:
-        sites = ctx.candidates
-        est, finish = ctx.estimate_finish_batch(task, sites)
-        best = np.lexsort((finish, est.energy_j))[0]
-        return sites[int(best)].name
-
-
-class CostAwareStrategy(PlacementStrategy):
-    """Minimize dollars (compute + transfer); ties by estimated finish."""
-
-    name = "cost-aware"
-
-    def select_site(self, task: TaskSpec, ctx: SchedulingContext) -> str:
-        sites = ctx.candidates
-        est, finish = ctx.estimate_finish_batch(task, sites)
-        best = np.lexsort((finish, est.total_usd))[0]
-        return sites[int(best)].name

@@ -85,10 +85,6 @@ class ReplicaCatalog:
     def __contains__(self, name: str) -> bool:
         return name in self._datasets
 
-    @property
-    def dataset_names(self) -> list[str]:
-        return list(self._datasets)
-
     # -- replicas -----------------------------------------------------------------
     def add_replica(self, name: str, site: str, time: float = 0.0) -> Replica:
         dataset = self.dataset(name)
@@ -120,18 +116,3 @@ class ReplicaCatalog:
         """
         return nearest_of(topology, self.dataset(name), self.locations(name),
                           to_site)
-
-    def bytes_at(self, site: str) -> float:
-        """Total dataset bytes replicated at ``site``."""
-        return sum(
-            self._datasets[name].size_bytes
-            for name, reps in self._replicas.items()
-            if site in reps
-        )
-
-    def datasets_at(self, site: str) -> list[Dataset]:
-        return [
-            self._datasets[name]
-            for name, reps in self._replicas.items()
-            if site in reps
-        ]

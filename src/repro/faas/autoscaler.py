@@ -84,10 +84,6 @@ class Autoscaler:
     def stop(self) -> None:
         self._stopped = True
 
-    @property
-    def current_workers(self) -> int:
-        return self.endpoint.workers.capacity
-
     # -- the loop --------------------------------------------------------------------
     def _loop(self):
         policy = self.policy

@@ -109,24 +109,6 @@ class FaaSFabric:
         )
         return signal
 
-    def invoke_via(self, function: str, *, client_site: str,
-                   policy: str = "fastest", breakers=None, avoid=(),
-                   **kwargs) -> Signal:
-        """Route with a named policy (see :mod:`repro.faas.routing`)
-        then invoke — the one-call client most applications want.
-
-        ``breakers`` (a :class:`~repro.resilience.BreakerRegistry`) and
-        ``avoid`` make routing health-aware: endpoints with an open
-        circuit are skipped unless no healthy endpoint remains.
-        """
-        from repro.faas.routing import pick_endpoint
-
-        endpoint_site = pick_endpoint(self, function, client_site,
-                                      policy=policy, breakers=breakers,
-                                      avoid=avoid)
-        return self.invoke(function, client_site=client_site,
-                           endpoint_site=endpoint_site, **kwargs)
-
     def _invoke_proc(self, endpoint: Endpoint, function: str,
                      req_bytes: float, resp_bytes: float,
                      invocation: RemoteInvocation, signal: Signal):

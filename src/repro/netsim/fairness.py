@@ -77,20 +77,6 @@ def _check_capacities(capacities) -> np.ndarray:
     return cap
 
 
-def _check_rates(rates, n_flows: int) -> np.ndarray:
-    """Validate a rate vector the way :func:`_check_capacities` validates
-    capacities: 1-D, one entry per flow, no NaN, no negative entries
-    (``inf`` is legal — it is the rate of a local flow)."""
-    r = np.asarray(rates, dtype=float)
-    if r.ndim != 1:
-        raise NetworkError(f"rates must be a 1-D sequence, got shape {r.shape}")
-    if len(r) != n_flows:
-        raise NetworkError(f"{len(r)} rates for {n_flows} flows")
-    if np.any(np.isnan(r)) or np.any(r < 0):
-        raise NetworkError("all rates must be non-negative and not NaN")
-    return r
-
-
 def _as_weights(weights, n_cols: int) -> np.ndarray:
     """Flows per column. ``None`` means one each. An array is trusted
     like a prebuilt incidence matrix (only its shape is checked); a
@@ -188,20 +174,3 @@ def progressive_fill(cap: np.ndarray, A: np.ndarray,
             n_remaining -= len(cols)
     return rates
 
-
-def link_loads(
-    n_links: int,
-    flow_links,
-    rates: Sequence[float],
-) -> np.ndarray:
-    """Aggregate per-link load implied by an allocation (for invariant
-    checks: ``link_loads(...) <= capacities`` within tolerance).
-
-    ``rates`` is validated like capacities are: 1-D, one entry per
-    flow, non-negative, NaN-free. Infinite rates (local flows, which
-    traverse no links) contribute zero load.
-    """
-    A = _as_incidence(n_links, flow_links)
-    r = _check_rates(rates, A.shape[1])
-    finite = np.where(np.isfinite(r), r, 0.0)
-    return A @ finite

@@ -35,14 +35,6 @@ class Flow:
             return None
         return self.finish_time - self.start_time
 
-    @property
-    def achieved_throughput(self) -> float | None:
-        """Average bytes/s over the whole transfer (incl. latency)."""
-        dur = self.duration
-        if dur is None or dur <= 0:
-            return None
-        return self.size_bytes / dur
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done else f"{self.size_bytes:.3g}B in flight"
         return f"<Flow {self.flow_id} {self.src}->{self.dst} {state}>"

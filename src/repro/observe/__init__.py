@@ -43,7 +43,6 @@ from repro.observe.metrics import (
     current_registry,
     load_snapshot,
     log_buckets,
-    parse_prometheus,
     set_registry,
     snapshot_to_json,
     to_prometheus,
@@ -81,7 +80,6 @@ __all__ = [
     "use_registry",
     "log_buckets",
     "to_prometheus",
-    "parse_prometheus",
     "snapshot_to_json",
     "load_snapshot",
     "validate_snapshot",

@@ -141,12 +141,6 @@ class Gauge:
         self._value = _check_finite(self.name, value)
         self.updates += 1
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.set(self._value + float(amount))
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.set(self._value - float(amount))
-
     @property
     def value(self) -> float:
         return self._value
@@ -193,25 +187,6 @@ class Histogram:
             out.append(total)
         return out
 
-    def quantile(self, q: float) -> float:
-        """Upper-bound estimate of the ``q``-quantile (0 <= q <= 1).
-
-        Returns the smallest bucket bound whose cumulative count covers
-        ``q`` of all observations; ``inf`` if it falls in the overflow
-        bucket, ``nan`` if the histogram is empty.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ObserveError(f"quantile {q} outside [0, 1]")
-        if self.count == 0:
-            return math.nan
-        target = q * self.count
-        total = 0
-        for bound, c in zip(self.bounds, self.counts):
-            total += c
-            if total >= target and total > 0:
-                return bound
-        return math.inf
-
 
 def log_buckets(start: float, factor: float, count: int) -> tuple[float, ...]:
     """``count`` log-spaced bucket bounds: start, start*factor, ..."""
@@ -230,11 +205,8 @@ _TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
 class MetricFamily:
-    """A named metric plus its per-label-set children.
-
-    An unlabeled family acts as its own single child: ``family.inc()``
-    is shorthand for ``family.labels().inc()``.
-    """
+    """A named metric plus its per-label-set children; an unlabeled
+    family's single child is ``family.labels()``."""
 
     def __init__(self, name: str, kind: str, help: str,
                  label_names: tuple[str, ...],
@@ -262,30 +234,6 @@ class MetricFamily:
                 child = _TYPES[self.kind](self.name)
             self._children[key] = child
         return child
-
-    # unlabeled shorthand -----------------------------------------------------
-    def _default(self):
-        if self.label_names:
-            raise ObserveError(
-                f"metric {self.name!r} is labeled {self.label_names}; "
-                f"use .labels(...)")
-        return self.labels()
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._default().inc(amount)
-
-    def set(self, value: float) -> None:
-        self._default().set(value)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default().dec(amount)
-
-    def observe(self, value: float) -> None:
-        self._default().observe(value)
-
-    @property
-    def value(self) -> float:
-        return self._default().value
 
     def series(self):
         """(label_values, child) pairs in sorted label order."""
@@ -591,72 +539,6 @@ def to_prometheus(registry_or_snapshot, *, extra_labels: dict | None = None
                 ls = _label_str(label_names, values, extra_labels)
                 lines.append(f"{name}{ls} {_fmt_value(entry['value'])}")
     return "\n".join(lines) + "\n"
-
-
-_SERIES_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>.*)\})?\s+(?P<value>\S+)$")
-_LABEL_PAIR_RE = re.compile(
-    r'(?P<name>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>(?:[^"\\]|\\.)*)"')
-
-
-def _unescape_label(v: str) -> str:
-    return (v.replace(r"\n", "\n").replace(r'\"', '"')
-             .replace(r"\\", "\\"))
-
-
-def parse_prometheus(text: str) -> dict:
-    """Parse text produced by :func:`to_prometheus` back into
-    ``{name: {"type", "series": {label_tuple: value-or-histogram}}}``.
-
-    A deliberately minimal parser for round-trip testing — it only
-    understands our own exporter's output, not arbitrary exposition.
-    """
-    out: dict[str, dict] = {}
-    types: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("# TYPE "):
-            _, _, rest = line.partition("# TYPE ")
-            mname, _, kind = rest.partition(" ")
-            types[mname] = kind.strip()
-            out.setdefault(mname, {"type": kind.strip(), "series": {}})
-            continue
-        if line.startswith("#"):
-            continue
-        m = _SERIES_RE.match(line)
-        if m is None:
-            raise ObserveError(f"unparseable exposition line {line!r}")
-        sname, labels_s, value_s = (m.group("name"), m.group("labels"),
-                                    m.group("value"))
-        labels = {}
-        if labels_s:
-            for lm in _LABEL_PAIR_RE.finditer(labels_s):
-                labels[lm.group("name")] = _unescape_label(lm.group("value"))
-        base, suffix = sname, ""
-        for suf in ("_bucket", "_sum", "_count"):
-            trimmed = sname[:-len(suf)] if sname.endswith(suf) else None
-            if trimmed and types.get(trimmed) == "histogram":
-                base, suffix = trimmed, suf
-                break
-        doc = out.setdefault(base, {"type": types.get(base, "untyped"),
-                                    "series": {}})
-        key = tuple(sorted((k, v) for k, v in labels.items() if k != "le"))
-        if doc["type"] == "histogram":
-            series = doc["series"].setdefault(
-                key, {"buckets": {}, "sum": None, "count": None})
-            if suffix == "_bucket":
-                series["buckets"][float(labels["le"])] = (
-                    int(float(value_s)))
-            elif suffix == "_sum":
-                series["sum"] = float(value_s)
-            elif suffix == "_count":
-                series["count"] = int(float(value_s))
-        else:
-            doc["series"][key] = float(value_s)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Span collection: the :class:`Tracer` every subsystem emits into.
 
 One tracer serves one run. Instrumented code calls ``begin``/``end``
-(or the ``span`` context manager) unconditionally; a *disabled* tracer
-returns a shared null span and records nothing, so tracing costs one
-attribute check when off. Tracers never schedule simulation events —
-they only read a clock — which is what makes observability
-zero-interference: a traced run is bit-identical to an untraced one.
+unconditionally; a *disabled* tracer returns a shared null span and
+records nothing, so tracing costs one attribute check when off.
+Tracers never schedule simulation events — they only read a clock —
+which is what makes observability zero-interference: a traced run is
+bit-identical to an untraced one.
 
 Clocks are late-bound: the continuum scheduler binds the tracer to its
 per-run :class:`~repro.simcore.simulation.Simulator` while the run
@@ -27,7 +27,6 @@ from __future__ import annotations
 import threading
 import time as _time
 from collections.abc import Callable
-from contextlib import contextmanager
 from functools import partial
 
 from repro.errors import ObserveError
@@ -140,19 +139,6 @@ class Tracer:
         span.status = status
         return span
 
-    @contextmanager
-    def span(self, name: str, category: str = "span", *,
-             parent: Span | None = None, **attrs):
-        """``with tracer.span("step"): ...`` — ends on exit, marks
-        ``"failed"`` if the body raises."""
-        s = self.begin(name, category, parent=parent, **attrs)
-        try:
-            yield s
-        except BaseException:
-            self.end(s, status="failed")
-            raise
-        self.end(s)
-
     # -- retrieval ---------------------------------------------------------------
     @property
     def spans(self) -> list[Span]:
@@ -168,15 +154,6 @@ class Tracer:
     def finished(self) -> list[Span]:
         """All closed spans, in begin order."""
         return [s for s in self.spans if s.closed]
-
-    def open_spans(self) -> list[Span]:
-        return [s for s in self.spans if not s.closed]
-
-    def by_category(self, category: str) -> list[Span]:
-        return [s for s in self.spans if s.category == category]
-
-    def children_of(self, span: Span) -> list[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
 
     def clear(self) -> None:
         with self._lock:

@@ -72,10 +72,6 @@ class Event:
         self.args = args
         self.cancelled = False
 
-    def cancel(self) -> None:
-        """Mark the event dead; the queue skips it lazily on pop."""
-        self.cancelled = True
-
     def __lt__(self, other: "Event") -> bool:
         # Direct time-then-seq comparison: no tuple allocation per
         # comparison (this runs O(log n) times per heap operation).

@@ -1,4 +1,5 @@
-"""Shared utilities: units, seeded RNG streams, statistics, tables.
+"""Shared utilities: units, seeded RNG streams, statistics, tables,
+atomic file writes.
 
 These helpers are deliberately dependency-light; everything else in the
 library builds on them.
@@ -20,6 +21,7 @@ from repro.utils.units import (
     HOUR,
     format_time,
 )
+from repro.utils.atomic import atomic_open, write_atomic
 from repro.utils.rng import RngRegistry, derive_seed
 from repro.utils.stats import percentile, summarize
 from repro.utils.tables import ascii_table, format_row
@@ -53,4 +55,6 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_probability",
+    "atomic_open",
+    "write_atomic",
 ]

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 
 from repro.errors import WorkflowError
+from repro.utils.atomic import atomic_open
 
 # 2: TaskSpec and Dataset have slots. Version 1 pickled them from their
 # instance __dict__, which a slotted class loads with every field
@@ -21,27 +21,11 @@ _FORMAT_VERSION = 2
 
 
 def save_checkpoint(path: str, table: dict) -> None:
-    """Atomically and durably write the memo table to ``path``.
-
-    The temp file is fsynced before the rename so a crash right after
-    :func:`os.replace` cannot leave ``path`` pointing at unwritten
-    data; a failure at any step leaves the old checkpoint intact and no
-    ``.ckpt.tmp`` litter behind.
-    """
+    """Atomically and durably write the memo table to ``path`` (see
+    :func:`~repro.utils.atomic.atomic_open`), streaming the pickle."""
     payload = {"version": _FORMAT_VERSION, "results": table}
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".ckpt.tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            pickle.dump(payload, handle, protocol=4)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as handle:
+        pickle.dump(payload, handle, protocol=4)
 
 
 def load_checkpoint(path: str) -> dict:

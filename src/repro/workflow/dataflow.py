@@ -358,34 +358,11 @@ class DataFlowKernel:
         except InvalidStateError:       # cancelled in the final window
             pass
 
-    def map(self, fn, *iterables, retries: int | None = None) -> list[AppFuture]:
-        """Submit ``fn`` over zipped iterables; returns all futures.
-
-        The eager counterpart of ``executor.map``: futures come back
-        immediately and may be passed onward as dependencies::
-
-            parts = dfk.map(load, paths)
-            total = dfk.submit(combine, parts)
-        """
-        return [
-            self.submit(fn, *args, retries=retries)
-            for args in zip(*iterables)
-        ]
-
     # -- lifecycle -----------------------------------------------------------------
     def wait_all(self, futures, timeout: float | None = None) -> list:
         """Block for all futures; returns their results in order.
         Raises the first failure encountered."""
         return [f.result(timeout=timeout) for f in futures]
-
-    @staticmethod
-    def as_completed(futures, timeout: float | None = None):
-        """Yield futures as they finish (thin wrapper over
-        :func:`concurrent.futures.as_completed`, re-exported here so app
-        code needs only the kernel)."""
-        import concurrent.futures as _cf
-
-        yield from _cf.as_completed(futures, timeout=timeout)
 
     def checkpoint(self) -> None:
         """Persist the memo table (no-op without a checkpoint path)."""

@@ -9,10 +9,10 @@ callables (the DataFlowKernel side) don't belong in config files.
 from __future__ import annotations
 
 import json
-import os
 
 from repro.datafabric.dataset import Dataset
 from repro.errors import WorkflowError
+from repro.utils.atomic import write_atomic
 from repro.workflow.dag import WorkflowDAG
 from repro.workflow.task import TaskSpec
 
@@ -38,23 +38,30 @@ def task_to_dict(task: TaskSpec) -> dict:
     return data
 
 
+def _dataset_from_dict(data: dict) -> Dataset:
+    return Dataset(data["name"], data["size_bytes"],
+                   kind=data.get("kind", "data"))
+
+
 def task_from_dict(data: dict) -> TaskSpec:
+    if not isinstance(data, dict):
+        raise WorkflowError(f"task entry must be an object, got {data!r}")
     try:
         return TaskSpec(
             name=data["name"],
             work=data["work"],
             kind=data.get("kind", "generic"),
             inputs=tuple(data.get("inputs", ())),
-            outputs=tuple(
-                Dataset(d["name"], d["size_bytes"], kind=d.get("kind", "data"))
-                for d in data.get("outputs", ())
-            ),
+            outputs=tuple(_dataset_from_dict(d)
+                          for d in data.get("outputs", ())),
             after=tuple(data.get("after", ())),
             deadline_s=data.get("deadline_s"),
             pinned_site=data.get("pinned_site"),
         )
     except KeyError as exc:
         raise WorkflowError(f"task dict missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise WorkflowError(f"task {data.get('name')!r}: {exc}") from None
 
 
 def dag_to_dict(dag: WorkflowDAG) -> dict:
@@ -71,6 +78,8 @@ def dag_from_dict(data: dict) -> WorkflowDAG:
     """Rebuild a workflow from its dict form; validates structure."""
     if not isinstance(data, dict) or "tasks" not in data:
         raise WorkflowError("workflow dict missing 'tasks'")
+    if not isinstance(data["tasks"], list):
+        raise WorkflowError("workflow 'tasks' must be a list")
     if data.get("version", _FORMAT_VERSION) != _FORMAT_VERSION:
         raise WorkflowError(
             f"unsupported workflow format version {data.get('version')}"
@@ -93,12 +102,7 @@ def save_workload(path: str, dag: WorkflowDAG,
         {"name": d.name, "size_bytes": d.size_bytes, "kind": d.kind}
         for d in (externals or [])
     ]
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=1)
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(data, indent=1))
 
 
 def load_workload(path: str) -> tuple[WorkflowDAG, list[Dataset]]:
@@ -115,10 +119,15 @@ def load_workload(path: str) -> tuple[WorkflowDAG, list[Dataset]]:
     except json.JSONDecodeError as exc:
         raise WorkflowError(f"corrupt workload file {path!r}: {exc}") from exc
     dag = dag_from_dict(data)
-    externals = [
-        Dataset(d["name"], d["size_bytes"], kind=d.get("kind", "data"))
-        for d in data.get("externals", [])
-    ]
+    try:
+        externals = [_dataset_from_dict(d) for d in data.get("externals", [])]
+    except KeyError as exc:
+        raise WorkflowError(
+            f"workload file {path!r}: external dataset missing field "
+            f"{exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise WorkflowError(
+            f"workload file {path!r}: bad external dataset: {exc}") from None
     missing = dag.external_inputs() - {d.name for d in externals}
     if missing:
         raise WorkflowError(

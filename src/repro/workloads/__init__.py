@@ -1,6 +1,6 @@
 """Synthetic workloads shaped like the keynote's motivating domains.
 
-DAG families (chains, fork-join, map-reduce, layered random, montage-like)
+DAG families (map-reduce, layered random, montage-like, stencil)
 parameterize the compute-to-data ratio experiments; the science module
 builds light-source and climate-ensemble pipelines; the edge-AI module
 builds timed inference request streams; the streaming module
@@ -8,8 +8,6 @@ provides arrival processes and skewed dataset reference streams.
 """
 
 from repro.workloads.dags import (
-    chain_dag,
-    fork_join_dag,
     layered_random_dag,
     map_reduce_dag,
     montage_like_dag,
@@ -23,8 +21,6 @@ from repro.workloads.science import beamline_pipeline, climate_ensemble
 from repro.workloads.edge_ai import InferenceRequest, request_stream
 
 __all__ = [
-    "chain_dag",
-    "fork_join_dag",
     "layered_random_dag",
     "map_reduce_dag",
     "montage_like_dag",

@@ -15,62 +15,6 @@ from repro.workflow.dag import WorkflowDAG
 from repro.workflow.task import TaskSpec
 
 
-def chain_dag(
-    n_stages: int,
-    *,
-    work: float = 10.0,
-    data_bytes: float = 1e8,
-    kind: str = "generic",
-    name: str = "chain",
-) -> tuple[WorkflowDAG, list[Dataset]]:
-    """A linear pipeline: raw -> s0 -> s1 -> ... (equal stages)."""
-    if n_stages < 1:
-        raise WorkflowError(f"chain needs >= 1 stage, got {n_stages}")
-    dag = WorkflowDAG(name)
-    raw = Dataset(f"{name}-raw", data_bytes)
-    prev = raw.name
-    for i in range(n_stages):
-        outputs = ()
-        if i < n_stages - 1:
-            outputs = (Dataset(f"{name}-d{i}", data_bytes),)
-        dag.add_task(TaskSpec(f"{name}-s{i}", work=work, kind=kind,
-                              inputs=(prev,), outputs=outputs))
-        prev = outputs[0].name if outputs else None
-    return dag, [raw]
-
-
-def fork_join_dag(
-    width: int,
-    *,
-    split_work: float = 1.0,
-    branch_work: float = 10.0,
-    join_work: float = 2.0,
-    data_bytes: float = 1e8,
-    kind: str = "generic",
-    name: str = "forkjoin",
-) -> tuple[WorkflowDAG, list[Dataset]]:
-    """split -> ``width`` parallel branches -> join."""
-    if width < 1:
-        raise WorkflowError(f"fork-join needs width >= 1, got {width}")
-    dag = WorkflowDAG(name)
-    raw = Dataset(f"{name}-raw", data_bytes)
-    shards = tuple(
-        Dataset(f"{name}-shard{i}", data_bytes / width) for i in range(width)
-    )
-    dag.add_task(TaskSpec(f"{name}-split", work=split_work,
-                          inputs=(raw.name,), outputs=shards))
-    partials = []
-    for i in range(width):
-        out = Dataset(f"{name}-part{i}", data_bytes / width)
-        partials.append(out)
-        dag.add_task(TaskSpec(f"{name}-branch{i}", work=branch_work,
-                              kind=kind, inputs=(shards[i].name,),
-                              outputs=(out,)))
-    dag.add_task(TaskSpec(f"{name}-join", work=join_work,
-                          inputs=tuple(p.name for p in partials)))
-    return dag, [raw]
-
-
 def map_reduce_dag(
     n_map: int,
     n_reduce: int,

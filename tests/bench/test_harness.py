@@ -2,7 +2,8 @@ import os
 
 import pytest
 
-from repro.bench.harness import ExperimentResult, render, save_rendered
+from repro.bench.harness import ExperimentResult, render
+from repro.bench.runner import run_suite
 
 
 class TestExperimentResult:
@@ -29,25 +30,29 @@ class TestRender:
         assert "- shape holds" in text
 
 
+def save_e1(directory) -> str:
+    """Run E1 quick through the runner, saving its rendered table."""
+    (entry,) = run_suite(["E1"], quick=True, save_dir=str(directory))
+    return entry.rendered
+
+
 class TestSave:
     def test_writes_lowercase_id_file(self, tmp_path):
-        path = save_rendered("E99: save test\n", "e99.txt", str(tmp_path))
-        assert path == os.path.join(str(tmp_path), "e99.txt")
-        assert open(path).read() == "E99: save test\n"
+        rendered = save_e1(tmp_path)
+        path = os.path.join(str(tmp_path), "e1.txt")
+        assert open(path).read() == rendered + "\n"
 
     def test_creates_directory(self, tmp_path):
-        target = str(tmp_path / "deep" / "dir")
-        save_rendered("x\n", "e1.txt", target)
-        assert os.path.isdir(target)
+        target = tmp_path / "deep" / "dir"
+        save_e1(target)
+        assert os.path.isfile(target / "e1.txt")
 
 
 class TestAtomicSave:
     """Regression: a crashed (parallel) worker must never leave a
-    truncated ``results/eN.txt`` — same temp-file + fsync + os.replace
-    discipline as workflow checkpoints."""
-
-    def _save(self, marker: str, directory) -> str:
-        return save_rendered(f"marker {marker}\n", "e7.txt", str(directory))
+    truncated ``results/eN.txt``: tables go through ``write_atomic``
+    (temp file + fsync + os.replace), like every file the library
+    writes."""
 
     def test_save_fsyncs_before_replace(self, tmp_path, monkeypatch):
         synced = []
@@ -64,21 +69,19 @@ class TestAtomicSave:
 
         monkeypatch.setattr(os, "fsync", spy_fsync)
         monkeypatch.setattr(os, "replace", spy_replace)
-        path = self._save("x", tmp_path)
-        assert "marker" in open(path).read()
+        save_e1(tmp_path)
+        assert "E1" in open(tmp_path / "e1.txt").read()
 
     def test_failed_replace_keeps_old_table_and_no_litter(
             self, tmp_path, monkeypatch):
-        path = self._save("old", tmp_path)
-        old_text = open(path).read()
+        (tmp_path / "e1.txt").write_text("old table\n")
 
         def boom(src, dst):
             raise OSError("disk detached")
 
         monkeypatch.setattr(os, "replace", boom)
         with pytest.raises(OSError):
-            self._save("new", tmp_path)
+            save_e1(tmp_path)
         monkeypatch.undo()
-        assert open(path).read() == old_text
-        litter = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
-        assert litter == []
+        assert (tmp_path / "e1.txt").read_text() == "old table\n"
+        assert os.listdir(tmp_path) == ["e1.txt"]

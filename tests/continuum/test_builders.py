@@ -24,10 +24,6 @@ class TestMakeSite:
         s = make_site("x", Tier.EDGE, speed=7.0, slots=2)
         assert s.speed == 7.0 and s.slots == 2
 
-    def test_cloud_has_egress_pricing(self):
-        s = make_site("x", Tier.CLOUD)
-        assert s.pricing.usd_per_gb_egress > 0
-
 
 class TestEdgeCloudPair:
     def test_shape(self):

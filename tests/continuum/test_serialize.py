@@ -78,6 +78,52 @@ class TestTopologyRoundtrip:
         with pytest.raises(TopologyError, match="disconnected"):
             topology_from_dict(data)
 
+    def test_version_1_file_rejected(self):
+        """Version 1 sites carried an idle draw and an egress price."""
+        data = topology_to_dict(science_grid())
+        data["version"] = 1
+        with pytest.raises(TopologyError, match="version 1"):
+            topology_from_dict(data)
+
+
+class TestMalformedInput:
+    """Bad field types and names raise one-line TopologyErrors."""
+
+    def site(self, **fields):
+        data = site_to_dict(make_site("s", Tier.EDGE))
+        data.update(fields)
+        return data
+
+    def test_misspelled_power_key(self):
+        with pytest.raises(TopologyError, match="unknown fields.*busy_wats"):
+            site_from_dict(self.site(power={"busy_wats": 1.0}))
+
+    def test_removed_idle_watts_key(self):
+        with pytest.raises(TopologyError, match="idle_watts"):
+            site_from_dict(self.site(power={"idle_watts": 1.0}))
+
+    def test_pricing_not_an_object(self):
+        with pytest.raises(TopologyError, match="pricing must be an object"):
+            site_from_dict(self.site(pricing="x"))
+
+    def test_non_numeric_speed(self):
+        with pytest.raises(TopologyError, match="site 's'"):
+            site_from_dict(self.site(speed="x"))
+
+    def test_site_not_an_object(self):
+        with pytest.raises(TopologyError, match="site entry"):
+            topology_from_dict({"sites": ["x"]})
+
+    def test_sites_not_a_list(self):
+        with pytest.raises(TopologyError, match="must be lists"):
+            topology_from_dict({"sites": "x"})
+
+    def test_non_numeric_link_field(self):
+        data = topology_to_dict(science_grid())
+        data["links"][0]["latency_s"] = "x"
+        with pytest.raises(TopologyError, match="link"):
+            topology_from_dict(data)
+
 
 class TestFileRoundtrip:
     def test_save_load(self, tmp_path):

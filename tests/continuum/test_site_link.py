@@ -52,28 +52,19 @@ class TestSite:
 
 class TestPowerModel:
     def test_zero_default(self):
-        assert PowerModel().energy_joules(100) == 0.0
+        assert PowerModel().marginal_energy(100) == 0.0
 
     def test_busy_energy(self):
-        pm = PowerModel(idle_watts=10, busy_watts=40)
-        # 10 s busy within 10 s wall: 10*10 + 40*10
-        assert pm.energy_joules(10) == 500.0
-
-    def test_wall_longer_than_busy(self):
-        pm = PowerModel(idle_watts=10, busy_watts=40)
-        assert pm.energy_joules(10, wall_seconds=20) == 10 * 20 + 40 * 10
-
-    def test_wall_shorter_is_clamped(self):
-        pm = PowerModel(idle_watts=10, busy_watts=0)
-        assert pm.energy_joules(10, wall_seconds=5) == 100.0
+        pm = PowerModel(busy_watts=40)
+        assert pm.marginal_energy(10) == 400.0
 
     def test_marginal(self):
-        pm = PowerModel(idle_watts=10, busy_watts=40)
+        pm = PowerModel(busy_watts=40)
         assert pm.marginal_energy(2.0) == 80.0
 
     def test_negative_rejected(self):
         with pytest.raises(ConfigurationError):
-            PowerModel(idle_watts=-1)
+            PowerModel(busy_watts=-1)
 
 
 class TestPricingModel:
@@ -82,14 +73,9 @@ class TestPricingModel:
         assert pm.compute_cost(3600) == pytest.approx(0.10)
         assert pm.compute_cost(1800, slots=2) == pytest.approx(0.10)
 
-    def test_egress_cost(self):
-        pm = PricingModel(usd_per_gb_egress=0.09)
-        assert pm.egress_cost(10e9) == pytest.approx(0.90)
-
     def test_free_default(self):
         pm = PricingModel()
         assert pm.compute_cost(1e6) == 0.0
-        assert pm.egress_cost(1e12) == 0.0
 
 
 class TestLink:

@@ -17,6 +17,7 @@ from repro.datafabric import Dataset, ReplicaCatalog
 from repro.utils.rng import RngRegistry
 
 SIZE = 100.0
+NAMES = ("d0", "d1", "x0")
 
 # (time, op, args) — d0 keeps >= 1 replica at all times so source
 # resolution stays defined on both sides of the diff
@@ -41,6 +42,11 @@ def topo3():
     topo.add_link("a", "c", Link(0.0, 10.0))
     topo.add_link("b", "c", Link(0.0, 1000.0))
     return topo
+
+
+def names(catalog):
+    """Registered dataset names, in registration order."""
+    return [name for name in NAMES if name in catalog]
 
 
 def apply_event(catalog, op, args, t):
@@ -79,8 +85,8 @@ class TestQuorumEqualsSingleCopy:
             session.placement_read(t + 0.1)
             assert session.pinned_truth
             assert view.version == plain.version
-            assert view.dataset_names == plain.dataset_names
-            for name in plain.dataset_names:
+            for name in names(plain):
+                assert view.dataset(name) == plain.dataset(name)
                 assert view.dataset_version(name) == \
                     plain.dataset_version(name)
                 assert view.locations(name) == plain.locations(name)
@@ -88,8 +94,9 @@ class TestQuorumEqualsSingleCopy:
                     src, _ = view.transfer_source(name, "c")
                     ref, _ = plain.nearest_source(topo, name, "c")
                     assert src == ref
-            for site in ("a", "b", "c"):
-                assert view.bytes_at(site) == plain.bytes_at(site)
+                for site in ("a", "b", "c"):
+                    assert view.has_replica(name, site) == \
+                        plain.has_replica(name, site)
         assert view.stats.misplacements == 0
         assert view.stats.wasted_bytes == 0.0
         assert view.stats.phantom_sources == 0
@@ -117,13 +124,13 @@ class TestQuorumEqualsSingleCopy:
         plane.advance(200.0)
         assert plane.converged()
         committed = plane.committed_state()
-        assert committed.dataset_names == plain.dataset_names
-        for name in plain.dataset_names:
+        assert names(committed) == names(plain)
+        for name in names(plain):
             assert sorted(committed.locations(name)) == \
                 sorted(plain.locations(name))
         # once quiesced, even a stale follower read equals single-copy:
         # replication is eventually exact, not approximately so
         for node in plane.nodes:
-            for name in plain.dataset_names:
+            for name in names(plain):
                 assert sorted(node.state.locations(name)) == \
                     sorted(plain.locations(name))

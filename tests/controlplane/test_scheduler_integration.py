@@ -8,7 +8,7 @@ import pytest
 from repro.continuum import science_grid
 from repro.controlplane import ControlPlaneConfig
 from repro.core import ContinuumScheduler
-from repro.core.strategies import RoundRobinStrategy
+from repro.core.strategies import GreedyEFTStrategy, RoundRobinStrategy
 from repro.datafabric import Dataset
 from repro.errors import SchedulingError
 from repro.faults.partitions import PartitionSchedule, PartitionWindow
@@ -35,14 +35,15 @@ def small_dag(n_waves=4, width=3):
     return dag, [(ref, "beamline-edge")]
 
 
-def run_once(mode=None, lag=2.0, partitions=None, seed=7):
+def run_once(mode=None, lag=2.0, partitions=None, seed=7,
+             strategy=RoundRobinStrategy):
     topo = science_grid()
     dag, placed = small_dag()
     control = None
     if mode is not None:
         control = ControlPlaneConfig.for_lag(lag, n_sites=5, read_mode=mode)
     return ContinuumScheduler(topo, seed=seed).run(
-        dag, RoundRobinStrategy(), external_inputs=placed,
+        dag, strategy(), external_inputs=placed,
         control=control, partitions=partitions)
 
 
@@ -58,6 +59,14 @@ class TestWiring:
         assert stats.reads > 0
         assert stats.quorum_reads == stats.reads
         assert stats.misplacements == 0
+
+    @pytest.mark.parametrize("mode", ["quorum", "stale"])
+    def test_cost_model_plans_through_the_view(self, mode):
+        """Estimating strategies read the view's catalog versions; no
+        benchmark or table run takes this path."""
+        result = run_once(mode=mode, strategy=GreedyEFTStrategy)
+        assert result.task_count == len(small_dag()[0])
+        assert result.control.reads > 0
 
     def test_quorum_reads_cost_makespan(self):
         baseline = run_once(mode=None).makespan

@@ -62,7 +62,6 @@ def reads(state):
         "applied_index": state.applied_index,
         "version": state.version,
         "entries": state.entries,
-        "dataset_names": state.dataset_names,
     }
     for n in NAMES:
         out[n] = (
@@ -74,8 +73,6 @@ def reads(state):
             [outcome(lambda s=s: state.nearest_source(TOPO, n, s))
              for s in SITES],
         )
-    for s in SITES:
-        out[s] = (state.bytes_at(s), state.datasets_at(s))
     # taken last, so a read above that inserted a key would show
     out["snapshot"] = state.to_snapshot()
     return out

@@ -16,9 +16,7 @@ from repro.continuum import Link, Site, Tier, Topology, geo_random_continuum
 from repro.core import SchedulingContext
 from repro.core.cost import CostModel
 from repro.core.strategies import (
-    CostAwareStrategy,
     DataGravityStrategy,
-    EnergyAwareStrategy,
     GreedyEFTStrategy,
     LatencyAwareStrategy,
     MultiObjectiveStrategy,
@@ -118,6 +116,14 @@ class TestEstimateBatchEquality:
             assert ctx.cost.mean_exec_time(task, sites) == expected
 
 
+# the weighted planners, by reference name
+WEIGHTS = {
+    "energy": {"energy": 1.0},
+    "cost": {"usd": 1.0},
+    "multi": {"time": 0.5, "usd": 0.25, "bytes": 0.25},
+}
+
+
 def _scalar_reference(strategy_name, task, ctx):
     """The pre-vectorization scalar selection loops, kept verbatim as the
     behavioral reference (including tie-break order)."""
@@ -136,22 +142,6 @@ def _scalar_reference(strategy_name, task, ctx):
             if best is None or key < best[0]:
                 best = (key, site.name)
         return best[1]
-    if strategy_name == "energy":
-        best = None
-        for site in ctx.candidates:
-            est, finish = ctx.estimate_finish(task, site)
-            key = (est.energy_j, finish)
-            if best is None or key < best[0]:
-                best = (key, site.name)
-        return best[1]
-    if strategy_name == "cost":
-        best = None
-        for site in ctx.candidates:
-            est, finish = ctx.estimate_finish(task, site)
-            key = (est.total_usd, finish)
-            if best is None or key < best[0]:
-                best = (key, site.name)
-        return best[1]
     if strategy_name == "latency":
         feasible, fallback = [], None
         for site in ctx.candidates:
@@ -163,9 +153,9 @@ def _scalar_reference(strategy_name, task, ctx):
         if feasible:
             return min(feasible)[3]
         return fallback[1]
-    if strategy_name == "multi":
+    if strategy_name in WEIGHTS:
         rows = []
-        weights = {"time": 0.5, "usd": 0.25, "bytes": 0.25}
+        weights = WEIGHTS[strategy_name]
         for site in ctx.candidates:
             est, finish = ctx.estimate_finish(task, site)
             rows.append((site.name,
@@ -187,11 +177,10 @@ def _scalar_reference(strategy_name, task, ctx):
 STRATEGY_CASES = [
     ("greedy", GreedyEFTStrategy()),
     ("gravity", DataGravityStrategy()),
-    ("energy", EnergyAwareStrategy()),
-    ("cost", CostAwareStrategy()),
+    ("energy", MultiObjectiveStrategy(WEIGHTS["energy"])),
+    ("cost", MultiObjectiveStrategy(WEIGHTS["cost"])),
     ("latency", LatencyAwareStrategy()),
-    ("multi", MultiObjectiveStrategy(
-        {"time": 0.5, "usd": 0.25, "bytes": 0.25})),
+    ("multi", MultiObjectiveStrategy(WEIGHTS["multi"])),
 ]
 
 

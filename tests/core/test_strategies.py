@@ -4,9 +4,7 @@ from repro.continuum import Link, PowerModel, PricingModel, Site, Tier, Topology
 from repro.core.context import SchedulingContext
 from repro.core.strategies import (
     AdaptiveUCBStrategy,
-    CostAwareStrategy,
     DataGravityStrategy,
-    EnergyAwareStrategy,
     FixedSiteStrategy,
     GreedyEFTStrategy,
     HEFTStrategy,
@@ -181,12 +179,14 @@ class TestAware:
         ctx = make_ctx()
         # edge: 8 s * 10 W = 80 J; cloud: 1 s * 200 W = 200 J
         task = TaskSpec("t", 8.0, inputs=("d",))
-        assert EnergyAwareStrategy().select_site(task, ctx) == "edge"
+        strat = MultiObjectiveStrategy({"energy": 1.0})
+        assert strat.select_site(task, ctx) == "edge"
 
     def test_cost_aware_picks_free_site(self):
         ctx = make_ctx()
         task = TaskSpec("t", 8.0, inputs=("d",))
-        assert CostAwareStrategy().select_site(task, ctx) == "edge"
+        strat = MultiObjectiveStrategy({"usd": 1.0})
+        assert strat.select_site(task, ctx) == "edge"
 
 
 class TestMultiObjective:
@@ -196,12 +196,6 @@ class TestMultiObjective:
         strat = MultiObjectiveStrategy({"time": 1.0})
         assert strat.select_site(task, ctx) == \
             GreedyEFTStrategy().select_site(task, ctx)
-
-    def test_pure_energy_matches_energy_aware(self):
-        ctx = make_ctx()
-        task = TaskSpec("t", 8.0, inputs=("d",))
-        strat = MultiObjectiveStrategy({"energy": 1.0})
-        assert strat.select_site(task, ctx) == "edge"
 
     def test_unknown_objective_rejected(self):
         with pytest.raises(SchedulingError):

@@ -54,7 +54,7 @@ class TestRegistration:
         cat = ReplicaCatalog()
         cat.register(Dataset("d", 10))
         cat.register(Dataset("d", 10))
-        assert cat.dataset_names == ["d"]
+        assert cat.dataset("d") == Dataset("d", 10)
 
     def test_reregister_conflicting_rejected(self):
         cat = ReplicaCatalog()
@@ -93,17 +93,6 @@ class TestReplicas:
     def test_replica_for_unknown_dataset_rejected(self):
         with pytest.raises(DataFabricError):
             ReplicaCatalog().add_replica("nope", "edge")
-
-    def test_bytes_at_and_datasets_at(self):
-        cat = ReplicaCatalog()
-        cat.register(Dataset("a", 10))
-        cat.register(Dataset("b", 32))
-        cat.add_replica("a", "edge")
-        cat.add_replica("b", "edge")
-        cat.add_replica("b", "cloud")
-        assert cat.bytes_at("edge") == 42
-        assert {d.name for d in cat.datasets_at("edge")} == {"a", "b"}
-        assert cat.bytes_at("nowhere") == 0
 
 
 class TestNearestSource:

@@ -149,7 +149,7 @@ class TestAutoscaler:
 
         sim.process(stopper())
         sim.run()
-        assert scaler.current_workers == 1
+        assert scaler.endpoint.workers.capacity == 1
         # it went up before coming down
         assert max(e[2] for e in scaler.scaling_events) > 1
 
@@ -169,7 +169,7 @@ class TestAutoscaler:
         sim.run()
         capacities = [e[2] for e in scaler.scaling_events]
         assert all(2 <= c <= 5 for c in capacities)
-        assert scaler.current_workers >= 2
+        assert scaler.endpoint.workers.capacity >= 2
 
     def test_no_scale_down_while_workers_busy(self):
         """Scale-down needs queue empty AND every worker idle.
@@ -202,7 +202,7 @@ class TestAutoscaler:
         # no capacity change while the request was running
         assert [e for e in scaler.scaling_events if e[0] < 50.0] == []
         # once fully drained, the pool does shrink to the floor
-        assert scaler.current_workers == 1
+        assert scaler.endpoint.workers.capacity == 1
 
     def test_double_start_rejected(self):
         sim, ep = make_endpoint()

@@ -40,11 +40,12 @@ class TestEndpointSpans:
 
         sim.process(client())
         sim.run()
-        (ispan,) = tracer.by_category("invoke")
+        (ispan,) = [s for s in tracer.spans if s.category == "invoke"]
         assert ispan.name == "invoke:f"
         assert ispan.closed
         assert ispan.attrs["cold_start"] is True
-        children = {c.category: c for c in tracer.children_of(ispan)}
+        children = {c.category: c for c in tracer.spans
+                    if c.parent_id == ispan.span_id}
         assert {"queue", "startup", "exec"} <= set(children)
         assert children["exec"].duration_s == pytest.approx(5.0)
         assert children["startup"].duration_s == pytest.approx(2.0)
@@ -60,7 +61,8 @@ class TestEndpointSpans:
         sim.process(client())
         sim.process(client())
         sim.run()
-        queues = sorted(s.duration_s for s in tracer.by_category("queue"))
+        queues = sorted(s.duration_s for s in tracer.spans
+                        if s.category == "queue")
         assert queues == [pytest.approx(0.0), pytest.approx(10.0)]
 
     def test_endpoint_binds_sim_clock(self):
@@ -73,7 +75,7 @@ class TestEndpointSpans:
 
         sim.process(client())
         sim.run()
-        (ispan,) = tracer.by_category("invoke")
+        (ispan,) = [s for s in tracer.spans if s.category == "invoke"]
         assert ispan.begin_s == pytest.approx(2.0)
         assert ispan.end_s == pytest.approx(5.0)
 
@@ -94,7 +96,7 @@ class TestAutoscalerSpans:
         for _ in range(8):
             sim.process(client())
         sim.run()
-        provisions = tracer.by_category("scaling")
+        provisions = [s for s in tracer.spans if s.category == "scaling"]
         spans = [s for s in provisions if not s.instant]
         instants = [s for s in provisions if s.instant]
         assert spans and all(s.name == "provision" for s in spans)

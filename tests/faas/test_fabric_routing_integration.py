@@ -1,10 +1,16 @@
-"""invoke_via: the one-call routed client."""
+"""The routed client, end to end: ``pick_endpoint`` then ``invoke``."""
 
 import pytest
 
 from repro.continuum import Link, Site, Tier, Topology
 from repro.errors import FaaSError
-from repro.faas import ContainerModel, FaaSFabric, FunctionDef, SerializationModel
+from repro.faas import (
+    ContainerModel,
+    FaaSFabric,
+    FunctionDef,
+    SerializationModel,
+    pick_endpoint,
+)
 from repro.netsim import FlowNetwork
 from repro.simcore import Simulator
 
@@ -30,12 +36,21 @@ def make_fabric(work):
     return sim, fabric
 
 
+def invoke_via(fabric, function, *, client_site, policy="fastest",
+               breakers=None):
+    """Route with a named policy, then invoke at the chosen endpoint."""
+    endpoint_site = pick_endpoint(fabric, function, client_site,
+                                  policy=policy, breakers=breakers)
+    return fabric.invoke(function, client_site=client_site,
+                         endpoint_site=endpoint_site)
+
+
 class TestInvokeVia:
     def test_routes_heavy_work_to_cloud(self):
         sim, fabric = make_fabric(work=4.0)
 
         def body():
-            inv = yield fabric.invoke_via("f", client_site="client")
+            inv = yield invoke_via(fabric, "f", client_site="client")
             return inv
 
         inv = sim.run_process(body())
@@ -47,8 +62,8 @@ class TestInvokeVia:
         sim, fabric = make_fabric(work=0.001)
 
         def body():
-            inv = yield fabric.invoke_via("f", client_site="client",
-                                          policy="nearest")
+            inv = yield invoke_via(fabric, "f", client_site="client",
+                                   policy="nearest")
             return inv
 
         inv = sim.run_process(body())
@@ -57,7 +72,7 @@ class TestInvokeVia:
     def test_bad_policy_raises(self):
         _, fabric = make_fabric(work=1.0)
         with pytest.raises(FaaSError):
-            fabric.invoke_via("f", client_site="client", policy="vibes")
+            invoke_via(fabric, "f", client_site="client", policy="vibes")
 
     def test_stream_of_routed_invocations(self):
         sim, fabric = make_fabric(work=4.0)
@@ -66,7 +81,7 @@ class TestInvokeVia:
         def client(i):
             def body():
                 yield sim.timeout(0.1 * i)
-                inv = yield fabric.invoke_via("f", client_site="client")
+                inv = yield invoke_via(fabric, "f", client_site="client")
                 latencies.append(inv.total_latency)
             return body()
 

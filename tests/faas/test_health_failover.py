@@ -14,6 +14,7 @@ from repro.faas import (
 from repro.netsim import FlowNetwork
 from repro.resilience import BreakerConfig, BreakerRegistry
 from repro.simcore import Simulator
+from tests.faas.test_fabric_routing_integration import invoke_via
 
 NO_SER = SerializationModel(base_s=0.0, bytes_per_second=1e18)
 NO_CONTAINERS = ContainerModel(cold_start_s=0.0, warm_start_s=0.0)
@@ -109,8 +110,8 @@ class TestPickEndpoint:
         results = {}
 
         def client():
-            invocation = yield fabric.invoke_via(
-                "f", client_site="client", policy="fastest",
+            invocation = yield invoke_via(
+                fabric, "f", client_site="client", policy="fastest",
                 breakers=breakers,
             )
             results["site"] = invocation.endpoint_site
@@ -124,8 +125,8 @@ class TestPickEndpoint:
         results = {}
 
         def client():
-            invocation = yield fabric.invoke_via(
-                "f", client_site="client", policy="fastest"
+            invocation = yield invoke_via(
+                fabric, "f", client_site="client", policy="fastest"
             )
             results["site"] = invocation.endpoint_site
 

@@ -26,9 +26,7 @@ from repro.controlplane import ControlPlaneConfig
 from repro.core import ContinuumScheduler
 from repro.core.strategies import (
     AdaptiveUCBStrategy,
-    CostAwareStrategy,
     DataGravityStrategy,
-    EnergyAwareStrategy,
     GreedyEFTStrategy,
     HEFTStrategy,
     LatencyAwareStrategy,
@@ -61,8 +59,8 @@ STRATEGIES = {
     "greedy-eft": GreedyEFTStrategy,
     "heft": HEFTStrategy,
     "latency": LatencyAwareStrategy,
-    "energy": EnergyAwareStrategy,
-    "cost": CostAwareStrategy,
+    "energy": lambda: MultiObjectiveStrategy({"energy": 1.0}),
+    "cost": lambda: MultiObjectiveStrategy({"usd": 1.0}),
     "multi": lambda: MultiObjectiveStrategy(
         {"time": 0.6, "usd": 0.2, "energy": 0.2}),
     "adaptive": AdaptiveUCBStrategy,

@@ -28,7 +28,6 @@ from repro.workflow import TaskSpec, WorkflowDAG
 from repro.workloads import (
     beamline_pipeline,
     climate_ensemble,
-    fork_join_dag,
     layered_random_dag,
     map_reduce_dag,
     montage_like_dag,
@@ -41,15 +40,12 @@ def externals_at(externals, site):
 
 class TestWorkloadsOnPresets:
     @pytest.mark.parametrize("builder,kwargs", [
-        (fork_join_dag, {"width": 4}),
         (map_reduce_dag, {"n_map": 3, "n_reduce": 2}),
         (montage_like_dag, {"n_inputs": 4}),
         (layered_random_dag, {"n_tasks": 20, "seed": 5}),
     ])
     def test_every_dag_family_runs_on_science_grid(self, builder, kwargs):
-        if builder is fork_join_dag:
-            dag, externals = builder(kwargs.pop("width"), **kwargs)
-        elif builder is map_reduce_dag:
+        if builder is map_reduce_dag:
             dag, externals = builder(kwargs.pop("n_map"),
                                      kwargs.pop("n_reduce"), **kwargs)
         elif builder is montage_like_dag:

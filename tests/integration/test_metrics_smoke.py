@@ -70,7 +70,7 @@ class TestMeteredWorkload:
         decisions = reg.get("scheduler_placement_decisions_total")
         total = sum(child.value for _, child in decisions.series())
         assert total == result.task_count
-        exec_h = reg.get("scheduler_task_exec_seconds")._default()
+        exec_h = reg.get("scheduler_task_exec_seconds").labels()
         assert exec_h.count == result.task_count
 
     def test_snapshot_validates_and_is_deterministic(self):
@@ -85,7 +85,7 @@ class TestMeteredWorkload:
         reg = MetricsRegistry()
         with use_registry(reg):
             run_beamline()
-        assert reg.get("sim_events_dispatched_total").value > 0
+        assert reg.get("sim_events_dispatched_total").labels().value > 0
 
     def test_chrome_trace_with_counters_validates(self):
         reg = MetricsRegistry(keep_timeseries=True)

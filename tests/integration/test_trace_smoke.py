@@ -42,7 +42,7 @@ class TestTracedWorkload:
         tracer = Tracer()
         result, _dag = run_beamline(tracer)
         assert result.task_count > 0
-        assert tracer.open_spans() == []      # everything closed
+        assert all(s.closed for s in tracer.spans)
         doc = json.loads(json.dumps(to_chrome_trace(tracer)))
         count = validate_chrome_trace(doc)    # monotonic ts, matched B/E
         assert count > 0
@@ -55,10 +55,11 @@ class TestTracedWorkload:
         categories = {s.category for s in tracer.finished()}
         assert {"task", "exec", "transfer", "scheduler"} <= categories
         # one task span per task record, each with an exec child
-        tasks = tracer.by_category("task")
+        tasks = [s for s in tracer.spans if s.category == "task"]
         assert len(tasks) == result.task_count
         for tspan in tasks:
-            kinds = {c.category for c in tracer.children_of(tspan)}
+            kinds = {c.category for c in tracer.spans
+                     if c.parent_id == tspan.span_id}
             assert "exec" in kinds
             assert tspan.attrs["site"] == result.records[
                 tspan.name.removeprefix("task:")].site
@@ -66,12 +67,13 @@ class TestTracedWorkload:
     def test_span_times_match_records(self):
         tracer = Tracer()
         result, _dag = run_beamline(tracer)
-        by_name = {s.name: s for s in tracer.by_category("task")}
+        by_name = {s.name: s for s in tracer.spans if s.category == "task"}
         for name, rec in result.records.items():
             span = by_name[f"task:{name}"]
             assert span.end_s == pytest.approx(rec.exec_finished)
-            exec_spans = [c for c in tracer.children_of(span)
-                          if c.category == "exec"]
+            exec_spans = [c for c in tracer.spans
+                          if c.parent_id == span.span_id
+                          and c.category == "exec"]
             assert exec_spans[-1].duration_s == pytest.approx(rec.exec_time)
 
     def test_critical_path_consistent(self):
@@ -86,7 +88,7 @@ class TestTracedWorkload:
         tracer = Tracer()
         failures = OutageSchedule().add(SiteOutage("beamline-edge", 0.1, 5.0))
         run_beamline(tracer, failures=failures)
-        fault_names = {s.name for s in tracer.by_category("fault")}
+        fault_names = {s.name for s in tracer.spans if s.category == "fault"}
         assert {"site_down", "site_up"} <= fault_names
         doc = to_chrome_trace(tracer)
         validate_chrome_trace(doc)

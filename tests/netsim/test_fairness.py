@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NetworkError
-from repro.netsim.fairness import link_loads, max_min_fair_rates
+from repro.netsim.fairness import max_min_fair_rates
+from tests.oracles.link_loads import link_loads
 
 
 class TestMaxMinBasics:

@@ -28,9 +28,10 @@ from hypothesis import strategies as st
 
 from repro.continuum import Link, Site, Tier, Topology
 from repro.errors import ConfigurationError, NetworkError
-from repro.netsim.fairness import link_loads, max_min_fair_rates
+from repro.netsim.fairness import max_min_fair_rates
 from repro.netsim.network import FlowNetwork, _lone_route_rate
 from repro.simcore import Simulator
+from tests.oracles.link_loads import link_loads
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ class TestSingleFlow:
         t, flow = sim.run_process(body())
         # bottleneck 10 B/s => 10 s transmission + 0.2 s path latency
         assert t == pytest.approx(10.2)
-        assert flow.achieved_throughput == pytest.approx(100.0 / 10.2)
+        assert flow.size_bytes / flow.duration == pytest.approx(100.0 / 10.2)
 
 
 class TestSharing:

@@ -19,7 +19,6 @@ from repro.observe.metrics import (
     current_registry,
     load_snapshot,
     log_buckets,
-    parse_prometheus,
     set_registry,
     snapshot_to_json,
     to_prometheus,
@@ -27,6 +26,7 @@ from repro.observe.metrics import (
     validate_snapshot,
     validate_suite,
 )
+from tests.observe.prometheus import parse_prometheus
 
 
 class TestExactSum:
@@ -70,14 +70,14 @@ class TestInstruments:
     def test_gauge_last_write_wins(self):
         g = Gauge("g")
         g.set(5.0)
-        g.inc(2.0)
-        g.dec(3.0)
+        g.set(7.0)
+        g.set(4.0)
         assert g.value == 4.0
         assert g.updates == 3
         with pytest.raises(ObserveError):
             g.set(math.inf)
 
-    def test_histogram_buckets_and_quantile(self):
+    def test_histogram_buckets(self):
         h = Histogram("h", log_buckets(1.0, 2.0, 4))   # 1, 2, 4, 8
         for v in (0.5, 1.5, 3.0, 100.0):
             h.observe(v)
@@ -85,12 +85,6 @@ class TestInstruments:
         assert h.overflow == 1                          # the 100.0
         assert h.cumulative() == [1, 2, 3, 3]   # le 1, 2, 4, 8
         assert h.sum == math.fsum((0.5, 1.5, 3.0, 100.0))
-        assert h.quantile(0.25) == 1.0
-        assert h.quantile(0.75) == 4.0
-        assert h.quantile(1.0) == math.inf              # overflow bucket
-        assert math.isnan(Histogram("e", (1.0,)).quantile(0.5))
-        with pytest.raises(ObserveError):
-            h.quantile(1.5)
 
     def test_log_buckets_validation(self):
         assert log_buckets(1.0, 2.0, 3) == (1.0, 2.0, 4.0)
@@ -134,14 +128,15 @@ class TestRegistry:
         assert fam.labels(site="edge", policy="lru").value == 4
         with pytest.raises(ObserveError, match="takes labels"):
             fam.labels(site="edge")
-        with pytest.raises(ObserveError, match="use .labels"):
-            fam.inc()
+        with pytest.raises(ObserveError, match="takes labels"):
+            fam.labels()
 
-    def test_unlabeled_shorthand(self):
+    def test_unlabeled_family_has_one_child(self):
         reg = MetricsRegistry()
-        reg.counter("n").inc(7)
-        reg.gauge("g").set(1.25)
-        reg.histogram("h").observe(0.5)
+        reg.counter("n").labels().inc(7)
+        reg.gauge("g").labels().set(1.25)
+        reg.histogram("h").labels().observe(0.5)
+        assert reg.counter("n").labels() is reg.counter("n").labels()
         snap = reg.snapshot()
         assert snap["metrics"]["n"]["series"][0]["value"] == 7
         assert snap["metrics"]["g"]["series"][0]["value"] == 1.25
@@ -160,10 +155,10 @@ class TestRegistry:
         xs = [0.1 * i + 1e-9 for i in range(40)]
         whole = MetricsRegistry()
         for x in xs:
-            whole.counter("c").inc(x)
+            whole.counter("c").labels().inc(x)
         sh1, sh2 = MetricsRegistry(), MetricsRegistry()
         for i, x in enumerate(xs):
-            (sh1 if i % 2 else sh2).counter("c").inc(x)
+            (sh1 if i % 2 else sh2).counter("c").labels().inc(x)
         merged = MetricsRegistry()
         merged.merge_state(sh1.dump_state())
         merged.merge_state(sh2.dump_state())
@@ -172,12 +167,12 @@ class TestRegistry:
 
     def test_merge_state_gauge_last_writer(self):
         sh1, sh2 = MetricsRegistry(), MetricsRegistry()
-        sh1.gauge("g").set(1.0)
+        sh1.gauge("g").labels().set(1.0)
         sh2.gauge("g")           # declared, never set: must not clobber
         merged = MetricsRegistry()
         merged.merge_state(sh1.dump_state())
         merged.merge_state(sh2.dump_state())
-        assert merged.get("g").value == 1.0
+        assert merged.get("g").labels().value == 1.0
 
     def test_merge_state_schema_check(self):
         reg = MetricsRegistry()
@@ -215,8 +210,9 @@ class TestPrometheusExport:
         reg = MetricsRegistry()
         reg.counter("reads_total", "reads", ("site",)).labels(
             site="edge").inc(12)
-        reg.gauge("depth", "queue depth").set(3.5)
-        h = reg.histogram("lat_seconds", "latency", start=1e-3, count=10)
+        reg.gauge("depth", "queue depth").labels().set(3.5)
+        h = reg.histogram("lat_seconds", "latency", start=1e-3,
+                          count=10).labels()
         for v in (0.002, 0.004, 0.5, 99.0):
             h.observe(v)
         return reg
@@ -271,7 +267,7 @@ class TestSnapshotFiles:
 
     def test_load_valid_snapshot_and_suite(self, tmp_path):
         reg = MetricsRegistry()
-        reg.counter("c").inc()
+        reg.counter("c").labels().inc()
         snap = reg.snapshot()
         p = tmp_path / "ok.json"
         p.write_text(snapshot_to_json(snap))

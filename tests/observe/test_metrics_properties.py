@@ -15,10 +15,10 @@ from repro.observe.metrics import (
     Histogram,
     MetricsRegistry,
     log_buckets,
-    parse_prometheus,
     snapshot_to_json,
     to_prometheus,
 )
+from tests.observe.prometheus import parse_prometheus
 
 finite = st.floats(min_value=0.0, max_value=1e12,
                    allow_nan=False, allow_infinity=False)
@@ -33,10 +33,10 @@ def test_counter_shard_merge_equals_whole_run(xs, n_shards, rnd):
     the same rounded value as one whole-run counter."""
     whole = MetricsRegistry()
     for x in xs:
-        whole.counter("c").inc(x)
+        whole.counter("c").labels().inc(x)
     shards = [MetricsRegistry() for _ in range(n_shards)]
     for x in xs:
-        rnd.choice(shards).counter("c").inc(x)
+        rnd.choice(shards).counter("c").labels().inc(x)
     states = [s.dump_state() for s in shards]
     rnd.shuffle(states)
     merged = MetricsRegistry()
@@ -99,33 +99,15 @@ def test_histogram_shard_merge_equals_whole_run(xs):
     r1.histogram("h")
     r2.histogram("h")
     for i, x in enumerate(xs):
-        (r1 if i % 2 else r2).histogram("h").observe(x)
+        (r1 if i % 2 else r2).histogram("h").labels().observe(x)
     merged = MetricsRegistry()
     merged.merge_state(r1.dump_state())
     merged.merge_state(r2.dump_state())
-    h = merged.get("h")._default()
+    h = merged.get("h").labels()
     assert h.counts == whole.counts
     assert h.overflow == whole.overflow
     assert h.count == whole.count
     assert h.sum == whole.sum
-
-
-@given(st.lists(st.floats(min_value=1e-6, max_value=1e9,
-                          allow_nan=False, allow_infinity=False),
-                min_size=1, max_size=80),
-       st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2,
-                max_size=6))
-@settings(max_examples=60, deadline=None)
-def test_histogram_quantile_monotone(xs, qs):
-    h = Histogram("h", log_buckets(1e-3, 2.0, 40))
-    for x in xs:
-        h.observe(x)
-    qs = sorted(qs)
-    estimates = [h.quantile(q) for q in qs]
-    assert all(a <= b for a, b in zip(estimates, estimates[1:]))
-    # every estimate is an upper bound drawn from the bucket grid
-    grid = set(h.bounds) | {math.inf}
-    assert all(e in grid for e in estimates)
 
 
 @given(st.dictionaries(
@@ -139,7 +121,7 @@ def test_prometheus_round_trip(labelled_counts, hist_values):
         fam.labels(route=route).inc(v)
     h = reg.histogram("lat_seconds", "latency")
     for v in hist_values:
-        h.observe(v)
+        h.labels().observe(v)
     parsed = parse_prometheus(to_prometheus(reg))
     for route, v in labelled_counts.items():
         got = parsed["req_total"]["series"][(("route", route),)]

@@ -31,7 +31,8 @@ class TestSpanLifecycle:
         tracer.end(inner, time=2.0)
         tracer.end(outer, time=3.0)
         assert inner.parent_id == outer.span_id
-        assert tracer.children_of(outer) == [inner]
+        assert [s for s in tracer.spans
+                if s.parent_id == outer.span_id] == [inner]
 
     def test_double_end_rejected(self):
         tracer = Tracer(clock=lambda: 1.0)
@@ -52,14 +53,6 @@ class TestSpanLifecycle:
         tracer.end(span, time=1.0, status="interrupted", cause="outage")
         assert span.status == "interrupted"
         assert span.attrs == {"site": "edge", "cause": "outage"}
-
-    def test_context_manager_marks_failure(self):
-        tracer = Tracer(clock=lambda: 2.0)
-        with pytest.raises(ValueError):
-            with tracer.span("boom"):
-                raise ValueError("nope")
-        (span,) = tracer.finished()
-        assert span.status == "failed"
 
     def test_instant_is_closed_zero_width(self):
         tracer = Tracer()
@@ -131,8 +124,8 @@ class TestRetrievalAndRoundTrip:
         tracer = Tracer()
         self.make_tree(tracer)
         dangling = tracer.begin("unfinished", time=5.0)
-        assert len(tracer.by_category("phase")) == 2
-        assert tracer.open_spans() == [dangling]
+        assert len([s for s in tracer.spans if s.category == "phase"]) == 2
+        assert [s for s in tracer.spans if not s.closed] == [dangling]
 
     def test_export_round_trip(self):
         """Tracer -> Chrome JSON -> serialize -> parse -> validate."""
@@ -189,8 +182,8 @@ class TestSpanStore:
                                                    for i in range(24)]
         spans = tracer.spans
         assert [s.span_id for s in spans] == list(range(1, len(spans) + 1))
-        assert len(tracer.by_category("dftask")) == 48
-        assert tracer.open_spans() == [] and all(s.closed for s in spans)
+        assert sum(s.category == "dftask" for s in spans) == 48
+        assert all(s.closed for s in spans)
         validate_chrome_trace(to_chrome_trace(tracer))
 
     def test_concurrent_begin_end_stress(self):
@@ -223,7 +216,7 @@ class TestSpanStore:
         spans = tracer.spans
         assert len(spans) == 2 * n_threads * n_spans
         assert [s.span_id for s in spans] == list(range(1, len(spans) + 1))
-        assert tracer.open_spans() == []
+        assert all(s.closed for s in tracer.spans)
         work_spans = [s for s in spans if s.name == "w"]
         assert sorted((s.attrs["worker"], s.attrs["i"]) for s in work_spans) \
             == [(k, i) for k in range(n_threads) for i in range(n_spans)]

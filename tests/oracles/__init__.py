@@ -2,7 +2,8 @@
 
 Each oracle is a copy of a mechanism as it shipped before a faster one
 replaced it in ``src/``, or a patch that turns a fast path off so the
-general one beside it runs alone. Differential tests and the microbenchmarks run
+general one beside it runs alone, or a check that only tests run
+(``link_loads``). Differential tests and the microbenchmarks run
 the production path and the oracle side by side and demand identical
 results; nothing in ``repro`` imports from here.
 """

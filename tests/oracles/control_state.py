@@ -100,10 +100,6 @@ class ControlState:
     def __contains__(self, name: str) -> bool:
         return name in self._datasets
 
-    @property
-    def dataset_names(self) -> list[str]:
-        return list(self._datasets)
-
     def locations(self, name: str) -> list[str]:
         self.dataset(name)
         return list(self._replicas.get(name, {}))
@@ -132,20 +128,6 @@ class ControlState:
             if best_time is None or est < best_time:
                 best_site, best_time = src, est
         return best_site, best_time
-
-    def bytes_at(self, site: str) -> float:
-        return sum(
-            self._datasets[name].size_bytes
-            for name, reps in self._replicas.items()
-            if site in reps
-        )
-
-    def datasets_at(self, site: str) -> list[Dataset]:
-        return [
-            self._datasets[name]
-            for name, reps in self._replicas.items()
-            if site in reps
-        ]
 
     # -- endpoint registry --------------------------------------------------------
     def endpoint_known(self, site: str) -> bool:

@@ -33,7 +33,7 @@ class TestEventQueue:
         e1 = q.push(1.0, noop)
         q.push(2.0, noop)
         assert len(q) == 2
-        e1.cancel()
+        e1.cancelled = True
         q.note_cancelled()
         assert len(q) == 1
 
@@ -41,7 +41,7 @@ class TestEventQueue:
         q = EventQueue()
         e1 = q.push(1.0, noop, ("a",))
         q.push(2.0, noop, ("b",))
-        e1.cancel()
+        e1.cancelled = True
         q.note_cancelled()
         assert q.pop().args == ("b",)
 
@@ -70,7 +70,7 @@ class TestEventQueue:
         kept = []
         for event, cancel in events:
             if cancel:
-                event.cancel()
+                event.cancelled = True
                 q.note_cancelled()
             else:
                 kept.append(event)

@@ -220,7 +220,7 @@ class TestCompaction:
         q = EventQueue()
         events = [q.push(float(i), _noop) for i in range(1000)]
         for event in events[:900]:
-            event.cancel()
+            event.cancelled = True
             q.note_cancelled()
         assert q.compactions >= 1
         # dead entries were rebuilt away: the heap holds ~ the live 100
@@ -232,7 +232,7 @@ class TestCompaction:
         events = [q.push(float(i % 13), _noop, (i,)) for i in range(500)]
         for i, event in enumerate(events):
             if i % 4 != 0:
-                event.cancel()
+                event.cancelled = True
                 q.note_cancelled()
         survivors = [e for i, e in enumerate(events) if i % 4 == 0]
         expected = sorted(survivors, key=lambda e: (e.time, e.seq))
@@ -334,7 +334,7 @@ class TestReclaimPolicy:
         keeper = q.push(1e9, _noop)     # one long-lived event
         for i in range(500):
             e = q.push(500.0 + i, _noop)
-            e.cancel()
+            e.cancelled = True
             q.note_cancelled()
             assert q.heap_size <= 12    # 1 live + at most ~2x4 dead
         assert q.compactions >= 1
@@ -346,7 +346,7 @@ class TestReclaimPolicy:
         events = [q.push(float(i % 7), _noop, (i,)) for i in range(300)]
         for i, e in enumerate(events):
             if i % 3 != 0:
-                e.cancel()
+                e.cancelled = True
                 q.note_cancelled()
         assert q.compactions >= 1
         survivors = [e for i, e in enumerate(events) if i % 3 == 0]
@@ -388,7 +388,7 @@ class TestPopOrder:
             elif action == 2 and cancelable:
                 e = cancelable.pop()
                 if not e.cancelled:
-                    e.cancel()
+                    e.cancelled = True
                     q.note_cancelled()
                     live -= 1
             else:

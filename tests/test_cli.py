@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from repro.cli import main
@@ -21,6 +23,27 @@ class TestTopologyCommand:
     def test_unknown_file_errors(self, tmp_path, capsys):
         assert main(["topology", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_malformed_file_is_one_line_error(self, tmp_path, capsys):
+        path = str(tmp_path / "grid.json")
+        assert main(["topology", "science-grid", "--save", path]) == 0
+        capsys.readouterr()
+        with open(path) as handle:
+            doc = json.load(handle)
+        doc["sites"][0]["power"] = {"busy_wats": 1.0}
+        with open(path, "w") as handle:
+            json.dump(doc, handle)
+        assert main(["topology", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "busy_wats" in err
+        assert err.count("\n") == 1
+
+    def test_malformed_workload_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "wl.json"
+        path.write_text('{"tasks": [{"name": "a", "work": "x"}]}')
+        assert main(["schedule", "--dag", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestDagCommand:

@@ -281,5 +281,4 @@ class TestCheckpointDurability:
         monkeypatch.undo()
         # old checkpoint intact, no temp litter
         assert load_checkpoint(path) == {"old": 1}
-        litter = [f for f in os.listdir(tmp_path) if f.endswith(".ckpt.tmp")]
-        assert litter == []
+        assert os.listdir(tmp_path) == ["memo.ckpt"]

@@ -76,6 +76,23 @@ class TestValidation:
         with pytest.raises(WorkflowError):
             dag_from_dict(data)
 
+    def test_tasks_not_a_list(self):
+        with pytest.raises(WorkflowError, match="must be a list"):
+            dag_from_dict({"tasks": "x"})
+
+    def test_task_not_an_object(self):
+        with pytest.raises(WorkflowError, match="task entry"):
+            dag_from_dict({"tasks": ["x"]})
+
+    def test_non_numeric_work(self):
+        with pytest.raises(WorkflowError, match="task 'a'"):
+            dag_from_dict({"tasks": [{"name": "a", "work": "x"}]})
+
+    def test_malformed_output(self):
+        with pytest.raises(WorkflowError, match="task 'a'"):
+            dag_from_dict({"tasks": [{"name": "a", "work": 1.0,
+                                      "outputs": ["x"]}]})
+
 
 class TestFiles:
     def test_missing_file(self, tmp_path):
@@ -121,28 +138,3 @@ class TestWorkloadFiles:
         save_workload(path, dag, externals=None)  # drops the externals
         with pytest.raises(WorkflowError, match="external"):
             load_workload(path)
-
-
-class TestKernelConveniences:
-    def test_map(self):
-        from repro.workflow import DataFlowKernel, SerialExecutor
-
-        with DataFlowKernel(SerialExecutor()) as dfk:
-            futures = dfk.map(lambda a, b: a + b, [1, 2, 3], [10, 20, 30])
-            assert dfk.wait_all(futures) == [11, 22, 33]
-
-    def test_map_feeds_downstream(self):
-        from repro.workflow import DataFlowKernel, SerialExecutor
-
-        with DataFlowKernel(SerialExecutor()) as dfk:
-            parts = dfk.map(lambda x: x * x, range(5))
-            total = dfk.submit(lambda xs: sum(xs), parts)
-            assert total.result() == 30
-
-    def test_as_completed(self):
-        from repro.workflow import DataFlowKernel, ThreadExecutor
-
-        with DataFlowKernel(ThreadExecutor(4)) as dfk:
-            futures = dfk.map(lambda x: x, range(8))
-            seen = sorted(f.result() for f in dfk.as_completed(futures, timeout=30))
-            assert seen == list(range(8))

@@ -4,61 +4,10 @@ from hypothesis import strategies as st
 
 from repro.errors import WorkflowError
 from repro.workloads import (
-    chain_dag,
-    fork_join_dag,
     layered_random_dag,
     map_reduce_dag,
     montage_like_dag,
 )
-
-
-class TestChain:
-    def test_shape(self):
-        dag, externals = chain_dag(5, work=3.0)
-        assert len(dag) == 5
-        assert dag.edge_count == 4
-        assert len(externals) == 1
-        assert dag.external_inputs() == {externals[0].name}
-
-    def test_critical_path_is_whole_chain(self):
-        dag, _ = chain_dag(4, work=3.0)
-        length, path = dag.critical_path()
-        assert length == 12.0
-        assert len(path) == 4
-
-    def test_single_stage(self):
-        dag, _ = chain_dag(1)
-        assert len(dag) == 1
-        assert dag.edge_count == 0
-
-    def test_invalid(self):
-        with pytest.raises(WorkflowError):
-            chain_dag(0)
-
-
-class TestForkJoin:
-    def test_shape(self):
-        dag, externals = fork_join_dag(4)
-        assert len(dag) == 6  # split + 4 branches + join
-        counts = dag.subgraph_counts()
-        assert counts["sources"] == 1 and counts["sinks"] == 1
-        assert counts["max_width"] == 4
-
-    def test_branches_independent(self):
-        dag, _ = fork_join_dag(3)
-        assert dag.dependencies("forkjoin-branch1") == ["forkjoin-split"]
-        assert sorted(dag.dependencies("forkjoin-join")) == [
-            "forkjoin-branch0", "forkjoin-branch1", "forkjoin-branch2"
-        ]
-
-    def test_shard_sizes_partition_input(self):
-        dag, externals = fork_join_dag(4, data_bytes=100.0)
-        split = dag.task("forkjoin-split")
-        assert split.output_bytes == pytest.approx(100.0)
-
-    def test_invalid(self):
-        with pytest.raises(WorkflowError):
-            fork_join_dag(0)
 
 
 class TestMapReduce:
