@@ -1,11 +1,14 @@
 """Fair-share solver benchmark: vectorized solver vs scalar loops.
 
-Times the production solver ``repro.netsim.fairness.max_min_fair_rates``
-(per-level numpy array ops over a link x flow incidence matrix) against
-a frozen pure-Python scalar reference that implements the same
+Times the checked entry point ``repro.netsim.fairness.max_min_fair_rates``
+around :func:`~repro.netsim.fairness.progressive_fill`, the unchecked
+core the flow network calls (per-level numpy array ops over a link x
+flow incidence matrix), against the frozen pure-Python scalar reference
+in ``tests/oracles/fair_share.py``, which implements the same
 progressive filling with per-flow loops — the implementation shape the
-vectorized solver replaced. Every timed pair is also cross-checked: the
-two implementations must agree to 1e-9 on every flow rate.
+vectorized solver replaced. The row names keep the entry point's name.
+Every timed pair is also cross-checked: the two implementations must
+agree to 1e-9 on every flow rate.
 
 The headline scale is 10k flows over a few hundred links, the regime
 continuum experiments need for realistic (KheOps-style edge-to-cloud)
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import random
@@ -41,62 +43,13 @@ from datetime import datetime, timezone
 
 for _threads in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_threads] = "1"
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import numpy as np  # noqa: E402  (after the thread settings)
 
 from repro.netsim.fairness import _incidence, max_min_fair_rates  # noqa: E402
+from tests.oracles import scalar_max_min  # noqa: E402
 from timing import best_of  # noqa: E402
-
-
-# ---------------------------------------------------------------------------
-# Frozen scalar reference (pure Python progressive filling).
-#
-# It mirrors the vectorized solver's arithmetic step for step — one
-# ``count * level`` product and one subtraction per link per level —
-# so agreement is tight (1e-9); only summation order inside numpy's
-# matvecs differs.
-# ---------------------------------------------------------------------------
-
-def scalar_max_min(caps, flow_links):
-    n_links = len(caps)
-    n_flows = len(flow_links)
-    rates = [0.0] * n_flows
-    active = [True] * n_flows
-    n_active = n_flows
-    link_flows = [[] for _ in range(n_links)]
-    for f, links in enumerate(flow_links):
-        for l in links:
-            link_flows[l].append(f)
-        if not links:
-            rates[f] = math.inf
-            active[f] = False
-            n_active -= 1
-    remaining = [float(c) for c in caps]
-    while n_active > 0:
-        best_l, best_share = -1, math.inf
-        for l in range(n_links):
-            cnt = 0
-            for f in link_flows[l]:
-                if active[f]:
-                    cnt += 1
-            if cnt:
-                share = remaining[l] / cnt
-                if share < best_share:
-                    best_share, best_l = share, l
-        newly = [f for f in link_flows[best_l] if active[f]]
-        for f in newly:
-            rates[f] = best_share
-            active[f] = False
-        n_active -= len(newly)
-        newly_set = set(newly)
-        for l in range(n_links):
-            cnt = 0
-            for f in link_flows[l]:
-                if f in newly_set:
-                    cnt += 1
-            if cnt:
-                remaining[l] = max(remaining[l] - cnt * best_share, 0.0)
-    return rates
 
 
 # ---------------------------------------------------------------------------

@@ -69,11 +69,26 @@ REASONS = ("branch", "safety", "reference", "worker", "dunder")
 # what is defined
 # ---------------------------------------------------------------------------
 
-def _walk(code: types.CodeType):
-    yield code
+_COMPREHENSIONS = ("<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>")
+
+
+def _walk(code: types.CodeType, qualname: str | None = None):
+    """Yield ``(code, qualname)`` for a module's ``code`` and every code
+    object nested in it. The qualname is derived the way the compiler
+    derives ``co_qualname``, which Python 3.10 lacks: the bare name at
+    module level, ``Parent.<locals>.name`` under a function or lambda,
+    ``Parent.name`` under a class body or a comprehension."""
+    if qualname is None:
+        qualname, prefix = code.co_name, ""
+    elif (code.co_flags & inspect.CO_OPTIMIZED
+          and code.co_name not in _COMPREHENSIONS):
+        prefix = f"{qualname}.<locals>."
+    else:
+        prefix = f"{qualname}."
+    yield code, qualname
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
-            yield from _walk(const)
+            yield from _walk(const, prefix + const.co_name)
 
 
 def _is_function(code: types.CodeType) -> bool:
@@ -82,7 +97,9 @@ def _is_function(code: types.CodeType) -> bool:
 
 
 def defined() -> dict[tuple[str, int, str], dict]:
-    """Every code object in the package, by (file, first line, qualname)."""
+    """Every code object in the package, by (file, first line, qualname).
+    Each entry's ``name`` is its ``co_name``, which :meth:`Census.reached`
+    uses to find it again."""
     out = {}
     for directory, _dirs, files in os.walk(PACKAGE):
         for name in sorted(files):
@@ -93,15 +110,15 @@ def defined() -> dict[tuple[str, int, str], dict]:
             with open(path, encoding="utf-8") as handle:
                 module = compile(handle.read(), path, "exec")
             seen: dict[str, int] = {}
-            codes = sorted(_walk(module), key=lambda c: c.co_firstlineno)
-            for code in codes:
+            codes = sorted(_walk(module), key=lambda c: c[0].co_firstlineno)
+            for code, qualname in codes:
                 lines = [l for _s, _e, l in code.co_lines() if l is not None]
-                k = seen.get(code.co_qualname, 0)
-                seen[code.co_qualname] = k + 1
-                key = f"{rel}::{code.co_qualname}" + (f"#{k}" if k else "")
-                out[(rel, code.co_firstlineno, code.co_qualname)] = {
+                k = seen.get(qualname, 0)
+                seen[qualname] = k + 1
+                key = f"{rel}::{qualname}" + (f"#{k}" if k else "")
+                out[(rel, code.co_firstlineno, qualname)] = {
                     "key": key, "function": _is_function(code),
-                    "first": code.co_firstlineno,
+                    "name": code.co_name, "first": code.co_firstlineno,
                     "last": max(lines, default=code.co_firstlineno),
                 }
     return out
@@ -136,13 +153,20 @@ class Census:
                 raise RuntimeError(f"source {source!r} replaced the trace "
                                    f"hook; its census would be incomplete")
 
-    def reached(self) -> set[tuple[str, int, str]]:
+    def reached(self, defs: dict) -> set[tuple[str, int, str]]:
+        """The keys of ``defs`` (see :func:`defined`) whose code ran,
+        each found by its file, first line and ``co_name``. Two named
+        functions never share all three; nested comprehensions or
+        lambdas on one line may, and then each counts as reached."""
+        table: dict[tuple[str, int, str], list] = {}
+        for key, d in defs.items():
+            table.setdefault((key[0], key[1], d["name"]), []).append(key)
         out = set()
         for code in self.codes:
             path = os.path.realpath(code.co_filename)
             if path.startswith(PACKAGE + os.sep):
-                out.add((os.path.relpath(path, ROOT), code.co_firstlineno,
-                         code.co_qualname))
+                out.update(table.get((os.path.relpath(path, ROOT),
+                                      code.co_firstlineno, code.co_name), ()))
         return out
 
 
@@ -206,7 +230,7 @@ TRAFFIC = {
 }
 
 
-def census() -> set[tuple[str, int, str]]:
+def census(defs: dict) -> set[tuple[str, int, str]]:
     sys.path[:0] = [SRC, os.path.join(HERE, "e2e"), ROOT]
     tracer = Census()
     for name, source in TRAFFIC.items():
@@ -215,7 +239,7 @@ def census() -> set[tuple[str, int, str]]:
                 contextlib.redirect_stdout(io.StringIO()), \
                 tracer.tracing(name):
             source(tmp)
-    return tracer.reached()
+    return tracer.reached(defs)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     os.chdir(ROOT)   # the CLI and example tests resolve paths from here
     keep = read_keep()
     defs = defined()
-    reached = census()
+    reached = census(defs)
     report(defs, reached)
     if args.out is not None:
         doc = {"defined": sorted(d["key"] for d in defs.values()),

@@ -100,9 +100,9 @@ def wave_dispatch(run, batch, vetoed) -> None:
     — the speedup comes from the memoized cost rows read by
     ``estimate_finish_at`` and the incrementally-maintained
     availability vectors underneath, not from reordering. Module-level
-    so the oracle can be patched in for differential runs and
-    ``benchmarks/bench_scheduler.py`` can drive both engines against
-    one placement harness.
+    so ``scalar_engine()`` can patch the oracle in, both for the
+    differential runs and for ``benchmarks/bench_scheduler.py``, which
+    times the two engines on real runs.
     """
     for task in run.strategy.prioritize(batch, run.ctx):
         if task.pinned_site and run.ctx.is_down(task.pinned_site):

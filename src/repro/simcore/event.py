@@ -10,9 +10,9 @@ events stay in the heap until popped or compacted away
 (:func:`_should_reclaim`), which keeps ``cancel`` O(1) while bounding the
 transient growth from watchdogs that rarely fire. The differential suite
 in ``tests/simcore/test_kernel_differential.py`` drives this queue, the
-frozen heap kernel in ``tests/oracles/heap_queue.py``, and a frozen copy
-of the seed kernel through randomized workloads and asserts
-bit-identical firing sequences.
+frozen heap kernel in ``tests/oracles/heap_queue.py``, and the frozen
+seed kernel in ``tests/oracles/seed_kernel.py`` through randomized
+workloads and asserts bit-identical firing sequences.
 """
 
 from __future__ import annotations

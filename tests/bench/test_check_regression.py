@@ -1,16 +1,12 @@
 """The perf guard's gating rules (``benchmarks/check_regression.py``)."""
 
-import importlib.util
 import json
-import os
 
 import pytest
 
-SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
-                      "benchmarks", "check_regression.py")
-spec = importlib.util.spec_from_file_location("check_regression", SCRIPT)
-check_regression = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(check_regression)
+from tests.bench import load_script
+
+check_regression = load_script("check_regression")
 
 
 def fairness_row(name, speedup, vectorized_s, spent_s=None):

@@ -2,23 +2,12 @@
 --metrics-guard`` and ``--tracer-guard``): the median of the per-round
 instrumented/bare ratios, not one best-of per side."""
 
-import importlib.util
-import os
-
 import pytest
-
-BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
-                         "benchmarks")
 
 
 @pytest.fixture
-def bench_kernel(monkeypatch):
-    monkeypatch.syspath_prepend(BENCH_DIR)   # for its ``timing`` import
-    spec = importlib.util.spec_from_file_location(
-        "bench_kernel", os.path.join(BENCH_DIR, "bench_kernel.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def bench_kernel(load_bench):
+    return load_bench("bench_kernel")
 
 
 def guard(monkeypatch, bench_kernel, bare, metered, flag="--metrics-guard"):

@@ -1,18 +1,17 @@
 """The reach census's keep list (``benchmarks/reach_keep.txt``), checked
 without running the census: every line parses, names a function that is
-still defined, and gives one reason from the closed set."""
+still defined, and gives one reason from the closed set. Also the
+census's naming: the qualnames it derives are the compiler's, on every
+Python version, and a traced code object is found under its own."""
 
-import importlib.util
 import os
 import sys
 
 import pytest
 
-ROOT = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
-spec = importlib.util.spec_from_file_location(
-    "reach", os.path.join(ROOT, "benchmarks", "reach.py"))
-reach = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(reach)
+from tests.bench import load_script
+
+reach = load_script("reach")
 
 
 def test_keep_file_parses_with_known_reasons():
@@ -24,15 +23,37 @@ def test_keep_file_parses_with_known_reasons():
 def test_every_listed_path_exists():
     for key in reach.read_keep():
         path = key.split("::", 1)[0]
-        assert os.path.isfile(os.path.join(ROOT, path)), key
+        assert os.path.isfile(os.path.join(reach.ROOT, path)), key
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="the census keys code objects by co_qualname")
 def test_every_entry_is_a_defined_function():
     functions = {d["key"] for d in reach.defined().values() if d["function"]}
     gone = sorted(set(reach.read_keep()) - functions)
     assert gone == []
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="co_qualname is new in Python 3.11")
+def test_derived_qualnames_match_the_compiler():
+    for directory, _dirs, files in os.walk(reach.PACKAGE):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                with open(path, encoding="utf-8") as handle:
+                    module = compile(handle.read(), path, "exec")
+                for code, qualname in reach._walk(module):
+                    assert qualname == code.co_qualname, path
+
+
+def test_reached_finds_live_code_under_its_derived_qualname():
+    from repro.workflow.dag import WorkflowDAG
+
+    census = reach.Census()
+    census.codes = {WorkflowDAG.add_task.__code__,
+                    reach.read_keep.__code__}   # outside the package
+    reached = census.reached(reach.defined())
+    assert [qualname for _rel, _line, qualname in reached] == [
+        "WorkflowDAG.add_task"]
 
 
 @pytest.mark.parametrize("line, message", [

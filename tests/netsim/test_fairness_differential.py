@@ -1,11 +1,12 @@
 """Differential validation of the vectorized fair-share solver.
 
-A frozen pure-Python scalar reference for max-min fairness (progressive
-filling with per-flow loops — the implementation shape the vectorized
-solver replaced) lives in this file. Hypothesis-generated random
-topologies drive both implementations, which must agree to 1e-9 on
-every flow rate, including the degenerate shapes: single flow, all
-flows on one link, local (link-less) flows.
+The frozen pure-Python scalar max-min solver in
+``tests/oracles/fair_share.py`` (progressive filling with per-flow
+loops, the implementation shape the vectorized solver replaced) is the
+reference. Hypothesis-generated random topologies drive both
+implementations, which must agree to 1e-9 on every flow rate, including
+the degenerate shapes: single flow, all flows on one link, local
+(link-less) flows.
 
 Also here: the shape/dtype validation contract of ``max_min_fair_rates``
 and ``link_loads`` and conservation properties tying ``link_loads`` to independently-computed
@@ -31,51 +32,8 @@ from repro.errors import ConfigurationError, NetworkError
 from repro.netsim.fairness import max_min_fair_rates
 from repro.netsim.network import FlowNetwork, _lone_route_rate
 from repro.simcore import Simulator
+from tests.oracles import scalar_max_min
 from tests.oracles.link_loads import link_loads
-
-
-# ---------------------------------------------------------------------------
-# Frozen scalar reference (pure Python progressive filling)
-# ---------------------------------------------------------------------------
-
-def scalar_max_min(caps, flow_links):
-    n_links = len(caps)
-    n_flows = len(flow_links)
-    rates = [0.0] * n_flows
-    active = [True] * n_flows
-    n_active = n_flows
-    link_flows = [[] for _ in range(n_links)]
-    for f, links in enumerate(flow_links):
-        for l in links:
-            link_flows[l].append(f)
-        if not links:
-            rates[f] = math.inf
-            active[f] = False
-            n_active -= 1
-    remaining = [float(c) for c in caps]
-    while n_active > 0:
-        best_l, best_level = -1, math.inf
-        for l in range(n_links):
-            count = sum(1 for f in link_flows[l] if active[f])
-            if count > 0:
-                level = remaining[l] / count
-                if level < best_level:
-                    best_level, best_l = level, l
-        if best_l < 0:
-            break
-        newly = [f for f in link_flows[best_l] if active[f]]
-        for f in newly:
-            rates[f] = best_level
-            active[f] = False
-        n_active -= len(newly)
-        newly_set = set(newly)
-        for l in range(n_links):
-            drained = 0.0
-            for f in link_flows[l]:
-                if f in newly_set:
-                    drained += rates[f]
-            remaining[l] = max(remaining[l] - drained, 0.0)
-    return rates
 
 
 @st.composite

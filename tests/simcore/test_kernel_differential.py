@@ -1,8 +1,8 @@
 """Differential validation of the event-kernel fast path.
 
-A frozen copy of the seed kernel (naive heapq loop: tuple-ordered
-events, peek+pop double traversal, no compaction / free list /
-same-instant lane) lives in this file as the reference. Randomized
+The frozen seed kernel in ``tests/oracles/seed_kernel.py`` (naive heapq
+loop: tuple-ordered events, peek+pop double traversal, no compaction /
+free list / same-instant lane) is the reference. Randomized
 schedule/cancel/timeout workloads drive both kernels and must observe
 the identical (time, callback-order) event sequence — the fast path is
 an optimization, never a semantics change.
@@ -13,7 +13,6 @@ and regression tests for the fast-path bookkeeping itself.
 
 from __future__ import annotations
 
-import heapq
 import time
 
 import pytest
@@ -22,8 +21,7 @@ from hypothesis import strategies as st
 
 from repro.simcore import Simulator, Timeout
 from repro.simcore.event import _COMPACT_MIN_DEAD, EventQueue, _should_reclaim
-from repro.simcore.process import Process
-from tests.oracles import HeapEventQueue
+from tests.oracles import HeapEventQueue, RefSimulator
 
 
 def _production_sim():
@@ -32,111 +30,6 @@ def _production_sim():
 
 def _heap_sim():
     return Simulator(queue=HeapEventQueue())
-
-
-# ---------------------------------------------------------------------------
-# Frozen reference kernel (the seed implementation)
-# ---------------------------------------------------------------------------
-
-class _RefEvent:
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "pooled")
-
-    def __init__(self, time, seq, callback, args=()):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.pooled = False
-
-    def cancel(self):
-        self.cancelled = True
-
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
-
-
-class _RefQueue:
-    def __init__(self):
-        self._heap = []
-        self._seq = 0
-        self._live = 0
-
-    def push(self, t, callback, args=()):
-        event = _RefEvent(t, self._seq, callback, args)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
-        self._live += 1
-        return event
-
-    def pop(self):
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                self._live -= 1
-                return event
-        raise RuntimeError("empty")
-
-    def peek_time(self):
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
-
-    def note_cancelled(self):
-        self._live -= 1
-
-    def __bool__(self):
-        return self._live > 0
-
-
-class _RefSimulator:
-    """Seed event loop with the internal surface process.py expects."""
-
-    def __init__(self):
-        self._queue = _RefQueue()
-        self._now = 0.0
-        self._processes_started = 0
-        self.event_count = 0
-
-    @property
-    def now(self):
-        return self._now
-
-    def schedule(self, delay, callback, *args):
-        return self._queue.push(self._now + delay, callback, args)
-
-    def cancel(self, event):
-        if not event.cancelled:
-            event.cancel()
-            self._queue.note_cancelled()
-
-    def _immediate(self, callback, arg):
-        self._queue.push(self._now, callback, (arg,))
-
-    def _wakeup(self, delay, callback, args):
-        self._queue.push(self._now + delay, callback, args)
-
-    def process(self, gen, name=""):
-        proc = Process(gen, name=name)
-        proc._bind(self)
-        self._processes_started += 1
-        return proc
-
-    def run(self, until=None):
-        while self._queue:
-            next_time = self._queue.peek_time()
-            if until is not None and next_time is not None \
-                    and next_time > until:
-                self._now = max(self._now, until)
-                break
-            event = self._queue.pop()
-            self._now = event.time
-            self.event_count += 1
-            event.callback(*event.args)
-        else:
-            if until is not None and until > self._now:
-                self._now = until
-        return self._now
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +86,7 @@ class TestDifferential:
     def test_identical_firing_sequence(self, ops):
         """The production kernel and the frozen heap kernel must observe
         the frozen seed kernel's exact firing sequence."""
-        ref = _drive(_RefSimulator, ops)
+        ref = _drive(RefSimulator, ops)
         assert _drive(_production_sim, ops) == ref
         assert _drive(_heap_sim, ops) == ref
 
@@ -202,7 +95,7 @@ class TestDifferential:
         heap events must fire in exact seq order on both kernels."""
         ops = [("timeout_proc", 0.0, 5), ("schedule", 0.0, 0)] * 10 + \
               [("cancelable", 0.0, 1)] * 5
-        ref = _drive(_RefSimulator, ops)
+        ref = _drive(RefSimulator, ops)
         assert _drive(_production_sim, ops) == ref
         assert _drive(_heap_sim, ops) == ref
 
