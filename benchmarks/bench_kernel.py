@@ -190,7 +190,7 @@ def metrics_overhead_guard(repeat: int = 5,
     def drive(metered: bool):
         sim = Simulator()
         if metered:
-            rec = MetricsRecorder(interval_s=1.0)
+            rec = MetricsRecorder()
             rec.add_probe("kernel_queue_depth", sim._queue.__len__)
             rec.add_probe("kernel_events_dispatched",
                           lambda: sim.event_count)

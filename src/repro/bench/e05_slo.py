@@ -54,8 +54,8 @@ def _build(latency_s: float):
 def _policy_pick(policy: str, topo, fabric) -> str:
     if policy in ("edge", "cloud"):
         return policy
-    # "smart": the fabric's fastest-estimate routing policy
-    return pick_endpoint(fabric, "infer", "client", policy="fastest")
+    # "smart": the fabric's fastest-estimate routing
+    return pick_endpoint(fabric, "infer", "client")
 
 
 def _drive(latency_s: float, policy: str, seed: int) -> dict:

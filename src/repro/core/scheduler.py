@@ -449,9 +449,9 @@ class _Run:
         if failures is not None:
             failures.validate_against(sched.topology)
         # metrics (opt-in, ambient by default): one registry serves the
-        # whole run; the recorder samples gauge probes on sim-clock
-        # ticks. Both are clock-passive, so an instrumented run stays
-        # bit-identical to a bare one.
+        # whole run; when it keeps timeseries, the recorder samples gauge
+        # probes on sim-clock ticks. Both are clock-passive, so an
+        # instrumented run stays bit-identical to a bare one.
         self.metrics = metrics if metrics is not None else current_registry()
         self.recorder: MetricsRecorder | None = None
         self._m_decisions = None
@@ -477,6 +477,8 @@ class _Run:
                 ("scheduler_task_exec_seconds",
                  "Execution time per completed task"),
             ))
+        if not m.keep_timeseries:
+            return      # nothing would read the sampled series
         rec = self.recorder = MetricsRecorder()
         self.sim.attach_recorder(rec)
         sim, net = self.sim, self.network

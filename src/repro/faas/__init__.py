@@ -19,11 +19,7 @@ from repro.faas.endpoint import Endpoint, InvocationRecord
 from repro.faas.batching import Batcher, BatchPolicy
 from repro.faas.autoscaler import Autoscaler, ScalingPolicy
 from repro.faas.fabric import FaaSFabric
-from repro.faas.routing import (
-    estimate_total_latency,
-    healthy_endpoints,
-    pick_endpoint,
-)
+from repro.faas.routing import estimate_total_latency, pick_endpoint
 
 __all__ = [
     "FunctionDef",
@@ -38,6 +34,5 @@ __all__ = [
     "ScalingPolicy",
     "FaaSFabric",
     "pick_endpoint",
-    "healthy_endpoints",
     "estimate_total_latency",
 ]

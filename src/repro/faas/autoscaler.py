@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from repro.errors import FaaSError
 from repro.faas.endpoint import Endpoint
-from repro.observe.tracer import NULL_TRACER, Tracer
 from repro.simcore.process import Timeout
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -55,23 +54,20 @@ class Autoscaler:
     """Threshold autoscaler bound to one endpoint.
 
     Call :meth:`start` once; the control loop runs until the simulation
-    drains or :meth:`stop` is called. ``scaling_events`` records every
-    capacity change as ``(time, old, new)``.
+    drains, parking while the endpoint idles at ``min_workers``.
+    ``scaling_events`` records every capacity change as
+    ``(time, old, new)``.
     """
 
-    def __init__(self, endpoint: Endpoint, policy: ScalingPolicy | None = None,
-                 *, tracer: Tracer | None = None):
+    def __init__(self, endpoint: Endpoint, policy: ScalingPolicy | None = None):
         self.endpoint = endpoint
         self.policy = policy or ScalingPolicy()
         self.sim = endpoint.sim
-        self.tracer = (tracer if tracer is not None
-                       else endpoint.tracer or NULL_TRACER)
         if endpoint.workers.capacity < self.policy.min_workers:
             raise FaaSError(
                 "endpoint starts below the policy's min_workers"
             )
         self.scaling_events: list[tuple[float, int, int]] = []
-        self._stopped = False
         self._provisioning = 0
         self._proc = None
 
@@ -81,14 +77,11 @@ class Autoscaler:
             raise FaaSError("autoscaler already started")
         self._proc = self.sim.process(self._loop(), name="autoscaler")
 
-    def stop(self) -> None:
-        self._stopped = True
-
     # -- the loop --------------------------------------------------------------------
     def _loop(self):
         policy = self.policy
         workers = self.endpoint.workers
-        while not self._stopped:
+        while True:
             if (
                 workers.queue_length == 0
                 and workers.in_use == 0
@@ -101,8 +94,6 @@ class Autoscaler:
                 yield self.endpoint.wait_for_activity()
                 continue
             yield Timeout(policy.interval_s)
-            if self._stopped:
-                return
             queue = workers.queue_length
             planned = workers.capacity + self._provisioning
             if queue >= policy.scale_up_at and planned < policy.max_workers:
@@ -119,16 +110,9 @@ class Autoscaler:
                 self._resize(workers.capacity - step)
 
     def _provision(self, step: int):
-        span = self.tracer.begin("provision", "scaling", step=step,
-                                 endpoint=self.endpoint.name)
-        if self.policy.provision_delay_s > 0:
-            yield Timeout(self.policy.provision_delay_s)
-        else:
-            yield Timeout(0.0)
+        yield Timeout(self.policy.provision_delay_s)
         self._provisioning -= step
-        self.tracer.end(span)
-        if not self._stopped:
-            self._resize(self.endpoint.workers.capacity + step)
+        self._resize(self.endpoint.workers.capacity + step)
 
     def _resize(self, new_capacity: int) -> None:
         old = self.endpoint.workers.capacity
@@ -136,5 +120,3 @@ class Autoscaler:
             return
         self.endpoint.workers.set_capacity(new_capacity)
         self.scaling_events.append((self.sim.now, old, new_capacity))
-        self.tracer.instant("scale", "scaling", endpoint=self.endpoint.name,
-                            old=old, new=new_capacity)

@@ -44,10 +44,6 @@ class BatchedRequest:
     def latency(self) -> float:
         return self.completed - self.submitted
 
-    @property
-    def batch_wait(self) -> float:
-        return self.dispatched - self.submitted
-
 
 class Batcher:
     """Accumulate-and-dispatch front for one (endpoint, function) pair."""

@@ -69,10 +69,6 @@ class WarmPool:
         if len(self._expiries) > self.model.max_warm_per_function:
             self._expiries.pop(0)  # drop the stalest
 
-    def warm_count(self, now: float) -> int:
-        self._expire(now)
-        return len(self._expiries)
-
     def _expire(self, now: float) -> None:
         if self._expiries:
             self._expiries = [e for e in self._expiries if e > now]

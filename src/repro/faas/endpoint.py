@@ -9,7 +9,6 @@ from repro.errors import FaaSError
 from repro.faas.container import ContainerModel, WarmPool
 from repro.faas.function import FunctionDef, FunctionRegistry
 from repro.faas.serialization import SerializationModel
-from repro.observe.tracer import NULL_TRACER, Tracer
 from repro.simcore.process import Signal, Timeout
 from repro.simcore.resources import Resource
 from repro.simcore.simulation import Simulator
@@ -59,15 +58,11 @@ class Endpoint:
         containers: ContainerModel | None = None,
         serialization: SerializationModel | None = None,
         name: str | None = None,
-        tracer: Tracer | None = None,
     ):
         self.sim = sim
         self.site = site
         self.registry = registry
         self.name = name or f"ep-{site.name}"
-        if tracer is not None and not tracer.bound:
-            tracer.bind(lambda: sim.now)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         n_workers = site.slots if workers is None else int(workers)
         if n_workers < 1:
             raise FaaSError(f"endpoint needs >= 1 worker, got {n_workers}")
@@ -83,14 +78,6 @@ class Endpoint:
         self.busy_seconds = 0.0
 
     # -- introspection ------------------------------------------------------------
-    def warm_count(self, function: str) -> int:
-        pool = self._warm.get(function)
-        return pool.warm_count(self.sim.now) if pool else 0
-
-    @property
-    def queue_length(self) -> int:
-        return self.workers.queue_length
-
     def wait_for_activity(self) -> Signal:
         """Signal that fires at the next invocation — lets controllers
         (autoscalers) park event-free while the endpoint is idle."""
@@ -132,13 +119,8 @@ class Endpoint:
             function=fn.name, endpoint=self.name,
             submitted=self.sim.now, batched=batched,
         )
-        tracer = self.tracer
-        ispan = tracer.begin(f"invoke:{fn.name}", "invoke",
-                             endpoint=self.name, batched=batched)
-        phase = tracer.begin("queue", "queue", parent=ispan)
         req = self.workers.request()
         yield req
-        tracer.end(phase)
         record.queue_time = self.sim.now - record.submitted
         try:
             pool = self._warm.get(fn.name)
@@ -152,19 +134,14 @@ class Endpoint:
                 record.cold_start = True
                 record.startup_time = self.containers.cold_start_s
                 self.cold_starts += 1
-            phase = tracer.begin("startup", "startup", parent=ispan,
-                                 cold=record.cold_start)
             if record.startup_time > 0:
                 yield Timeout(record.startup_time)
-            tracer.end(phase)
 
             record.serialize_time = self.serialization.round_trip(
                 fn.request_bytes * batched, fn.response_bytes * batched
             )
-            phase = tracer.begin("serialize", "serialize", parent=ispan)
             if record.serialize_time > 0:
                 yield Timeout(record.serialize_time)
-            tracer.end(phase)
 
             if work_override is not None:
                 total_work = work_override
@@ -173,10 +150,8 @@ class Endpoint:
                 if batched > 1:
                     total_work += fn.batch_overhead_work
             record.exec_time = self.site.service_time(total_work, kind=fn.kind)
-            phase = tracer.begin("exec", "exec", parent=ispan)
             if record.exec_time > 0:
                 yield Timeout(record.exec_time)
-            tracer.end(phase)
 
             pool.put_warm(self.sim.now)
         finally:
@@ -184,6 +159,4 @@ class Endpoint:
         record.finished = self.sim.now
         self.records.append(record)
         self.busy_seconds += record.startup_time + record.serialize_time + record.exec_time
-        tracer.end(ispan, cold_start=record.cold_start,
-                   queue_s=record.queue_time, exec_s=record.exec_time)
         signal.trigger(record)

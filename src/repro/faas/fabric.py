@@ -37,14 +37,6 @@ class RemoteInvocation:
     def total_latency(self) -> float:
         return self.completed - self.submitted
 
-    @property
-    def network_time(self) -> float:
-        return self.request_net_time + self.response_net_time
-
-    @property
-    def service_time(self) -> float:
-        return self.record.service_time if self.record else 0.0
-
 
 class FaaSFabric:
     """Registry + endpoints + network, glued into one invocable service."""

@@ -72,7 +72,3 @@ class FunctionRegistry:
 
     def __len__(self) -> int:
         return len(self._functions)
-
-    @property
-    def names(self) -> list[str]:
-        return list(self._functions)

@@ -6,10 +6,9 @@ inspectable after the fact. This package provides that layer:
 
 - :class:`Span` / :class:`Tracer` — begin/end interval records with
   parents and attributes, emitted by the continuum scheduler (task
-  lifecycle with the estimate that drove each placement), the flow
-  network (per-transfer spans with bytes/route/achieved rate), FaaS
-  endpoints and autoscalers (queueing, cold starts, scaling), and the
-  real-execution dataflow kernel (submit/run/memo),
+  lifecycle with the estimate that drove each placement, fault and
+  resilience instants) and the flow network (per-transfer spans with
+  bytes/route/achieved rate),
 - :func:`to_chrome_trace` / :func:`validate_chrome_trace` — export to
   the Chrome trace-event JSON both ``chrome://tracing`` and Perfetto
   render, plus the schema check CI runs on it,

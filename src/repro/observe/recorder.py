@@ -2,16 +2,17 @@
 
 A :class:`MetricsRecorder` is attached to a
 :class:`~repro.simcore.simulation.Simulator` by the continuum scheduler
-when metrics are enabled. The kernel's dispatch loop checks
-``now >= recorder.next_t`` once per event (one attribute compare) and
-calls :meth:`tick`, which reads every registered *probe* — a plain
-callable like ``lambda: len(queue)`` — and appends ``(sim_time, value)``
-to that probe's timeseries.
+when the run's metrics registry keeps timeseries. The kernel's dispatch
+loop checks ``now >= recorder.next_t`` once per event (one attribute
+compare) and calls :meth:`tick`, which reads every registered *probe* —
+a plain callable like ``lambda: len(queue)`` — and appends
+``(sim_time, value)`` to that probe's timeseries.
 
 The recorder is clock-passive: it never schedules events, so attaching
 one cannot change event order, sequence numbers, or any simulation
-output. Sample count is bounded by deterministic interval doubling —
-when a series exceeds ``max_samples``, every other sample is dropped and
+output. Sampling starts every :data:`INTERVAL_S` simulated seconds.
+Sample count is bounded by deterministic interval doubling — when a
+series exceeds :data:`MAX_SAMPLES`, every other sample is dropped and
 the sampling interval doubles, which keeps long runs at bounded memory
 while remaining a pure function of simulated time.
 """
@@ -22,21 +23,19 @@ from collections.abc import Callable
 
 from repro.errors import ObserveError
 
+#: Simulated seconds between samples until the first decimation.
+INTERVAL_S = 1.0
+#: Samples a series may hold before every other one is dropped.
+MAX_SAMPLES = 512
+
 
 class MetricsRecorder:
     """Samples gauge probes into timeseries on sim-clock ticks."""
 
-    __slots__ = ("interval_s", "max_samples", "next_t", "series", "_probes")
+    __slots__ = ("interval_s", "next_t", "series", "_probes")
 
-    def __init__(self, *, interval_s: float = 1.0, max_samples: int = 512):
-        if interval_s <= 0:
-            raise ObserveError(f"recorder interval must be positive, "
-                               f"got {interval_s}")
-        if max_samples < 4:
-            raise ObserveError(f"recorder max_samples must be >= 4, "
-                               f"got {max_samples}")
-        self.interval_s = float(interval_s)
-        self.max_samples = int(max_samples)
+    def __init__(self):
+        self.interval_s = INTERVAL_S
         #: Next simulated time at/after which the kernel should tick us.
         self.next_t = 0.0
         self.series: dict[str, list[tuple[float, float]]] = {}
@@ -56,7 +55,7 @@ class MetricsRecorder:
         for fn, pts in probes:
             pts.append((now, float(fn())))
         self.next_t = now + self.interval_s
-        if probes and len(probes[0][1]) > self.max_samples:
+        if probes and len(probes[0][1]) > MAX_SAMPLES:
             self._decimate()
 
     def _decimate(self) -> None:
@@ -67,9 +66,6 @@ class MetricsRecorder:
             if len(pts) > 1:
                 del pts[::2]
         self.interval_s *= 2.0
-
-    def sample_count(self) -> int:
-        return len(self._probes[0][1]) if self._probes else 0
 
 
 def series_counter_events(series: dict[str, list[tuple[float, float]]],

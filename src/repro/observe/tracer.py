@@ -7,11 +7,11 @@ Tracers never schedule simulation events — they only read a clock —
 which is what makes observability zero-interference: a traced run is
 bit-identical to an untraced one.
 
-Clocks are late-bound: the continuum scheduler binds the tracer to its
-per-run :class:`~repro.simcore.simulation.Simulator` while the run
-executes and to the run's final time after, so a kept tracer holds
-nothing of a finished run. The real-execution dataflow kernel leaves
-the default, the wall clock. Explicit ``time=`` arguments override it.
+Clocks are late-bound, and :meth:`Tracer.bind` is the one way to set
+one: the continuum scheduler binds the tracer to its per-run
+:class:`~repro.simcore.simulation.Simulator` while the run executes and
+to the run's final time after, so a kept tracer holds nothing of a
+finished run. A tracer nothing has bound reads the wall clock.
 
 Spans are stored as data: one flat list holds a row of atomic values
 per span in begin order, the span id being the row number plus one.
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import threading
 import time as _time
-from collections.abc import Callable
 from functools import partial
 
 from repro.errors import ObserveError
@@ -44,19 +43,16 @@ _WIDTH = 8
 class Tracer:
     """Collects :class:`Span` trees against a pluggable clock.
 
-    Thread-safe: the dataflow kernel ends spans from worker threads, so
-    ids and rows change under one lock. ``spans`` holds every span in
-    begin order; completed trees can be exported with
+    Thread-safe: a caller may share a tracer across threads, so ids and
+    rows change under one lock. ``spans`` holds every span in begin
+    order; completed trees can be exported with
     :func:`repro.observe.to_chrome_trace`.
     """
 
-    def __init__(self, clock: Callable[[], float] | None = None,
-                 *, enabled: bool = True):
+    def __init__(self, *, enabled: bool = True):
         self.enabled = enabled
         self.bound = False
         self._clock = _time.perf_counter
-        if clock is not None:
-            self.bind(clock)
         self._rows: list = []
         self._next_id = 1
         self._lock = threading.Lock()
@@ -72,18 +68,13 @@ class Tracer:
             raise ObserveError(f"cannot use {clock!r} as a tracer clock")
         self.bound = True
 
-    def now(self) -> float:
-        """Current time (wall clock until :meth:`bind` is called)."""
-        return self._clock()
-
     # -- recording -------------------------------------------------------------
     def begin(self, name: str, category: str = "span", *,
-              parent: Span | None = None, time: float | None = None,
-              **attrs) -> Span:
+              parent: Span | None = None, **attrs) -> Span:
         """Open a span; returns it (a shared null span when disabled)."""
         if not self.enabled:
             return NULL_SPAN
-        t = self._clock() if time is None else float(time)
+        t = self._clock()
         parent_id = None if parent is None else parent.span_id or None
         rows = self._rows
         with self._lock:
@@ -93,27 +84,23 @@ class Tracer:
             rows += (name, category, t, parent_id, None, "ok", False, span)
         return span
 
-    def instant(self, name: str, category: str = "event", *,
-                parent: Span | None = None, time: float | None = None,
-                **attrs) -> None:
-        """Record a zero-duration point event. Nothing is returned: read
+    def instant(self, name: str, category: str = "event", **attrs) -> None:
+        """Record a zero-duration root event. Nothing is returned: read
         the event back through :attr:`spans`."""
         if not self.enabled:
             return
-        t = self._clock() if time is None else float(time)
-        parent_id = None if parent is None else parent.span_id or None
+        t = self._clock()
         rows = self._rows
         with self._lock:
             self._next_id += 1
-            rows += (name, category, t, parent_id, t, "ok", True,
+            rows += (name, category, t, None, t, "ok", True,
                      (*attrs, *attrs.values()) if attrs else ())
 
-    def end(self, span: Span, *, time: float | None = None,
-            status: str = "ok", **attrs) -> Span:
+    def end(self, span: Span, *, status: str = "ok", **attrs) -> Span:
         """Close ``span`` at the current time, merging extra attributes."""
         if span is NULL_SPAN or span is None or not self.enabled:
             return span
-        t = self._clock() if time is None else float(time)
+        t = self._clock()
         if t < span.begin_s:
             raise ObserveError(
                 f"span {span.name!r} would end at {t} before its begin "
@@ -122,11 +109,7 @@ class Tracer:
         row = span.span_id * _WIDTH - 1     # the attrs slot
         rows = self._rows
         with self._lock:
-            try:
-                live = rows[row]
-            except IndexError:                 # clear() dropped it
-                live = None
-            if live is not span:
+            if row >= len(rows) or rows[row] is not span:
                 raise ObserveError(f"span {span.name!r} already ended or "
                                    f"not open in this tracer")
             merged = span.attrs
@@ -154,11 +137,6 @@ class Tracer:
     def finished(self) -> list[Span]:
         """All closed spans, in begin order."""
         return [s for s in self.spans if s.closed]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._rows.clear()
-            self._next_id = 1
 
 
 def _unpack(packed: tuple) -> dict:

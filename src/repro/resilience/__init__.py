@@ -1,7 +1,7 @@
 """Resilience policies: how the system responds when the continuum fails.
 
 One policy vocabulary shared by the simulated continuum scheduler and
-the real-execution dataflow kernel:
+its replicated control plane:
 
 - :class:`RetryPolicy` — exponential backoff with deterministic seeded
   jitter and per-task attempt caps,

@@ -7,9 +7,8 @@ HALF_OPEN and admits a single probe; the probe's outcome either closes
 the breaker or re-opens it for another timeout.
 
 Breakers here are *clock-passive*: they never schedule events.  Callers
-pass ``now`` (simulated or wall time) into every method, which keeps
-the state machine identical between the simulator and real execution
-and keeps traced runs bit-identical to untraced ones.
+pass the simulated ``now`` into every method, which keeps traced runs
+bit-identical to untraced ones.
 """
 
 from __future__ import annotations
@@ -135,10 +134,6 @@ class BreakerRegistry:
         breaker = self._breakers.get(name)
         return breaker.blocked(now) if breaker is not None else False
 
-    def blocked_targets(self, names, now: float) -> set[str]:
-        """Subset of ``names`` that must not receive new work."""
-        return {n for n in names if self.blocked(n, now)}
-
     def next_probe_at(self, now: float) -> float | None:
         """Earliest future instant any blocked breaker admits a probe."""
         times = [
@@ -154,6 +149,3 @@ class BreakerRegistry:
     @property
     def total_probes(self) -> int:
         return sum(b.probes for b in self._breakers.values())
-
-    def states(self, now: float) -> dict[str, BreakerState]:
-        return {n: b.state(now) for n, b in self._breakers.items()}

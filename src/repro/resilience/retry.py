@@ -86,8 +86,7 @@ class RetryBudget:
     slow trickle rather than a thundering herd, and no task is ever
     dropped for lack of budget.
 
-    Thread-safe so the real dataflow kernel can share one instance
-    across worker threads.
+    Thread-safe, so callers may share one instance across threads.
     """
 
     def __init__(self, max_fast_retries: int | None = None,
@@ -102,13 +101,6 @@ class RetryBudget:
         self.spent = 0
         self.denied = 0
         self._lock = threading.Lock()
-
-    @property
-    def remaining(self) -> int | None:
-        """Tokens left, or None when the budget is unlimited."""
-        if self.max_fast_retries is None:
-            return None
-        return max(0, self.max_fast_retries - self.spent)
 
     def acquire(self) -> bool:
         """Take one fast-retry token; False once the budget is dry."""

@@ -151,9 +151,9 @@ class Simulator:
                           kind="gauge")
 
     # -- running ---------------------------------------------------------------
-    def run(self, until: float | None = None, max_events: int | None = None) -> float:
-        """Run until the queue drains, ``until`` is reached, or
-        ``max_events`` more events have fired. Returns the final clock.
+    def run(self, until: float | None = None) -> float:
+        """Run until the queue drains or ``until`` is reached. Returns
+        the final clock.
 
         When stopping at ``until`` the clock is advanced to exactly
         ``until`` (events beyond it remain queued).
@@ -171,8 +171,8 @@ class Simulator:
         drained = False
         try:
             # Single-pop loop: each iteration pays one heap/lane pop;
-            # the one event that overshoots `until` (or lands after a
-            # max_events stop) is pushed back with its seq intact.
+            # the one event that overshoots `until` is pushed back with
+            # its seq intact.
             while True:
                 event = pop()
                 if event is None:
@@ -183,9 +183,6 @@ class Simulator:
                     queue.push_back(event)
                     if until > self._now:
                         self._now = until
-                    break
-                if max_events is not None and fired >= max_events:
-                    queue.push_back(event)
                     break
                 if time < self._now:
                     raise SimulationError(

@@ -7,12 +7,10 @@
   implicit dependency; the task launches when all resolve, with the
   future values substituted in place,
 - failed dependencies fail dependents with :class:`TaskFailedError`,
-- per-task retries (optionally paced by a
-  :class:`~repro.resilience.RetryPolicy` — exponential backoff with
-  seeded jitter — and bounded by a run-wide
-  :class:`~repro.resilience.RetryBudget`),
-- per-task attempt timeouts: a watchdog abandons an attempt that
-  overruns its deadline, retries it, and guarantees the late result is
+- retries: a failed attempt re-executes at once, up to ``retries``
+  times (kernel-wide, or per submit),
+- per-submit attempt timeouts: a watchdog abandons an attempt that
+  overruns ``timeout_s``, retries it, and guarantees the late result is
   never stored or delivered; exhausted timeouts surface as
   :class:`WorkflowError` carrying the full attempt history,
 - cooperative cancellation: ``AppFuture.cancel()`` works any time
@@ -32,9 +30,6 @@ from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
 
 from repro.errors import TaskFailedError, WorkflowError
-from repro.observe.span import Span
-from repro.observe.tracer import NULL_TRACER, Tracer
-from repro.resilience.retry import RetryBudget, RetryPolicy
 from repro.workflow.checkpoint import load_checkpoint, save_checkpoint
 from repro.workflow.executors import ExecutorBase, ThreadExecutor
 from repro.workflow.futures import AppFuture
@@ -51,8 +46,6 @@ class _TaskRecord:
     timeout_s: float | None = None
     pending: int = 0
     lock: threading.Lock = field(default_factory=threading.Lock)
-    span: Span | None = None       # task-lifecycle span (tracing enabled)
-    wait_span: Span | None = None  # submit -> dependencies-resolved
     attempt_token: int = 0         # bumped to orphan a timed-out attempt
     history: list[str] = field(default_factory=list)
     watchdog: threading.Timer | None = None
@@ -95,25 +88,11 @@ class DataFlowKernel:
         memoize: bool = False,
         checkpoint_path: str | None = None,
         retries: int = 0,
-        retry_policy: RetryPolicy | None = None,
-        retry_budget: RetryBudget | int | None = None,
-        task_timeout_s: float | None = None,
-        tracer: Tracer | None = None,
     ):
         if retries < 0:
             raise WorkflowError(f"retries must be >= 0, got {retries}")
-        if task_timeout_s is not None and task_timeout_s <= 0:
-            raise WorkflowError(
-                f"task_timeout_s must be positive, got {task_timeout_s}"
-            )
         self.executor = executor if executor is not None else ThreadExecutor()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.default_retries = retries
-        self.retry_policy = retry_policy
-        if isinstance(retry_budget, int):
-            retry_budget = RetryBudget(retry_budget)
-        self.retry_budget = retry_budget
-        self.default_timeout_s = task_timeout_s
         self.memoizer = Memoizer() if (memoize or checkpoint_path) else None
         self.checkpoint_path = checkpoint_path
         if checkpoint_path:
@@ -134,9 +113,9 @@ class DataFlowKernel:
                timeout_s: float | None = None, **kwargs) -> AppFuture:
         """Schedule ``fn(*args, **kwargs)``; returns its future now.
 
-        ``timeout_s`` bounds each execution attempt (falling back to the
-        kernel-wide ``task_timeout_s``); an attempt that overruns is
-        abandoned and retried, and its late result is discarded.
+        ``timeout_s`` bounds each execution attempt; an attempt that
+        overruns is abandoned and retried, and its late result is
+        discarded.
         """
         if self._closed:
             raise WorkflowError("submit on a shut-down DataFlowKernel")
@@ -152,18 +131,10 @@ class DataFlowKernel:
         record = _TaskRecord(
             fn=fn, args=args, kwargs=kwargs, future=future,
             retries=self.default_retries if retries is None else retries,
-            timeout_s=self.default_timeout_s if timeout_s is None else timeout_s,
+            timeout_s=timeout_s,
         )
         deps = list({id(f): f for f in _iter_futures(args, kwargs)}.values())
         record.pending = len(deps)
-        if self.tracer.enabled:
-            record.span = self.tracer.begin(
-                f"task:{future.func_name}#{task_id}", "dftask",
-                task_id=task_id, deps=len(deps),
-            )
-            record.wait_span = self.tracer.begin(
-                "wait-deps", "queue", parent=record.span,
-            )
         if not deps:
             self._launch(record)
         else:
@@ -197,13 +168,10 @@ class DataFlowKernel:
             self._launch(record)
 
     def _launch(self, record: _TaskRecord) -> None:
-        self.tracer.end(record.wait_span)
-        record.wait_span = None
         if record.future.cancelled():
             # cancelled before start: never runs, never memoizes
             with self._lock:
                 self.tasks_cancelled += 1
-            self.tracer.end(record.span, status="cancelled")
             return
         try:
             args = tuple(_substitute(a) for a in record.args)
@@ -221,8 +189,6 @@ class DataFlowKernel:
                 with self._lock:
                     self.tasks_memoized += 1
                     self.tasks_completed += 1
-                self.tracer.instant("memo-hit", "dftask", parent=record.span)
-                self.tracer.end(record.span, status="ok", memoized=True)
                 record.future.set_result(value)
                 return
         self._execute(record, args, kwargs, key)
@@ -231,7 +197,6 @@ class DataFlowKernel:
         if record.future.cancelled():
             with self._lock:
                 self.tasks_cancelled += 1
-            self.tracer.end(record.span, status="cancelled")
             return
         if self._closed:
             self._fail(record, WorkflowError(
@@ -242,23 +207,20 @@ class DataFlowKernel:
         record.future.tries += 1
         with record.lock:
             token = record.attempt_token
-        run_span = self.tracer.begin("run", "run", parent=record.span,
-                                     attempt=record.future.tries)
         if record.timeout_s is not None:
             record.watchdog = threading.Timer(
                 record.timeout_s, self._attempt_timeout,
-                args=(record, token, args, kwargs, key, run_span),
+                args=(record, token, args, kwargs, key),
             )
             record.watchdog.daemon = True
             record.watchdog.start()
         exec_future = self.executor.submit(record.fn, *args, **kwargs)
         exec_future.add_done_callback(
-            lambda f: self._exec_done(record, args, kwargs, key, f,
-                                      run_span, token)
+            lambda f: self._exec_done(record, args, kwargs, key, f, token)
         )
 
     def _attempt_timeout(self, record: _TaskRecord, token: int,
-                         args, kwargs, key, run_span) -> None:
+                         args, kwargs, key) -> None:
         """Watchdog fired: abandon the attempt and invalidate its token
         so a late result can never be delivered or memoized."""
         with record.lock:
@@ -271,10 +233,8 @@ class DataFlowKernel:
         record.history.append(
             f"attempt {attempt} timed out after {record.timeout_s}s"
         )
-        self.tracer.end(run_span, status="timeout",
-                        timeout_s=record.timeout_s)
         if attempt <= record.retries:
-            self._retry(record, args, kwargs, key)
+            self._execute(record, args, kwargs, key)
         else:
             self._fail(record, WorkflowError(
                 f"task {record.future.func_name!r} timed out on all "
@@ -282,7 +242,7 @@ class DataFlowKernel:
             ))
 
     def _exec_done(self, record: _TaskRecord, args, kwargs, key,
-                   exec_future: Future, run_span=None, token: int = 0) -> None:
+                   exec_future: Future, token: int) -> None:
         with record.lock:
             stale = record.attempt_token != token
             if not stale:
@@ -298,61 +258,30 @@ class DataFlowKernel:
         if record.future.cancelled():
             with self._lock:
                 self.tasks_cancelled += 1
-            self.tracer.end(run_span, status="cancelled")
-            self.tracer.end(record.span, status="cancelled")
             return
         exc = exec_future.exception()
         if exc is None:
-            self.tracer.end(run_span)
             value = exec_future.result()
             if self.memoizer is not None:
                 self.memoizer.store(key, value)
             with self._lock:
                 self.tasks_completed += 1
-            self.tracer.end(record.span, tries=record.future.tries)
             try:
                 record.future.set_result(value)
             except InvalidStateError:   # cancelled in the final window
                 pass
-        elif record.future.tries <= record.retries:
-            self.tracer.end(run_span, status="failed", error=repr(exc))
+        else:
             record.history.append(
                 f"attempt {record.future.tries} failed: {exc!r}"
             )
-            self._retry(record, args, kwargs, key)
-        else:
-            self.tracer.end(run_span, status="failed", error=repr(exc))
-            record.history.append(
-                f"attempt {record.future.tries} failed: {exc!r}"
-            )
-            self._fail(record, exc)
-
-    def _retry(self, record: _TaskRecord, args, kwargs, key) -> None:
-        """Re-execute after a failed or timed-out attempt, paced by the
-        retry policy's backoff and the run-wide budget when configured."""
-        delay = 0.0
-        if self.retry_policy is not None:
-            delay = self.retry_policy.delay_s(
-                record.future.tries,
-                key=f"{record.future.func_name}#{record.future.task_id}",
-            )
-        if self.retry_budget is not None and not self.retry_budget.acquire():
-            delay = max(delay, self.retry_budget.cooldown_s)
-        if delay > 0:
-            self.tracer.instant("retry-backoff", "dftask",
-                                parent=record.span, delay_s=delay)
-            timer = threading.Timer(
-                delay, self._execute, args=(record, args, kwargs, key)
-            )
-            timer.daemon = True
-            timer.start()
-        else:
-            self._execute(record, args, kwargs, key)
+            if record.future.tries <= record.retries:
+                self._execute(record, args, kwargs, key)
+            else:
+                self._fail(record, exc)
 
     def _fail(self, record: _TaskRecord, exc: BaseException) -> None:
         with self._lock:
             self.tasks_failed += 1
-        self.tracer.end(record.span, status="failed", error=repr(exc))
         try:
             record.future.set_exception(exc)
         except InvalidStateError:       # cancelled in the final window

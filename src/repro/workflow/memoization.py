@@ -48,14 +48,6 @@ class Memoizer:
         with self._lock:
             self._results[key] = value
 
-    @property
-    def size(self) -> int:
-        return len(self._results)
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
     def export(self) -> dict[str, object]:
         """Snapshot for checkpointing."""
         with self._lock:
@@ -64,7 +56,3 @@ class Memoizer:
     def load(self, table: dict[str, object]) -> None:
         with self._lock:
             self._results.update(table)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._results.clear()

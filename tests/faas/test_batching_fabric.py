@@ -54,7 +54,7 @@ class TestBatchDispatch:
         sim.run()
         assert len(results) == 3
         assert all(r.batch_size == 3 for r in results)
-        assert all(r.batch_wait == 0.0 for r in results)
+        assert all(r.dispatched == r.submitted for r in results)
         # one invocation of 3x work
         assert all(r.latency == pytest.approx(3.0) for r in results)
         assert batcher.batches_dispatched == 1
@@ -70,7 +70,8 @@ class TestBatchDispatch:
         sim.process(client())
         sim.run()
         assert results[0].batch_size == 1
-        assert results[0].batch_wait == pytest.approx(0.5)
+        assert (results[0].dispatched - results[0].submitted
+                == pytest.approx(0.5))
         assert results[0].latency == pytest.approx(0.5 + 1.0)
 
     def test_stream_forms_multiple_batches(self):
@@ -115,7 +116,7 @@ class TestBatchDispatch:
         sim.process(client())
         sim.run()
         assert results[0].batch_size == 1
-        assert results[0].batch_wait == 0.0
+        assert results[0].dispatched == results[0].submitted
         assert results[0].latency == pytest.approx(1.0)
 
 
@@ -149,7 +150,7 @@ class TestFabric:
         assert inv.request_net_time == pytest.approx(0.2)
         assert inv.response_net_time == pytest.approx(0.2)
         # work 2 at speed 2 => 1 s
-        assert inv.service_time == pytest.approx(1.0)
+        assert inv.record.service_time == pytest.approx(1.0)
         assert inv.total_latency == pytest.approx(1.4)
         assert fabric.invocations == [inv]
 
@@ -164,7 +165,7 @@ class TestFabric:
             return inv
 
         inv = sim.run_process(body())
-        assert inv.network_time == 0.0
+        assert inv.request_net_time == inv.response_net_time == 0.0
         # client site speed 1 => work 2 takes 2 s
         assert inv.total_latency == pytest.approx(2.0)
 

@@ -176,10 +176,13 @@ class TestAccounting:
         assert ep.busy_seconds == pytest.approx((1.0 + 2.0) + (0.1 + 2.0))
 
     def test_warm_count_visibility(self):
+        """The container an invocation leaves warm serves the next."""
         sim, ep = make_endpoint()
 
         def body():
-            yield ep.invoke("f")
-            return ep.warm_count("f")
+            first = yield ep.invoke("f")
+            second = yield ep.invoke("f")
+            return first.cold_start, second.cold_start
 
-        assert sim.run_process(body()) == 1
+        assert sim.run_process(body()) == (True, False)
+        assert (ep.cold_starts, ep.warm_starts) == (1, 1)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.continuum import Link, Site, Tier, Topology
-from repro.errors import FaaSError
 from repro.faas import (
     ContainerModel,
     FaaSFabric,
@@ -36,11 +35,9 @@ def make_fabric(work):
     return sim, fabric
 
 
-def invoke_via(fabric, function, *, client_site, policy="fastest",
-               breakers=None):
-    """Route with a named policy, then invoke at the chosen endpoint."""
-    endpoint_site = pick_endpoint(fabric, function, client_site,
-                                  policy=policy, breakers=breakers)
+def invoke_via(fabric, function, *, client_site):
+    """Route to the fastest estimate, then invoke at that endpoint."""
+    endpoint_site = pick_endpoint(fabric, function, client_site)
     return fabric.invoke(function, client_site=client_site,
                          endpoint_site=endpoint_site)
 
@@ -62,17 +59,11 @@ class TestInvokeVia:
         sim, fabric = make_fabric(work=0.001)
 
         def body():
-            inv = yield invoke_via(fabric, "f", client_site="client",
-                                   policy="nearest")
+            inv = yield invoke_via(fabric, "f", client_site="client")
             return inv
 
         inv = sim.run_process(body())
         assert inv.endpoint_site == "edge"
-
-    def test_bad_policy_raises(self):
-        _, fabric = make_fabric(work=1.0)
-        with pytest.raises(FaaSError):
-            invoke_via(fabric, "f", client_site="client", policy="vibes")
 
     def test_stream_of_routed_invocations(self):
         sim, fabric = make_fabric(work=4.0)

@@ -66,16 +66,15 @@ class TestWarmPool:
     def test_put_then_take(self):
         pool = WarmPool(self.model())
         pool.put_warm(0.0)
-        assert pool.warm_count(1.0) == 1
         assert pool.take_warm(1.0)
         assert not pool.take_warm(1.0)
 
     def test_expiry(self):
         pool = WarmPool(self.model(keep_alive_s=10.0))
         pool.put_warm(0.0)
-        assert pool.warm_count(9.9) == 1
-        assert pool.warm_count(10.1) == 0
-        assert not pool.take_warm(10.1)
+        pool.put_warm(0.0)
+        assert pool.take_warm(9.9)
+        assert not pool.take_warm(10.1)     # the second one expired
 
     def test_max_warm_cap_keeps_freshest(self):
         pool = WarmPool(self.model(max_warm_per_function=2))
@@ -83,7 +82,8 @@ class TestWarmPool:
         pool.put_warm(1.0)
         pool.put_warm(2.0)
         # cap 2: stalest (expiry 10) dropped; survivors expire at 11 and 12
-        assert pool.warm_count(10.5) == 2
+        assert pool.take_warm(10.5) and pool.take_warm(10.5)
+        assert not pool.take_warm(10.5)
 
     def test_zero_keep_alive_disables_reuse(self):
         pool = WarmPool(self.model(keep_alive_s=0.0))
@@ -93,7 +93,7 @@ class TestWarmPool:
     def test_zero_max_warm_disables_reuse(self):
         pool = WarmPool(self.model(max_warm_per_function=0))
         pool.put_warm(0.0)
-        assert pool.warm_count(0.0) == 0
+        assert not pool.take_warm(0.0)
 
 
 class TestSerialization:

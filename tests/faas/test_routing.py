@@ -48,30 +48,11 @@ class TestEstimates:
 class TestPolicies:
     def test_fastest_picks_cloud_for_heavy_work(self):
         _, fabric = make_fabric(work=2.0)
-        assert pick_endpoint(fabric, "f", "client", "fastest") == "cloud"
+        assert pick_endpoint(fabric, "f", "client") == "cloud"
 
     def test_fastest_picks_edge_for_tiny_work(self):
         _, fabric = make_fabric(work=0.01)
-        assert pick_endpoint(fabric, "f", "client", "fastest") == "edge"
-
-    def test_nearest_ignores_speed(self):
-        _, fabric = make_fabric(work=100.0)
-        assert pick_endpoint(fabric, "f", "client", "nearest") == "edge"
-
-    def test_least_loaded_avoids_queues(self):
-        sim, fabric = make_fabric(work=5.0)
-        # pile work on the cloud endpoint so its queue is longer
-        cloud = fabric.endpoint_at("cloud")
-        for _ in range(12):
-            cloud.invoke("f")
-        sim.run(until=0.01)
-        assert cloud.queue_length > 0
-        assert pick_endpoint(fabric, "f", "client", "least-loaded") == "edge"
-
-    def test_unknown_policy(self):
-        _, fabric = make_fabric()
-        with pytest.raises(FaaSError):
-            pick_endpoint(fabric, "f", "client", "psychic")
+        assert pick_endpoint(fabric, "f", "client") == "edge"
 
     def test_unknown_function(self):
         _, fabric = make_fabric()

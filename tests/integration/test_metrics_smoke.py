@@ -21,6 +21,7 @@ from repro.observe import (
     validate_snapshot,
 )
 from repro.resilience import ResiliencePolicy
+from repro.simcore import Simulator
 from repro.simcore.event import EventQueue
 from repro.workloads import beamline_pipeline
 from tests.oracles import HeapEventQueue
@@ -134,6 +135,29 @@ class TestZeroInterference:
                                           metrics=MetricsRegistry())
         assert fingerprint(metered) == fingerprint(bare)
         assert fingerprint(traced_and_metered) == fingerprint(bare)
+
+    def test_recorder_attached_only_when_series_kept(self, monkeypatch):
+        """A metered run whose registry keeps no timeseries samples
+        nothing, and meters exactly what a run with the recorder does."""
+        sims = []
+        run = Simulator.run
+
+        def spy(sim, *args, **kwargs):
+            sims.append(sim)
+            return run(sim, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", spy)
+        plain = MetricsRegistry()
+        run_beamline(metrics=plain)
+        assert sims and all(sim._recorder is None for sim in sims)
+        sims.clear()
+        kept = MetricsRegistry(keep_timeseries=True)
+        run_beamline(metrics=kept)
+        assert sims and all(sim._recorder is not None for sim in sims)
+        with_series = kept.snapshot()
+        assert with_series.pop("timeseries")
+        assert (snapshot_to_json(plain.snapshot())
+                == snapshot_to_json(with_series))
 
 
 class TestKernelRegression:

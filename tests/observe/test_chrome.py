@@ -3,23 +3,28 @@
 import pytest
 
 from repro.errors import ObserveError
-from repro.observe import Span, Tracer, to_chrome_trace, validate_chrome_trace
+from repro.observe import Span, to_chrome_trace, validate_chrome_trace
+from tests.observe import clocked_tracer
 
 
 def traced_pair():
-    tracer = Tracer()
-    a = tracer.begin("a", "task", time=0.0)
-    tracer.end(a, time=2.0)
-    b = tracer.begin("b", "task", time=1.0)   # overlaps a
-    tracer.end(b, time=3.0)
+    tracer, clock = clocked_tracer()
+    a = tracer.begin("a", "task")
+    clock.now = 1.0
+    b = tracer.begin("b", "task")   # overlaps a
+    clock.now = 2.0
+    tracer.end(a)
+    clock.now = 3.0
+    tracer.end(b)
     return tracer
 
 
 class TestExport:
     def test_timestamps_in_microseconds(self):
-        tracer = Tracer()
-        s = tracer.begin("s", time=1.5)
-        tracer.end(s, time=2.0)
+        tracer, clock = clocked_tracer(1.5)
+        s = tracer.begin("s")
+        clock.now = 2.0
+        tracer.end(s)
         events = to_chrome_trace(tracer)["traceEvents"]
         begin = next(e for e in events if e["ph"] == "B")
         end = next(e for e in events if e["ph"] == "E")
@@ -36,25 +41,29 @@ class TestExport:
         validate_chrome_trace(doc)
 
     def test_children_share_their_roots_lane(self):
-        tracer = Tracer()
-        root = tracer.begin("root", time=0.0)
-        child = tracer.begin("child", parent=root, time=1.0)
-        tracer.end(child, time=2.0)
-        tracer.end(root, time=3.0)
+        tracer, clock = clocked_tracer()
+        root = tracer.begin("root")
+        clock.now = 1.0
+        child = tracer.begin("child", parent=root)
+        clock.now = 2.0
+        tracer.end(child)
+        clock.now = 3.0
+        tracer.end(root)
         doc = to_chrome_trace(tracer)
         lanes = {e["name"]: e["tid"] for e in doc["traceEvents"]
                  if e["ph"] == "B"}
         assert lanes["child"] == lanes["root"]
 
     def test_open_spans_skipped(self):
-        tracer = Tracer()
-        tracer.begin("never-ends", time=0.0)
+        tracer, _clock = clocked_tracer()
+        tracer.begin("never-ends")
         assert to_chrome_trace(tracer)["traceEvents"] == []
 
     def test_attrs_exported_as_args(self):
-        tracer = Tracer()
-        s = tracer.begin("s", time=0.0, site="edge", bytes=128.0)
-        tracer.end(s, time=1.0)
+        tracer, clock = clocked_tracer()
+        s = tracer.begin("s", site="edge", bytes=128.0)
+        clock.now = 1.0
+        tracer.end(s)
         begin = next(e for e in to_chrome_trace(tracer)["traceEvents"]
                      if e["ph"] == "B")
         assert begin["args"]["site"] == "edge"

@@ -86,7 +86,7 @@ class TestRegistry:
         assert not reg.blocked("edge", 0.0)    # unknown => healthy
         reg.get("edge").record_failure(1.0)
         assert reg.blocked("edge", 2.0)
-        assert reg.blocked_targets(["edge", "cloud"], 2.0) == {"edge"}
+        assert not reg.blocked("cloud", 2.0)
         assert reg.total_trips == 1
 
     def test_next_probe_at_across_breakers(self):
@@ -95,7 +95,7 @@ class TestRegistry:
         reg.get("a").record_failure(0.0)
         reg.get("b").record_failure(2.0)
         assert reg.next_probe_at(3.0) == 5.0
-        assert reg.states(3.0)["a"] is BreakerState.OPEN
+        assert reg.get("a").state(3.0) is BreakerState.OPEN
 
     def test_next_probe_none_when_healthy(self):
         reg = BreakerRegistry()

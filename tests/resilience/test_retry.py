@@ -58,7 +58,7 @@ class TestRetryBudget:
         budget = RetryBudget(None)
         for _ in range(100):
             assert budget.acquire()
-        assert budget.remaining is None
+        assert budget.spent == 100
         assert budget.denied == 0
 
     def test_exhaustion_denies_but_counts(self):
@@ -69,7 +69,6 @@ class TestRetryBudget:
         assert not budget.acquire()
         assert budget.spent == 2
         assert budget.denied == 2
-        assert budget.remaining == 0
         assert budget.cooldown_s == 7.5
 
     def test_validation(self):

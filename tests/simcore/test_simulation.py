@@ -126,14 +126,6 @@ class TestRun:
         sim.run(until=100.0)
         assert sim.now == 100.0
 
-    def test_max_events(self):
-        sim = Simulator()
-        fired = []
-        for i in range(5):
-            sim.schedule(float(i + 1), fired.append, i)
-        sim.run(max_events=2)
-        assert fired == [0, 1]
-
     def test_event_count(self):
         sim = Simulator()
         for i in range(7):

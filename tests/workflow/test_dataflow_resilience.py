@@ -1,6 +1,6 @@
-"""Resilience features of the dataflow kernel: backoff-paced retries,
-attempt timeouts, cancellation, and the memo/checkpoint safety
-regressions (failed attempts never memoized; durable checkpoints)."""
+"""Resilience features of the dataflow kernel: attempt timeouts,
+cancellation, and the memo/checkpoint safety regressions (failed
+attempts never memoized; durable checkpoints)."""
 
 import os
 import threading
@@ -9,53 +9,9 @@ import time
 import pytest
 
 from repro.errors import TaskFailedError, WorkflowError
-from repro.resilience import RetryBudget, RetryPolicy
 from repro.workflow import DataFlowKernel
 from repro.workflow.checkpoint import load_checkpoint, save_checkpoint
 from repro.workflow.executors import SerialExecutor, ThreadExecutor
-
-
-class TestBackoffRetries:
-    def test_policy_paces_retries(self):
-        policy = RetryPolicy(max_attempts=5, backoff_base_s=0.05,
-                             backoff_factor=1.0, jitter_frac=0.0)
-        calls = []
-
-        def flaky():
-            calls.append(time.perf_counter())
-            if len(calls) < 3:
-                raise ValueError("transient")
-            return "ok"
-
-        with DataFlowKernel(ThreadExecutor(2), retries=4,
-                            retry_policy=policy) as dfk:
-            fut = dfk.submit(flaky)
-            assert fut.result(timeout=10) == "ok"
-        assert len(calls) == 3
-        # both retries waited out the 0.05 s backoff
-        assert calls[1] - calls[0] >= 0.04
-        assert calls[2] - calls[1] >= 0.04
-
-    def test_budget_cooldown_applies_when_exhausted(self):
-        calls = []
-
-        def flaky():
-            calls.append(time.perf_counter())
-            if len(calls) < 2:
-                raise ValueError("once")
-            return 1
-
-        budget = RetryBudget(0, cooldown_s=0.1)
-        with DataFlowKernel(ThreadExecutor(2), retries=2,
-                            retry_budget=budget) as dfk:
-            assert dfk.submit(flaky).result(timeout=10) == 1
-        assert budget.denied == 1
-        assert calls[1] - calls[0] >= 0.08
-
-    def test_budget_accepts_plain_int(self):
-        with DataFlowKernel(SerialExecutor(), retries=1,
-                            retry_budget=5) as dfk:
-            assert dfk.retry_budget.remaining == 5
 
 
 class TestAttemptTimeouts:
@@ -112,16 +68,10 @@ class TestAttemptTimeouts:
             assert again.result(timeout=10) == "fresh"
             assert again.from_memo
 
-    def test_kernel_default_timeout_applies(self):
-        with DataFlowKernel(ThreadExecutor(2), task_timeout_s=0.05) as dfk:
-            fut = dfk.submit(time.sleep, 0.5)
-            with pytest.raises(WorkflowError):
-                fut.result(timeout=10)
-
     def test_invalid_timeouts_rejected(self):
-        with pytest.raises(WorkflowError):
-            DataFlowKernel(SerialExecutor(), task_timeout_s=0.0)
         with DataFlowKernel(SerialExecutor()) as dfk:
+            with pytest.raises(WorkflowError):
+                dfk.submit(lambda: 1, timeout_s=0.0)
             with pytest.raises(WorkflowError):
                 dfk.submit(lambda: 1, timeout_s=-1.0)
 
